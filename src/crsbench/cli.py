@@ -118,12 +118,28 @@ def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
 
 def _read_predictions(path: Path) -> tuple[str, PredictionSet]:
     doc = json.loads(path.read_text(encoding="utf-8"))
-    return doc["model_name"], PredictionSet(
-        tuple(doc["case_ids"]),
-        np.array(doc["labels"]),
-        np.array(doc["scores"]),
-        np.array(doc["hard_labels"]),
-    )
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: predictions must be a JSON object")
+
+    def field(key, check, what):
+        if key not in doc:
+            raise CliError(f"{path}: missing key {key!r}")
+        if not check(doc[key]):
+            raise CliError(f"{path}: {key!r} must be {what}")
+        return doc[key]
+
+    def list_of(*types):
+        return lambda value: isinstance(value, list) and all(isinstance(v, types) for v in value)
+
+    name = field("model_name", lambda value: isinstance(value, str), "a string")
+    case_ids = field("case_ids", list_of(str), "a list of strings")
+    labels = field("labels", list_of(int), "a list of integers")
+    scores = field("scores", list_of(int, float), "a list of numbers")
+    hard = field("hard_labels", list_of(int), "a list of integers")
+    try:
+        return name, PredictionSet(tuple(case_ids), np.array(labels), np.array(scores), np.array(hard))
+    except (MetricError, OverflowError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _report_markdown(report) -> str:

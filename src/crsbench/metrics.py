@@ -3,6 +3,12 @@
 Confusion/threshold metrics, tie-aware ranking metrics, calibration, decision
 curves, paired tests (DeLong, McNemar), case-level bootstrap intervals, and
 permutation feature importance. All functions are pure.
+
+Every ranking quantity (mid-ranks, AUROC, AP, ROC/PR points, DeLong
+placements) comes from one stable sort grouped by distinct score, as in the
+fast DeLong algorithm of Sun & Xu (IEEE SPL 2014); ``evaluate`` sorts once
+for all four of its ranking quantities. The three tail
+probabilities the paired tests need are closed forms over ``math``.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 CM_LAYOUT_NOTE = "[tn, fp; fn, tp] with class 0 = row 0"
 
@@ -52,20 +58,39 @@ class PredictionSet:
     hard_labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
+        for name in ("labels", "hard_labels"):
+            raw = np.asarray(getattr(self, name))
+            if not np.all((raw == 0) | (raw == 1)):
+                raise MetricError(f"{name} must be 0 or 1")
+            object.__setattr__(self, name, raw.astype(int))
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
-        object.__setattr__(self, "hard_labels", np.asarray(self.hard_labels, dtype=int))
         n = len(self.case_ids)
         if not (len(self.labels) == len(self.scores) == len(self.hard_labels) == n):
             raise MetricError("PredictionSet fields must share one length")
+        if not np.all(np.isfinite(self.scores)):
+            raise MetricError("scores must be finite")
+        if len(set(self.case_ids)) != n:
+            raise MetricError("case_ids must be unique")
 
-    def subset(self, idx) -> "PredictionSet":
-        return PredictionSet(
-            tuple(self.case_ids[i] for i in idx),
-            self.labels[idx],
-            self.scores[idx],
-            self.hard_labels[idx],
-        )
+
+def _gathered(name: str) -> property:
+    return property(lambda self: getattr(self._source, name)[self._idx])
+
+
+class _Resample:
+    """A bootstrap resample: the PredictionSet fields at ``idx``, each gathered
+    when a metric reads it. Case ids repeat, so it is no PredictionSet."""
+
+    __slots__ = ("_source", "_idx")
+
+    def __init__(self, source: PredictionSet, idx: np.ndarray):
+        self._source = source
+        self._idx = idx
+
+    case_ids = property(lambda self: tuple(self._source.case_ids[i] for i in self._idx))
+    labels = _gathered("labels")
+    scores = _gathered("scores")
+    hard_labels = _gathered("hard_labels")
 
 
 def confusion(labels, hard_labels) -> ConfusionMatrix:
@@ -118,63 +143,90 @@ def balanced_accuracy(labels, hard_labels) -> float:
     return threshold_metrics(confusion(labels, hard_labels))["balanced_accuracy"]
 
 
-def _midrank(x: np.ndarray) -> np.ndarray:
-    """Mid-ranks (1-based, ties averaged)."""
-    order = np.argsort(x, kind="mergesort")
-    z = x[order]
-    n = len(x)
-    t = np.zeros(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and z[j] == z[i]:
-            j += 1
-        t[i:j] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    out = np.empty(n)
-    out[order] = t
-    return out
+class _Ranking(NamedTuple):
+    """Cases grouped by distinct score after one stable ascending sort."""
+
+    order: np.ndarray  # the stable argsort of the scores
+    value: np.ndarray  # each group's score, as first met in input order
+    size: np.ndarray  # cases per group
+    pos: np.ndarray  # positives per group
+
+    def per_case(self, per_group: np.ndarray) -> np.ndarray:
+        """Spread one value per group back to the cases, in input order."""
+        out = np.empty(len(self.order))
+        out[self.order] = np.repeat(per_group, self.size)
+        return out
+
+
+def _rank(labels, scores) -> _Ranking:
+    """Validate 0/1 labels and NaN-free scores; sort and group them once."""
+    raw = np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
+    if raw.ndim != 1 or raw.shape != scores.shape:
+        raise MetricError("labels and scores must be aligned 1-D arrays")
+    if np.any(np.isnan(scores)):
+        raise MetricError("scores must not be NaN")
+    if not np.all((raw == 0) | (raw == 1)):
+        raise MetricError("labels must be 0 or 1")
+    labels = raw.astype(int)
+    order = np.argsort(scores, kind="mergesort")
+    z = scores[order]
+    new_group = np.ones(len(z), dtype=bool)
+    # `!=` rather than np.diff: inf - inf is NaN and would split tied infinities
+    new_group[1:] = z[1:] != z[:-1]
+    start = np.flatnonzero(new_group)
+    size = np.diff(np.append(start, len(z)))
+    cum_pos = np.concatenate(([0], np.cumsum(labels[order])))
+    return _Ranking(order, z[start], size, cum_pos[start + size] - cum_pos[start])
+
+
+def _midranks(before: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """1-based mid-rank of a tied group of ``size`` cases above ``before`` cases."""
+    i, j = before, before + size
+    return 0.5 * (i + j - 1) + 1.0
+
+
+def _below(counts: np.ndarray) -> np.ndarray:
+    """Cases in all lower groups, per group."""
+    return np.cumsum(counts) - counts
+
+
+def _rank_sum_auc(rank_sum: float, m: int, n0: int) -> float:
+    return (rank_sum - m * (m + 1) / 2.0) / (m * n0)
 
 
 def auroc(labels, scores) -> float:
     """Tie-aware AUROC: (concordant + 0.5 * tied) / (n0 * n1), via mid-ranks."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    m = int(np.sum(labels == 1))
-    n0 = int(np.sum(labels == 0))
+    return _auroc(_rank(labels, scores))
+
+
+def _auroc(r: _Ranking) -> float:
+    m = int(np.sum(r.pos))
+    n0 = len(r.order) - m
     if m == 0 or n0 == 0:
         raise MetricError("auroc requires both classes")
-    ranks = _midrank(scores)
-    return (float(np.sum(ranks[labels == 1])) - m * (m + 1) / 2.0) / (m * n0)
+    # mid-ranks are half-integers, so this sum is exact in any order
+    rank_sum = float(np.sum(_midranks(_below(r.size), r.size) * r.pos))
+    return _rank_sum_auc(rank_sum, m, n0)
+
+
+def _descending_counts(r: _Ranking) -> tuple[np.ndarray, np.ndarray]:
+    """Cases and positives scoring at or above each group, highest group first."""
+    return np.cumsum(r.size[::-1]), np.cumsum(r.pos[::-1])
 
 
 def average_precision(labels, scores) -> float:
     """Step-wise P-R integral; tied scores handled as one operating point."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    n_pos = int(np.sum(labels == 1))
+    return _average_precision(_rank(labels, scores))
+
+
+def _average_precision(r: _Ranking) -> float:
+    n_pos = int(np.sum(r.pos))
     if n_pos == 0:
         raise MetricError("average_precision requires at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    ap = 0.0
-    taken = 0
-    taken_pos = 0
-    i = 0
-    n = len(labels)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        group_pos = int(np.sum(sorted_labels[i:j]))
-        taken += j - i
-        taken_pos += group_pos
-        if group_pos:
-            precision = taken_pos / taken
-            ap += precision * group_pos / n_pos
-        i = j
-    return ap
+    taken, taken_pos = _descending_counts(r)
+    # cumsum adds the per-group terms left to right, highest score first
+    return float(np.cumsum(taken_pos / taken * r.pos[::-1] / n_pos)[-1])
 
 
 def brier(labels, probabilities) -> float:
@@ -243,16 +295,37 @@ def net_benefit(labels, probabilities, thresholds) -> list[dict]:
     return rows
 
 
-def _delong_placements(labels: np.ndarray, scores: np.ndarray):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    m, n = len(pos), len(neg)
-    all_ranks = _midrank(np.concatenate([pos, neg]))
-    tx = _midrank(pos)
-    ty = _midrank(neg)
-    auc = (float(np.sum(all_ranks[:m])) - m * (m + 1) / 2.0) / (m * n)
-    v01 = (all_ranks[:m] - tx) / n  # per-positive structural components
-    v10 = 1.0 - (all_ranks[m:] - ty) / m  # per-negative
+def _normal_two_sided_p(z: float) -> float:
+    """2 * P(Z > |z|) for a standard normal Z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def _chi2_1df_sf(x: float) -> float:
+    """P(X > x) for X chi-square with one degree of freedom."""
+    return math.erfc(math.sqrt(x / 2.0))
+
+
+def _sign_test_p(k: int, total: int) -> float:
+    """Two-sided exact binomial p: min(1, 2 * P(X <= k)), X ~ Bin(total, 1/2)."""
+    tail = sum(math.comb(total, i) for i in range(k + 1))
+    return min(1.0, 2.0 * (tail / 2**total))
+
+
+def _delong_placements(labels, scores):
+    """AUC and per-case structural components from one sort of all cases.
+
+    A case's placement is its mid-rank among all cases minus its mid-rank
+    within its own class, both read off the same groups.
+    """
+    r = _rank(labels, scores)
+    is_pos = np.asarray(labels) == 1
+    m = int(np.sum(r.pos))
+    n = len(r.order) - m
+    neg = r.size - r.pos
+    mid = _midranks(_below(r.size), r.size)
+    auc = _rank_sum_auc(float(np.sum(mid * r.pos)), m, n)
+    v01 = r.per_case((mid - _midranks(_below(r.pos), r.pos)) / n)[is_pos]  # per positive
+    v10 = r.per_case(1.0 - (mid - _midranks(_below(neg), neg)) / m)[~is_pos]  # per negative
     return auc, v01, v10
 
 
@@ -263,7 +336,7 @@ def delong_test(labels, scores_a, scores_b) -> dict:
     it bit-for-bit. Zero variance (e.g. identical score vectors) yields a
     flagged p-value of 1.
     """
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     scores_a = np.asarray(scores_a, dtype=float)
     scores_b = np.asarray(scores_b, dtype=float)
     if not (len(labels) == len(scores_a) == len(scores_b)):
@@ -295,7 +368,7 @@ def delong_test(labels, scores_a, scores_b) -> dict:
     else:
         se = math.sqrt(variance)
         z = diff / se
-        p_value = float(2.0 * stats.norm.sf(abs(z)))
+        p_value = _normal_two_sided_p(z)
     return {
         "auc_a": auc_a,
         "auc_b": auc_b,
@@ -329,11 +402,11 @@ def mcnemar(labels, hard_a, hard_b) -> dict:
         return {"b_count": 0, "c_count": 0, "statistic": 0.0, "p_value": 1.0,
                 "method": "degenerate", "flagged": True}
     if total < MCNEMAR_EXACT_CUTOFF:
-        p = min(1.0, 2.0 * float(stats.binom.cdf(min(b_count, c_count), total, 0.5)))
+        p = _sign_test_p(min(b_count, c_count), total)
         return {"b_count": b_count, "c_count": c_count, "statistic": float(min(b_count, c_count)),
                 "p_value": p, "method": "exact_binomial", "flagged": False}
     statistic = (abs(b_count - c_count) - 1.0) ** 2 / total
-    p = float(stats.chi2.sf(statistic, df=1))
+    p = _chi2_1df_sf(statistic)
     return {"b_count": b_count, "c_count": c_count, "statistic": statistic,
             "p_value": p, "method": "chi2_cc", "flagged": False}
 
@@ -355,18 +428,19 @@ def bootstrap_ci(
     n = len(pred_set.case_ids)
     rng = np.random.default_rng(seed)
     point = float(metric(pred_set))
+    positive = pred_set.labels == 1
     values = np.empty(n_resamples)
     redraws = 0
     cap = 10 * n_resamples
     for r in range(n_resamples):
         while True:
             idx = rng.integers(0, n, size=n)
-            if not require_both_classes or len(np.unique(pred_set.labels[idx])) == 2:
+            if not require_both_classes or 0 < positive[idx].sum() < n:
                 break
             redraws += 1
             if redraws > cap:
                 raise MetricError("bootstrap redraw cap exceeded; metric undefined on this data")
-        values[r] = metric(pred_set.subset(idx))
+        values[r] = metric(_Resample(pred_set, idx))
     return {
         "point": point,
         "lo95": float(np.percentile(values, 2.5)),
@@ -404,40 +478,36 @@ def permutation_importance(
 
 def roc_points(labels, scores) -> list[dict]:
     """ROC operating points at every distinct score threshold (descending)."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    n1 = int(np.sum(labels == 1))
-    n0 = int(np.sum(labels == 0))
+    return _roc_points(_rank(labels, scores))
+
+
+def _roc_points(r: _Ranking) -> list[dict]:
+    n1 = int(np.sum(r.pos))
+    n0 = len(r.order) - n1
+    taken, tp = _descending_counts(r)
+    fpr = (taken - tp) / n0 if n0 else np.zeros(len(taken))
+    tpr = tp / n1 if n1 else np.zeros(len(taken))
     points = [{"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}]
-    for t in sorted(set(scores.tolist()), reverse=True):
-        pred = scores >= t
-        points.append(
-            {
-                "threshold": float(t),
-                "fpr": float(np.sum(pred & (labels == 0))) / n0 if n0 else 0.0,
-                "tpr": float(np.sum(pred & (labels == 1))) / n1 if n1 else 0.0,
-            }
-        )
+    points.extend(
+        {"threshold": t, "fpr": f, "tpr": p}
+        for t, f, p in zip(r.value[::-1].tolist(), fpr.tolist(), tpr.tolist())
+    )
     return points
 
 
 def pr_points(labels, scores) -> list[dict]:
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    n1 = int(np.sum(labels == 1))
-    points = []
-    for t in sorted(set(scores.tolist()), reverse=True):
-        pred = scores >= t
-        tp = int(np.sum(pred & (labels == 1)))
-        taken = int(np.sum(pred))
-        points.append(
-            {
-                "threshold": float(t),
-                "recall": tp / n1 if n1 else 0.0,
-                "precision": tp / taken if taken else 1.0,
-            }
-        )
-    return points
+    """P-R operating points at every distinct score threshold (descending)."""
+    return _pr_points(_rank(labels, scores))
+
+
+def _pr_points(r: _Ranking) -> list[dict]:
+    n1 = int(np.sum(r.pos))
+    taken, tp = _descending_counts(r)
+    recall = tp / n1 if n1 else np.zeros(len(taken))
+    return [
+        {"threshold": t, "recall": rc, "precision": pr}
+        for t, rc, pr in zip(r.value[::-1].tolist(), recall.tolist(), (tp / taken).tolist())
+    ]
 
 
 DEFAULT_NB_THRESHOLDS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 4))
@@ -496,17 +566,18 @@ def evaluate(
     rescaled = bool(np.any(scores < 0) or np.any(scores > 1))
     probs = (scores + 1.0) / 2.0 if rescaled else scores
     cm = confusion(pred_set.labels, pred_set.hard_labels)
+    ranking = _rank(pred_set.labels, scores)
     return EvaluationReport(
         model_name=model_name,
         cm=cm,
         metrics=threshold_metrics(cm),
-        auroc=auroc(pred_set.labels, scores),
-        average_precision=average_precision(pred_set.labels, scores),
+        auroc=_auroc(ranking),
+        average_precision=_average_precision(ranking),
         brier=brier(pred_set.labels, probs),
         reliability=reliability_curve(pred_set.labels, probs, bins=bins),
         net_benefit_curve=net_benefit(pred_set.labels, probs, thresholds),
-        roc=roc_points(pred_set.labels, scores),
-        pr=pr_points(pred_set.labels, scores),
+        roc=_roc_points(ranking),
+        pr=_pr_points(ranking),
         calibration_on_rescaled_proxy=rescaled,
     )
 

@@ -3,6 +3,9 @@ implementations they check. Table-driven and O(n^2) on purpose."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 
 # --- rule-engine oracle ----------------------------------------------------
@@ -109,6 +112,25 @@ def ap_step_sum(labels, scores) -> float:
     return ap
 
 
+def sequential_bootstrap_values(metric, labels, scores, hard_labels, n_resamples, seed):
+    """Bootstrap metric values drawn one resample at a time, redrawing any
+    resample that lost a class. Returns (values, redraws)."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    values, redraws = [], 0
+    while len(values) < n_resamples:
+        idx = rng.integers(0, n, size=n)
+        if len(np.unique(labels[idx])) < 2:
+            redraws += 1
+            continue
+        resample = SimpleNamespace(
+            labels=labels[idx], scores=np.asarray(scores)[idx], hard_labels=np.asarray(hard_labels)[idx]
+        )
+        values.append(metric(resample))
+    return np.array(values), redraws
+
+
 def paired_bootstrap_auc_diff_ci(labels, scores_a, scores_b, n_resamples=2000, seed=0):
     """Percentile CI of AUC(a) - AUC(b) under case-level paired resampling."""
     labels = np.asarray(labels)
@@ -126,3 +148,54 @@ def paired_bootstrap_auc_diff_ci(labels, scores_a, scores_b, n_resamples=2000, s
             - auc_pair_count(labels[idx], scores_b[idx])
         )
     return float(np.percentile(diffs, 2.5)), float(np.percentile(diffs, 97.5))
+
+
+def roc_points_per_threshold(labels, scores) -> list[dict]:
+    """ROC points by counting ``scores >= t`` afresh at every distinct t."""
+    labels = np.asarray(labels, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    n1 = int(np.sum(labels == 1))
+    n0 = int(np.sum(labels == 0))
+    points = [{"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}]
+    for t in sorted(set(scores.tolist()), reverse=True):
+        pred = scores >= t
+        points.append(
+            {
+                "threshold": float(t),
+                "fpr": float(np.sum(pred & (labels == 0))) / n0 if n0 else 0.0,
+                "tpr": float(np.sum(pred & (labels == 1))) / n1 if n1 else 0.0,
+            }
+        )
+    return points
+
+
+def pr_points_per_threshold(labels, scores) -> list[dict]:
+    """P-R points by counting ``scores >= t`` afresh at every distinct t."""
+    labels = np.asarray(labels, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    n1 = int(np.sum(labels == 1))
+    points = []
+    for t in sorted(set(scores.tolist()), reverse=True):
+        pred = scores >= t
+        tp = int(np.sum(pred & (labels == 1)))
+        taken = int(np.sum(pred))
+        points.append(
+            {
+                "threshold": float(t),
+                "recall": tp / n1 if n1 else 0.0,
+                "precision": tp / taken if taken else 1.0,
+            }
+        )
+    return points
+
+
+# --- tail-probability oracle -------------------------------------------------
+
+
+def sign_test_p(k: int, total: int) -> float:
+    """Two-sided exact sign-test p, min(1, 2 * P(X <= k)) for X ~ Bin(total, 1/2),
+    from Pascal's triangle in exact fractions."""
+    row = [Fraction(1)]
+    for _ in range(total):
+        row = [(a + b) / 2 for a, b in zip([Fraction(0)] + row, row + [Fraction(0)])]
+    return float(min(Fraction(1), 2 * sum(row[: k + 1])))

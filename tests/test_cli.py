@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crsbench
 from crsbench.cli import (
     EXIT_LEAKAGE,
     EXIT_NUMERIC,
@@ -118,6 +123,66 @@ def test_compare_single_class_predictions_is_numeric_failure(tmp_path):
     assert main(
         ["compare", "--pred-a", str(preds), "--pred-b", str(preds), "--out", str(tmp_path / "o.json")]
     ) == EXIT_NUMERIC
+
+
+def _run_cli(*argv, timeout=30):
+    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
+    src = str(Path(crsbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "crsbench.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+GOOD_PREDICTIONS = {
+    "model_name": "m",
+    "case_ids": ["a", "b", "c"],
+    "labels": [0, 1, 1],
+    "scores": [0.1, 0.2, 0.3],
+    "hard_labels": [0, 0, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"scores": [0.1, float("nan"), 0.3]}, id="nan-score"),
+        pytest.param({"scores": [0.1, float("inf"), 0.3]}, id="inf-score"),
+        pytest.param({"labels": [0, 2, 1]}, id="label-2"),
+        pytest.param({"hard_labels": [0, -1, 1]}, id="hard-label-minus-1"),
+        pytest.param({"case_ids": ["a", "b", "a"]}, id="duplicate-case-id"),
+        pytest.param({"hard_labels": None}, id="missing-hard-labels"),
+        pytest.param({"model_name": None}, id="missing-model-name"),
+        pytest.param({"scores": "0.1 0.2 0.3"}, id="scores-not-a-list"),
+        pytest.param({"labels": [0, "1", 1]}, id="label-not-an-integer"),
+        pytest.param({"case_ids": [1, 2, 3]}, id="case-ids-not-strings"),
+    ],
+)
+def test_evaluate_rejects_bad_predictions_with_validation_code(tmp_path, change):
+    doc = {k: v for k, v in {**GOOD_PREDICTIONS, **change}.items() if v is not None}
+    preds = tmp_path / "p.json"
+    preds.write_text(json.dumps(doc))
+    proc = _run_cli("evaluate", "--predictions", str(preds), "--out-dir", str(tmp_path / "ev"))
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "ev").exists()
+
+
+def test_predictions_json_that_is_not_an_object_is_validation_error(tmp_path):
+    preds = tmp_path / "p.json"
+    preds.write_text("[1, 2, 3]")
+    assert main(["evaluate", "--predictions", str(preds), "--out-dir", str(tmp_path / "ev")]) == EXIT_VALIDATION
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(crsbench.__file__).resolve().parents[1])
+    code = "import sys, crsbench.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_importance_command(tmp_path, cohort_csv):

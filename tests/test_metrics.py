@@ -1,8 +1,13 @@
+import json
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crsbench import metrics
 from crsbench.metrics import (
     ConfusionMatrix,
     MetricError,
@@ -19,12 +24,37 @@ from crsbench.metrics import (
     mcnemar,
     net_benefit,
     permutation_importance,
+    pr_points,
     reliability_curve,
+    roc_points,
     threshold_metrics,
     write_curve_csvs,
     write_report_json,
 )
-from oracles import ap_step_sum, auc_pair_count
+from oracles import (
+    ap_step_sum,
+    auc_pair_count,
+    pr_points_per_threshold,
+    roc_points_per_threshold,
+    sequential_bootstrap_values,
+    sign_test_p,
+)
+
+
+@contextmanager
+def _time_bound(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _random_instance(rng, n=None, tie_prone=False):
@@ -130,6 +160,97 @@ def test_auroc_complement_symmetry(pairs):
     assert auroc(1 - labels, scores) == pytest.approx(1.0 - auroc(labels, scores), abs=1e-12)
 
 
+def _curve_instances(rng):
+    for _ in range(100):
+        yield _random_instance(rng, tie_prone=bool(rng.integers(0, 2)))
+    for n in (1, 2, 7, 40):
+        yield rng.integers(0, 2, size=n), np.full(n, 0.25)  # all tied, maybe one class
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        yield rng.integers(0, 2, size=n), rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf], size=n)
+
+
+def test_roc_and_pr_points_match_per_threshold_oracle(rng):
+    for labels, scores in _curve_instances(rng):
+        # json.dumps also tells 0.0 from -0.0 and keeps inf thresholds comparable
+        assert json.dumps(roc_points(labels, scores)) == json.dumps(roc_points_per_threshold(labels, scores))
+        assert json.dumps(pr_points(labels, scores)) == json.dumps(pr_points_per_threshold(labels, scores))
+
+
+def test_ranking_on_empty_input():
+    assert roc_points([], []) == [{"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}]
+    assert pr_points([], []) == []
+
+
+def test_nan_score_raises_instead_of_hanging():
+    with _time_bound(5.0):
+        for fn in (auroc, average_precision, roc_points, pr_points):
+            with pytest.raises(MetricError):
+                fn([0, 1, 1], [0.1, float("nan"), 0.3])
+        with pytest.raises(MetricError):
+            delong_test([0, 1, 1], [0.1, float("nan"), 0.3], [0.1, 0.2, 0.3])
+
+
+def test_ranking_rejects_labels_outside_zero_one():
+    with pytest.raises(MetricError):
+        auroc([0, 2, 1], [0.1, 0.2, 0.3])
+    with pytest.raises(MetricError):
+        roc_points([0, 1], [0.1, 0.2, 0.3])
+    for fn in (auroc, average_precision, roc_points, pr_points):
+        with pytest.raises(MetricError):
+            fn([0, 0.5, 1], [0.1, 0.2, 0.3])
+    with pytest.raises(MetricError):
+        delong_test([0, 0.5, 1], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+
+
+def test_prediction_set_validates_on_construction():
+    good = dict(case_ids=("a", "b"), labels=[0, 1], scores=[0.1, 0.9], hard_labels=[0, 1])
+    PredictionSet(**good)
+    for bad in (
+        dict(scores=[0.1, float("nan")]),
+        dict(scores=[0.1, float("inf")]),
+        dict(labels=[0, 2]),
+        dict(labels=[0, 0.5]),
+        dict(hard_labels=[0, -1]),
+        dict(case_ids=("a", "a")),
+        dict(case_ids=("a",)),
+    ):
+        with pytest.raises(MetricError):
+            PredictionSet(**{**good, **bad})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.floats(), st.floats(), st.integers(0, 1)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_metrics_return_or_raise_metric_error_on_arbitrary_floats(rows):
+    labels, scores_a, scores_b, hard = (np.array(column) for column in zip(*rows))
+    ids = tuple(f"c{i}" for i in range(len(rows)))
+    calls = [
+        lambda: auroc(labels, scores_a),
+        lambda: average_precision(labels, scores_a),
+        lambda: roc_points(labels, scores_a),
+        lambda: pr_points(labels, scores_a),
+        lambda: delong_test(labels, scores_a, scores_b),
+        lambda: evaluate(PredictionSet(ids, labels, scores_a, hard)),
+        lambda: compare(
+            PredictionSet(ids, labels, scores_a, hard),
+            PredictionSet(ids, labels, scores_b, 1 - hard),
+            n_resamples=100,
+        ),
+    ]
+    with _time_bound(10.0):
+        for call in calls:
+            try:
+                call()
+            except MetricError:
+                pass
+
+
 # --- calibration --------------------------------------------------------------
 
 
@@ -229,6 +350,29 @@ def test_mcnemar_chi2_large_discordance(rng):
     assert res["p_value"] > 0.8  # symmetric discordance is far from significant
 
 
+def test_tail_probabilities_match_known_constants():
+    assert metrics._normal_two_sided_p(1.959963984540054) == pytest.approx(0.05, rel=1e-12)
+    assert metrics._normal_two_sided_p(-1.959963984540054) == pytest.approx(0.05, rel=1e-12)
+    assert metrics._normal_two_sided_p(0.0) == 1.0
+    assert metrics._chi2_1df_sf(3.841458820694124) == pytest.approx(0.05, rel=1e-12)
+    assert metrics._chi2_1df_sf(0.0) == 1.0
+
+
+def test_mcnemar_exact_branch_matches_sign_test_oracle():
+    assert metrics._sign_test_p(0, 5) == 2 * 0.5**5
+    assert metrics._sign_test_p(2, 12) == 2 * (1 + 12 + 66) / 2**12
+    for total in range(1, metrics.MCNEMAR_EXACT_CUTOFF):
+        for b_count in range(total + 1):
+            c_count = total - b_count
+            labels = np.zeros(total, dtype=int)
+            hard_a = np.r_[np.zeros(b_count, int), np.ones(c_count, int)]  # a wrong on the c cases
+            hard_b = 1 - hard_a
+            res = mcnemar(labels, hard_a, hard_b)
+            assert (res["b_count"], res["c_count"]) == (b_count, c_count)
+            assert res["method"] == "exact_binomial"
+            assert res["p_value"] == sign_test_p(min(b_count, c_count), total)
+
+
 def test_mcnemar_degenerate():
     labels = [0, 1]
     res = mcnemar(labels, labels, labels)
@@ -277,6 +421,38 @@ def test_bootstrap_redraws_on_class_loss():
     assert res["lo95"] == res["hi95"] == 1.0
 
 
+def test_bootstrap_matches_sequential_draws(rng):
+    metric = lambda s: float(np.mean(s.labels == s.hard_labels)) + auroc(s.labels, s.scores)
+    for n, prevalence in ((2, 0.5), (7, 0.5), (30, 0.95), (105, 0.8)):
+        ps = _pred_set(rng, n=n, prevalence=prevalence)
+        res = bootstrap_ci(metric, ps, n_resamples=300, seed=n)
+        values, redraws = sequential_bootstrap_values(
+            metric, ps.labels, ps.scores, ps.hard_labels, 300, seed=n
+        )
+        assert res["redraws"] == redraws
+        assert res["lo95"] == float(np.percentile(values, 2.5))
+        assert res["hi95"] == float(np.percentile(values, 97.5))
+
+
+def test_bootstrap_resample_carries_every_field():
+    ps = PredictionSet(("a", "b"), np.array([0, 1]), np.array([0.1, 0.9]), np.array([0, 1]))
+    seen = []
+
+    def metric(s):
+        seen.append([(c, lab, sc, h) for c, lab, sc, h in zip(s.case_ids, s.labels, s.scores, s.hard_labels)])
+        return 0.0
+
+    bootstrap_ci(metric, ps, n_resamples=100)
+    assert len(seen) == 101
+    assert all(sorted(rows) == [("a", 0, 0.1, 0), ("b", 1, 0.9, 1)] for rows in seen)
+
+
+def test_bootstrap_single_class_hits_redraw_cap():
+    ps = PredictionSet(("a", "b"), np.array([1, 1]), np.array([0.1, 0.9]), np.array([0, 1]))
+    with pytest.raises(MetricError, match="redraw cap"):
+        bootstrap_ci(lambda s: 0.0, ps, n_resamples=100)
+
+
 # --- permutation importance -----------------------------------------------------
 
 
@@ -313,6 +489,10 @@ def test_evaluate_probability_scores(rng):
     doc = report.to_dict()
     assert doc["model_name"] == "demo"
     assert doc["confusion_matrix"]["rows"] == report.cm.as_rows()
+    assert report.auroc == auroc(ps.labels, ps.scores)
+    assert report.average_precision == average_precision(ps.labels, ps.scores)
+    assert report.roc == roc_points(ps.labels, ps.scores)
+    assert report.pr == pr_points(ps.labels, ps.scores)
 
 
 def test_evaluate_rescales_signed_proxy_scores():
