@@ -388,6 +388,10 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     name_a, pred_a = _read_predictions(Path(args.pred_a))
     name_b, pred_b = _read_predictions(Path(args.pred_b))
+    if pred_a.case_ids != pred_b.case_ids:
+        raise CliError(f"{args.pred_a} and {args.pred_b} must list the same case_ids in the same order")
+    if not np.array_equal(pred_a.labels, pred_b.labels):
+        raise CliError(f"{args.pred_a} and {args.pred_b} disagree on ground-truth labels")
     result = compare_sets(pred_a, pred_b, seed=args.seed)
     doc = {"model_a": name_a, "model_b": name_b, **result}
     Path(args.out).write_text(json.dumps(doc, indent=1), encoding="utf-8")

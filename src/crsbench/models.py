@@ -2,8 +2,10 @@
 
 Logistic regression (full-batch gradient descent), Gaussian naive Bayes, and
 a single-hidden-layer MLP trained by SGD with momentum under a weighted or
-focal loss. Training is single-threaded and bit-deterministic per seed;
-trained models are immutable containers safe to share.
+focal loss. Training is single-threaded and bit-deterministic per seed. The
+MLP SGD step and the logreg epoch are lean numpy kernels that reproduce the
+straightforward reference forms in ``tests/oracles.py`` bit for bit. Trained
+models are immutable containers safe to share.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ class DivergenceError(ModelError):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
 
 
-# Probability-clamp events in focal/CE losses (p outside (0,1) before clamp).
+# Probability-clamp events: one event is one probability found outside
+# [EPS, 1 - EPS] by one loss evaluation. A training step clamps its batch once
+# and feeds the clamped probabilities to both the loss and the gradient.
 _clamp_counter = {"count": 0}
 
 
@@ -44,20 +48,22 @@ def reset_clamp_count() -> None:
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    out_of_range = np.sum((p < EPS) | (p > 1.0 - EPS))
+    out_of_range = np.count_nonzero((p < EPS) | (p > 1.0 - EPS))
     if out_of_range:
-        _clamp_counter["count"] += int(out_of_range)
+        _clamp_counter["count"] += out_of_range
     return np.clip(p, EPS, 1.0 - EPS)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z| <= 0.
+
+    ``minimum(z, -z)`` is -|z| that keeps the sign of a NaN, so the result
+    matches the two-branch form bit for bit on every input.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,21 @@ class LossConfig:
         return {"kind": self.kind, "gamma": self.gamma, "alpha": self.alpha}
 
 
-def focal_loss(p: float | np.ndarray, y: int | np.ndarray, gamma: float, alpha: float):
-    """Focal loss terms: -a(1-p)^g log p for y=1, -(1-a)p^g log(1-p) for y=0."""
-    p = _clamp_probs(p)
-    y = np.asarray(y, dtype=float)
+def _focal_terms(p, y, gamma: float, alpha: float):
     pos = -alpha * (1.0 - p) ** gamma * np.log(p)
     neg = -(1.0 - alpha) * p**gamma * np.log(1.0 - p)
-    out = y * pos + (1.0 - y) * neg
+    return y * pos + (1.0 - y) * neg
+
+
+def _focal_grad_z(p, y, gamma: float, alpha: float):
+    grad_pos = alpha * (1.0 - p) ** gamma * (gamma * p * np.log(p) - (1.0 - p))
+    grad_neg = (1.0 - alpha) * p**gamma * (p - gamma * (1.0 - p) * np.log(1.0 - p))
+    return y * grad_pos + (1.0 - y) * grad_neg
+
+
+def focal_loss(p: float | np.ndarray, y: int | np.ndarray, gamma: float, alpha: float):
+    """Focal loss terms: -a(1-p)^g log p for y=1, -(1-a)p^g log(1-p) for y=0."""
+    out = _focal_terms(_clamp_probs(p), np.asarray(y, dtype=float), gamma, alpha)
     return float(out) if out.ndim == 0 else out
 
 
@@ -105,10 +119,7 @@ def loss_grad_z(p, y, loss: LossConfig, class_weights: tuple[float, float]):
     if loss.kind == "weighted":
         w = np.where(y == 1, class_weights[1], class_weights[0])
         return w * (p - y)
-    g, a = loss.gamma, loss.alpha
-    grad_pos = a * (1.0 - p) ** g * (g * p * np.log(p) - (1.0 - p))
-    grad_neg = (1.0 - a) * p**g * (p - g * (1.0 - p) * np.log(1.0 - p))
-    return y * grad_pos + (1.0 - y) * grad_neg
+    return _focal_grad_z(p, y, loss.gamma, loss.alpha)
 
 
 def inverse_prevalence_weights(y: np.ndarray, power: float = 1.0) -> tuple[float, float]:
@@ -206,9 +217,10 @@ def train_logreg(
     vw = np.zeros(d)
     vb = 0.0
     grad_norm = np.inf
+    sample_weights = np.where(y == 1, weights[1], weights[0])
     for epoch in range(max_epochs):
-        p = sigmoid(X @ w + b)
-        gz = loss_grad_z(p, y, loss, weights) / n
+        p = _clamp_probs(sigmoid(X @ w + b))
+        gz = sample_weights * (p - y) / n
         gw = X.T @ gz + l2 * w
         gb = float(np.sum(gz))
         grad_norm = float(np.sqrt(np.sum(gw**2) + gb**2))
@@ -282,19 +294,41 @@ def mlp_loss_and_grads(
     loss: LossConfig,
     class_weights: tuple[float, float],
 ) -> tuple[float, dict]:
-    """Mean loss over the batch and analytic gradients for every parameter."""
+    """Mean loss over the batch and analytic gradients for every parameter.
+
+    The probabilities are clamped once and shared by the loss and its
+    gradient. The weighted loss takes one log per sample, log p or
+    log(1 - p), which equals the two-term cross-entropy bit for bit on 0/1
+    labels because the dropped term is 0 * log(.) = -0.0.
+    """
+    y = np.asarray(y)
     n = X.shape[0]
-    pre_hidden = X @ params["W1"] + params["b1"]
+    pre_hidden = X @ params["W1"]
+    pre_hidden += params["b1"]
     hidden = np.maximum(0.0, pre_hidden)
-    p = sigmoid(hidden @ params["W2"] + params["b2"]).ravel()
-    value = float(np.mean(loss_values(p, y, loss, class_weights)))
-    gz = (loss_grad_z(p, y, loss, class_weights) / n)[:, None]
+    z = hidden @ params["W2"]
+    z += params["b2"]
+    p = _clamp_probs(sigmoid(z.ravel()))
+    if loss.kind == "weighted":
+        positive = y == 1
+        w = np.where(positive, class_weights[1], class_weights[0])
+        terms = -w * np.log(np.where(positive, p, 1.0 - p))
+        gz = w * (p - y)
+    else:
+        terms = _focal_terms(p, y, loss.gamma, loss.alpha)
+        gz = _focal_grad_z(p, y, loss.gamma, loss.alpha)
+    value = float(np.mean(terms))
+    gz = (gz / n)[:, None]
     grads = {
         "W2": hidden.T @ gz,
         "b2": gz.sum(axis=0),
     }
-    dhidden = gz @ params["W2"].T
-    dhidden[pre_hidden <= 0] = 0.0
+    # With an inner dimension of 1 the broadcast product is the matmul
+    # gz @ W2.T. Multiplying by the ReLU mask leaves -0.0 where a negative
+    # entry is masked; adding +0.0 turns it into +0.0.
+    dhidden = gz * params["W2"].T
+    dhidden *= pre_hidden > 0
+    dhidden += 0.0
     grads["W1"] = X.T @ dhidden
     grads["b1"] = dhidden.sum(axis=0)
     return value, grads
@@ -355,9 +389,10 @@ def train_mlp(
             if not np.isfinite(value):
                 raise DivergenceError(epoch)
             batch_losses.append(value)
-            for key in params:
-                velocity[key] = optimizer.momentum * velocity[key] - optimizer.learning_rate * grads[key]
-                params[key] = params[key] + velocity[key]
+            for key, v in velocity.items():
+                v *= optimizer.momentum
+                v -= optimizer.learning_rate * grads[key]
+                params[key] += v
         train_loss = float(np.mean(batch_losses))
         val_loss = float(np.mean(loss_values(mlp_forward(params, Xv), yv, loss, weights)))
         if not np.isfinite(val_loss):
@@ -440,27 +475,53 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+# Top-level keys of a model file, and the parameter arrays of each kind.
+_MODEL_KEYS = ("kind", "feature_names", "training_seed", "loss_config", "class_weights",
+               "schema_checksum", "metadata", "params")
+_PARAM_NAMES = {"logreg": {"w", "b"}, "gnb": {"means", "variances", "priors"},
+                "mlp": {"W1", "b1", "W2", "b2"}}
+
+
 def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
-    """Load a model container; a schema checksum mismatch is a hard error."""
+    """Load a model container.
+
+    A document that is not a model container, and a schema checksum mismatch,
+    are a ``ModelError``.
+    """
     schema = schema or load_schema()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc["schema_checksum"] and doc["schema_checksum"] != schema.checksum:
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: a model file must be a JSON object")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ModelError(f"{path}: model file lacks {', '.join(map(repr, missing))}")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _PARAM_NAMES:
+        raise ModelError(f"{path}: unknown model kind {kind!r}")
+    checksum = doc["schema_checksum"]
+    if checksum and checksum != schema.checksum:
         raise ModelError(
             "model was trained under a different schema/dictionary version: "
-            f"{doc['schema_checksum'][:12]} != {schema.checksum[:12]}"
+            f"{str(checksum)[:12]} != {schema.checksum[:12]}"
         )
-    params = {
-        k: np.array(v["data"], dtype=float).reshape(v["shape"])
-        for k, v in doc["params"].items()
-    }
-    loss = LossConfig(**doc["loss_config"]) if doc["loss_config"] else None
-    return TrainedModel(
-        kind=doc["kind"],
-        feature_names=tuple(doc["feature_names"]),
-        params=params,
-        training_seed=doc["training_seed"],
-        loss_config=loss,
-        class_weights=tuple(doc["class_weights"]),
-        schema_checksum=doc["schema_checksum"],
-        metadata=doc["metadata"],
-    )
+    try:
+        params = {
+            k: np.array(v["data"], dtype=float).reshape(v["shape"])
+            for k, v in doc["params"].items()
+        }
+        loss = LossConfig(**doc["loss_config"]) if doc["loss_config"] else None
+        model = TrainedModel(
+            kind=kind,
+            feature_names=tuple(doc["feature_names"]),
+            params=params,
+            training_seed=doc["training_seed"],
+            loss_config=loss,
+            class_weights=tuple(doc["class_weights"]),
+            schema_checksum=checksum,
+            metadata=doc["metadata"],
+        )
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise ModelError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+    if set(params) != _PARAM_NAMES[kind]:
+        raise ModelError(f"{path}: a {kind} model needs parameters {sorted(_PARAM_NAMES[kind])}")
+    return model

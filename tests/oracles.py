@@ -199,3 +199,149 @@ def sign_test_p(k: int, total: int) -> float:
     for _ in range(total):
         row = [(a + b) / 2 for a, b in zip([Fraction(0)] + row, row + [Fraction(0)])]
     return float(min(Fraction(1), 2 * sum(row[: k + 1])))
+
+
+# --- training-kernel oracles -------------------------------------------------
+# The straightforward forms of the classifier kernels: a masked two-branch
+# sigmoid, a two-log cross-entropy, a matmul outer product with a boolean ReLU
+# scatter and allocating momentum updates. The lean kernels in
+# ``crsbench.models`` must reproduce these bit for bit.
+
+_EPS = 1e-7
+
+
+def sigmoid_two_branch(z):
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _loss_terms(p, y, loss, class_weights):
+    p = np.clip(np.asarray(p, dtype=float), _EPS, 1.0 - _EPS)
+    y = np.asarray(y, dtype=float)
+    if loss.kind == "focal":
+        pos = -loss.alpha * (1.0 - p) ** loss.gamma * np.log(p)
+        neg = -(1.0 - loss.alpha) * p**loss.gamma * np.log(1.0 - p)
+        return y * pos + (1.0 - y) * neg
+    w = np.where(y == 1, class_weights[1], class_weights[0])
+    return -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
+def _loss_grad_z(p, y, loss, class_weights):
+    p = np.clip(np.asarray(p, dtype=float), _EPS, 1.0 - _EPS)
+    y = np.asarray(y, dtype=float)
+    if loss.kind == "weighted":
+        w = np.where(y == 1, class_weights[1], class_weights[0])
+        return w * (p - y)
+    g, a = loss.gamma, loss.alpha
+    grad_pos = a * (1.0 - p) ** g * (g * p * np.log(p) - (1.0 - p))
+    grad_neg = (1.0 - a) * p**g * (p - g * (1.0 - p) * np.log(1.0 - p))
+    return y * grad_pos + (1.0 - y) * grad_neg
+
+
+def mlp_loss_and_grads_reference(params, X, y, loss, class_weights):
+    n = X.shape[0]
+    pre_hidden = X @ params["W1"] + params["b1"]
+    hidden = np.maximum(0.0, pre_hidden)
+    p = sigmoid_two_branch(hidden @ params["W2"] + params["b2"]).ravel()
+    value = float(np.mean(_loss_terms(p, y, loss, class_weights)))
+    gz = (_loss_grad_z(p, y, loss, class_weights) / n)[:, None]
+    grads = {"W2": hidden.T @ gz, "b2": gz.sum(axis=0)}
+    dhidden = gz @ params["W2"].T
+    dhidden[pre_hidden <= 0] = 0.0
+    grads["W1"] = X.T @ dhidden
+    grads["b1"] = dhidden.sum(axis=0)
+    return value, grads
+
+
+def _mlp_forward(params, X):
+    hidden = np.maximum(0.0, X @ params["W1"] + params["b1"])
+    return sigmoid_two_branch(hidden @ params["W2"] + params["b2"]).ravel()
+
+
+class ReferenceDivergence(Exception):
+    def __init__(self, epoch):
+        self.epoch = epoch
+        super().__init__(epoch)
+
+
+def train_mlp_reference(X, y, params, loss, optimizer, class_weights, seed):
+    """SGD with momentum and early stopping, one fancy-index gather per batch.
+
+    ``params`` are the initial weights; returns ``(best_params, metadata)``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    order = rng.permutation(n)
+    n_val = max(1, int(round(n * optimizer.val_fraction)))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    Xt, yt = X[train_idx], y[train_idx]
+    Xv, yv = X[val_idx], y[val_idx]
+    params = {k: v.copy() for k, v in params.items()}
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    best = {k: v.copy() for k, v in params.items()}
+    best_val, best_epoch, patience_left = np.inf, -1, optimizer.patience
+    train_loss, epochs_run = np.nan, 0
+    for epoch in range(optimizer.max_epochs):
+        epochs_run = epoch + 1
+        perm = rng.permutation(len(Xt))
+        batch_losses = []
+        for start in range(0, len(Xt), optimizer.batch_size):
+            idx = perm[start : start + optimizer.batch_size]
+            value, grads = mlp_loss_and_grads_reference(params, Xt[idx], yt[idx], loss, class_weights)
+            if not np.isfinite(value):
+                raise ReferenceDivergence(epoch)
+            batch_losses.append(value)
+            for key in params:
+                velocity[key] = optimizer.momentum * velocity[key] - optimizer.learning_rate * grads[key]
+                params[key] = params[key] + velocity[key]
+        train_loss = float(np.mean(batch_losses))
+        val_loss = float(np.mean(_loss_terms(_mlp_forward(params, Xv), yv, loss, class_weights)))
+        if not np.isfinite(val_loss):
+            raise ReferenceDivergence(epoch)
+        if val_loss < best_val - 1e-12:
+            best_val, best_epoch, patience_left = val_loss, epoch, optimizer.patience
+            best = {k: v.copy() for k, v in params.items()}
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
+    return best, {"final_train_loss": train_loss, "final_val_loss": float(best_val),
+                  "best_epoch": best_epoch, "epochs_run": epochs_run}
+
+
+def train_logreg_reference(X, y, class_weights, l2=0.0, learning_rate=0.5, momentum=0.9,
+                           max_epochs=5000, tol=1e-7):
+    """Full-batch gradient descent rebuilding the class weights every epoch.
+
+    Returns ``(params, metadata)`` in the layout of ``train_logreg``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    loss = SimpleNamespace(kind="weighted")
+    n, d = X.shape
+    w, b = np.zeros(d), 0.0
+    vw, vb = np.zeros(d), 0.0
+    grad_norm = np.inf
+    for epoch in range(max_epochs):
+        p = sigmoid_two_branch(X @ w + b)
+        gz = _loss_grad_z(p, y, loss, class_weights) / n
+        gw = X.T @ gz + l2 * w
+        gb = float(np.sum(gz))
+        grad_norm = float(np.sqrt(np.sum(gw**2) + gb**2))
+        if grad_norm < tol:
+            break
+        vw = momentum * vw - learning_rate * gw
+        vb = momentum * vb - learning_rate * gb
+        w = w + vw
+        b = b + vb
+        if not np.isfinite(w).all():
+            raise ReferenceDivergence(epoch)
+    final_loss = float(np.mean(_loss_terms(sigmoid_two_branch(X @ w + b), y, loss, class_weights)))
+    return {"w": w, "b": np.array([b])}, {"final_train_loss": final_loss, "grad_norm": grad_norm, "l2": l2}

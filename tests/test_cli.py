@@ -170,6 +170,73 @@ def test_evaluate_rejects_bad_predictions_with_validation_code(tmp_path, change)
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"case_ids": ["c", "b", "a"]}, id="reversed-case-ids"),
+        pytest.param({"case_ids": ["a", "b", "d"]}, id="other-case-ids"),
+        pytest.param({"labels": [1, 1, 0], "hard_labels": [1, 0, 0]}, id="other-labels"),
+    ],
+)
+def test_compare_mismatched_prediction_files_is_validation_error(tmp_path, change):
+    pred_a, pred_b = tmp_path / "a.json", tmp_path / "b.json"
+    pred_a.write_text(json.dumps(GOOD_PREDICTIONS))
+    pred_b.write_text(json.dumps({**GOOD_PREDICTIONS, **change}))
+    out = tmp_path / "cmp.json"
+    proc = _run_cli("compare", "--pred-a", str(pred_a), "--pred-b", str(pred_b), "--out", str(out))
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def _drop(key):
+    def change(doc):
+        del doc[key]
+        return doc
+    return change
+
+
+def _truncate_first_param(doc):
+    first = next(iter(doc["params"].values()))
+    first["data"] = first["data"][:-1]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(_drop("params"), id="missing-params"),
+        pytest.param(_drop("kind"), id="missing-kind"),
+        pytest.param(_drop("schema_checksum"), id="missing-schema-checksum"),
+        pytest.param(_drop("feature_names"), id="missing-feature-names"),
+        pytest.param(lambda doc: [doc], id="not-an-object"),
+        pytest.param(_truncate_first_param, id="data-shorter-than-shape"),
+        pytest.param(lambda doc: {**doc, "kind": "forest"}, id="unknown-kind"),
+        pytest.param(lambda doc: {**doc, "params": {"w": doc["params"]["w"]}}, id="missing-param-b"),
+        pytest.param(lambda doc: {**doc, "params": {"w": [1.0], "b": [0.0]}}, id="param-not-an-object"),
+    ],
+)
+def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change):
+    model_file = tmp_path / "logreg.json"
+    assert main(
+        ["train", "--cohort", str(cohort_csv), "--model", "logreg", "--out", str(model_file)]
+    ) == EXIT_OK
+    model_file.write_text(json.dumps(change(json.loads(model_file.read_text()))))
+    for argv in (
+        ["predict", "--model-file", str(model_file), "--cohort", str(cohort_csv),
+         "--out", str(tmp_path / "preds.json")],
+        ["importance", "--model-file", str(model_file), "--cohort", str(cohort_csv),
+         "--repeats", "1", "--out", str(tmp_path / "imp.json")],
+    ):
+        proc = _run_cli(*argv)
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "preds.json").exists()
+    assert not (tmp_path / "imp.json").exists()
+
+
 def test_predictions_json_that_is_not_an_object_is_validation_error(tmp_path):
     preds = tmp_path / "p.json"
     preds.write_text("[1, 2, 3]")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,13 @@ from crsbench.models import (
     train_logreg,
     train_mlp,
     weighted_ce,
+)
+from oracles import (
+    ReferenceDivergence,
+    mlp_loss_and_grads_reference,
+    sigmoid_two_branch,
+    train_logreg_reference,
+    train_mlp_reference,
 )
 
 FEATURES_4 = ("f_a", "f_b", "f_c", "f_d")
@@ -256,8 +265,6 @@ def test_save_load_round_trip(tmp_path, schema):
 
 
 def test_load_rejects_schema_mismatch(tmp_path, schema):
-    import json
-
     X, y = _blobs(40)
     model = train_logreg(X, y, FEATURES_4, schema=schema)
     path = tmp_path / "m.json"
@@ -280,3 +287,133 @@ def test_focal_loss_nonnegative_property(p, gamma, alpha, y):
     value = focal_loss(p, y, gamma=gamma, alpha=alpha)
     assert value >= 0.0
     assert np.isfinite(value)
+
+
+# --- bit identity with the reference kernels in tests/oracles.py -------------
+
+FEATURES_22 = tuple(f"x{i}" for i in range(22))
+
+
+def _cohort_like(n, seed):
+    """Imbalanced 22-feature data, the width of the encoded cohort."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 22))
+    y = (X[:, 0] - 0.5 * X[:, 3] + rng.normal(0.0, 1.0, n) > 0.8).astype(int)
+    return X, y
+
+
+def _same_bits(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes() for k in a
+    )
+
+
+@pytest.mark.parametrize("kind", ["weighted", "focal"])
+@pytest.mark.parametrize("seed", [0, 5, 13])
+def test_train_mlp_is_bit_identical_to_reference(schema, kind, seed):
+    # n=203 leaves 183 training rows: five full batches of 32 and one of 23.
+    X, y = _cohort_like(203, seed)
+    loss = LossConfig(kind)
+    optimizer = OptimizerConfig(max_epochs=12, patience=4)
+    weights = inverse_prevalence_weights(y)
+    model = train_mlp(X, y, FEATURES_22, loss=loss, optimizer=optimizer, seed=seed, schema=schema)
+    arch = MlpArchitecture(input_dim=22)
+    best, meta = train_mlp_reference(X, y, init_mlp_params(arch, seed), loss, optimizer, weights, seed)
+    assert _same_bits(model.params, best)
+    got = {k: model.metadata[k] for k in meta}
+    assert json.dumps(got) == json.dumps(meta)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+def test_train_logreg_is_bit_identical_to_reference(schema, seed, l2):
+    X, y = _cohort_like(301, seed)
+    weights = inverse_prevalence_weights(y)
+    model = train_logreg(X, y, FEATURES_22, class_weights=weights, l2=l2, max_epochs=400,
+                         schema=schema)
+    params, meta = train_logreg_reference(X, y, weights, l2=l2, max_epochs=400)
+    assert _same_bits(model.params, params)
+    assert json.dumps(model.metadata) == json.dumps(meta)
+
+
+@pytest.mark.parametrize("kind", ["weighted", "focal"])
+def test_mlp_loss_and_grads_is_bit_identical_to_reference(kind):
+    X, y = _cohort_like(32, 9)
+    params = init_mlp_params(MlpArchitecture(input_dim=22), seed=9)
+    loss = LossConfig(kind)
+    value, grads = mlp_loss_and_grads(params, X, y, loss, (0.6, 1.4))
+    ref_value, ref_grads = mlp_loss_and_grads_reference(params, X, y, loss, (0.6, 1.4))
+    assert repr(value) == repr(ref_value)
+    assert _same_bits(grads, ref_grads)
+
+
+def _outcome(train):
+    with np.errstate(all="ignore"):
+        try:
+            return train()
+        except (DivergenceError, ReferenceDivergence) as exc:
+            return exc
+
+
+@pytest.mark.parametrize("learning_rate", [1e6, 1e3, 10.0])
+def test_mlp_divergence_epoch_matches_reference(schema, learning_rate):
+    X, y = _blobs(64, seed=6)
+    X = X * 1e4
+    arch = MlpArchitecture(input_dim=4, hidden_units=8)
+    optimizer = OptimizerConfig(learning_rate=learning_rate, max_epochs=50, patience=50)
+    loss = LossConfig("weighted")
+    got = _outcome(lambda: train_mlp(X, y, FEATURES_4, arch=arch, optimizer=optimizer, seed=0,
+                                     schema=schema))
+    ref = _outcome(lambda: train_mlp_reference(X, y, init_mlp_params(arch, 0), loss, optimizer,
+                                               inverse_prevalence_weights(y), 0))
+    assert isinstance(got, DivergenceError)
+    assert isinstance(ref, ReferenceDivergence)
+    assert got.epoch == ref.epoch
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308]
+
+
+def test_sigmoid_is_bit_identical_to_two_branch_form():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(0.0, 30.0, 5000), rng.uniform(-800, 800, 5000),
+                        SIGMOID_SPECIALS])
+    assert sigmoid(z).tobytes() == sigmoid_two_branch(z).tobytes()
+    special = np.array([np.inf, -np.inf, np.nan])
+    assert sigmoid(special).tobytes() == sigmoid_two_branch(special).tobytes()
+    assert sigmoid(np.float64(-3.0)).tobytes() == sigmoid_two_branch(np.float64(-3.0)).tobytes()
+
+
+@pytest.mark.parametrize("z", SIGMOID_SPECIALS)
+def test_sigmoid_raises_nothing_the_two_branch_form_does_not(z):
+    # exp(-745) and exp(-1e308) underflow to a subnormal or zero in both forms,
+    # which is the right answer; no other floating-point flag may be raised.
+    with np.errstate(all="raise", under="ignore"):
+        got = sigmoid(np.array([z]))
+        want = sigmoid_two_branch(np.array([z]))
+    assert got.tobytes() == want.tobytes()
+    with np.errstate(all="raise"):
+        try:
+            want = sigmoid_two_branch(np.array([z]))
+        except FloatingPointError:
+            want = None
+        try:
+            got = sigmoid(np.array([z]))
+        except FloatingPointError:
+            got = None
+    assert (got is None) == (want is None)
+
+
+def test_mlp_step_counts_each_clamped_probability_once():
+    # One hidden unit copies x0 through, so z = x0 - 50: p is 1.0 (clamped),
+    # 0.5 (in range) and about 2e-22 (clamped).
+    params = {"W1": np.array([[1.0], [0.0]]), "b1": np.zeros(1),
+              "W2": np.array([[1.0]]), "b2": np.array([-50.0])}
+    X = np.array([[100.0, 0.0], [50.0, 0.0], [0.0, 0.0]])
+    y = np.array([1, 0, 1])
+    for loss in (LossConfig("weighted"), LossConfig("focal")):
+        reset_clamp_count()
+        value, _ = mlp_loss_and_grads(params, X, y, loss, (0.5, 1.5))
+        assert np.isfinite(value)
+        assert clamp_count() == 2, loss.kind
+    reset_clamp_count()
