@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import csv as csv_mod
 import hashlib
-import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,27 +77,36 @@ class CliError(ValueError):
     """Usage/validation failure; maps to exit code 2."""
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_cohort(cohort_path: Path, schema):
+    """Read a cohort CSV once, guard its header and parse it.
 
-
-def _load_records(cohort_path: Path, schema):
-    records, report = parse_cohort(cohort_path.read_bytes(), schema)
+    The leakage guard runs over the raw header columns before any row is
+    parsed; the sanctioned label column and the id column are exempt, and any
+    other blocklisted column halts the run. Returns the SHA-256 of the
+    file's bytes, the records and the rejection report. A missing or unreadable path and an
+    empty, non-UTF-8, malformed or record-less CSV file are validation errors.
+    """
+    try:
+        data = cohort_path.read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {cohort_path}: {exc.strerror}") from None
+    if not data or data.isspace():
+        raise CliError(f"{cohort_path} is empty")
+    try:
+        header_end = data.find(b"\n")
+        header_line = (data[:header_end] if header_end >= 0 else data).decode("utf-8")
+        columns = next(csv_mod.reader([header_line]))
+        leakage_guard(
+            [c for c in columns if c not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")], schema.blocklist
+        )
+        records, report = parse_cohort(data, schema)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{cohort_path} is not UTF-8 text (byte {exc.start})") from None
+    except csv_mod.Error as exc:
+        raise CliError(f"{cohort_path} is not a readable CSV: {exc}") from None
     if not records:
         raise CliError(f"no valid records in {cohort_path}")
-    return records, report
-
-
-def _guard_csv_header(cohort_path: Path, schema) -> None:
-    """Run the leakage guard over raw CSV columns before anything else.
-
-    The sanctioned label column and the id column are exempt; any other
-    blocklisted column halts the run.
-    """
-    header_line = cohort_path.read_text(encoding="utf-8").splitlines()[0]
-    columns = next(csv_mod.reader(io.StringIO(header_line)))
-    candidates = [c for c in columns if c not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")]
-    leakage_guard(candidates, schema.blocklist)
+    return hashlib.sha256(data).hexdigest(), records, report
 
 
 def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
@@ -205,9 +214,7 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     schema = load_schema(args.schema)
-    cohort_path = Path(args.cohort)
-    _guard_csv_header(cohort_path, schema)
-    records, rejection = _load_records(cohort_path, schema)
+    _, records, rejection = _read_cohort(Path(args.cohort), schema)
     labeled, labels, unlabeled = label_records(records)
     split = stratified_split(labeled, args.test_fraction, args.seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -280,9 +287,7 @@ def _train_one(kind, X, y, feature_names, schema, seed, loss_kind):
 
 def cmd_train(args) -> int:
     schema = load_schema(args.schema)
-    cohort_path = Path(args.cohort)
-    _guard_csv_header(cohort_path, schema)
-    records, _ = _load_records(cohort_path, schema)
+    _, records, _ = _read_cohort(Path(args.cohort), schema)
     labeled, labels, _ = label_records(records)
     split = stratified_split(labeled, args.test_fraction, args.seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -299,9 +304,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     schema = load_schema(args.schema)
     model = load_model(args.model_file, schema)
-    cohort_path = Path(args.cohort)
-    _guard_csv_header(cohort_path, schema)
-    records, _ = _load_records(cohort_path, schema)
+    _, records, _ = _read_cohort(Path(args.cohort), schema)
     labeled, labels, _ = label_records(records)
     split = stratified_split(labeled, args.test_fraction, args.seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -325,9 +328,7 @@ def cmd_predict(args) -> int:
 
 def cmd_genai(args) -> int:
     schema = load_schema(args.schema)
-    cohort_path = Path(args.cohort)
-    _guard_csv_header(cohort_path, schema)
-    records, _ = _load_records(cohort_path, schema)
+    _, records, _ = _read_cohort(Path(args.cohort), schema)
     labeled, labels, _ = label_records(records)
     split = stratified_split(labeled, args.test_fraction, args.seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -405,9 +406,7 @@ def cmd_compare(args) -> int:
 def cmd_importance(args) -> int:
     schema = load_schema(args.schema)
     model = load_model(args.model_file, schema)
-    cohort_path = Path(args.cohort)
-    _guard_csv_header(cohort_path, schema)
-    records, _ = _load_records(cohort_path, schema)
+    _, records, _ = _read_cohort(Path(args.cohort), schema)
     labeled, labels, _ = label_records(records)
     split = stratified_split(labeled, args.test_fraction, args.seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -457,14 +456,48 @@ def cmd_run(args) -> int:
     out_dir = Path(config.get("out_dir", "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    try:
-        lock.touch(exist_ok=False)
-    except FileExistsError:
-        raise CliError(f"run directory {out_dir} is locked by another process")
+    _acquire_run_lock(lock)
     try:
         return _run_pipeline(config, seed, out_dir, args)
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _acquire_run_lock(lock: Path) -> None:
+    """Create ``lock`` holding this process's pid, or fail if a live process
+    holds it. A lock that is empty, unreadable or names a dead pid was left by
+    a crashed run and is replaced once."""
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    try:
+        fd = os.open(lock, flags, 0o644)
+    except FileExistsError:
+        holder = _lock_holder(lock)
+        if holder is not None:
+            raise CliError(f"run directory {lock.parent} is locked by process {holder}") from None
+        lock.unlink(missing_ok=True)
+        try:
+            fd = os.open(lock, flags, 0o644)
+        except FileExistsError:
+            raise CliError(f"run directory {lock.parent} is locked by another process") from None
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        fh.write(str(os.getpid()))
+
+
+def _lock_holder(lock: Path) -> int | None:
+    """The live pid recorded in ``lock``, or None when the lock is stale."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+    if pid <= 0:
+        return None
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return None
+    except PermissionError:  # alive, owned by another user
+        pass
+    return pid
 
 
 def _run_pipeline(config, seed, out_dir, args) -> int:
@@ -473,16 +506,13 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
 
     if "cohort_csv" in config:
         cohort_path = Path(config["cohort_csv"])
-        if not cohort_path.exists():
-            raise CliError(f"cohort file not found: {cohort_path}")
     else:
         synth_cfg = config.get("synthetic", {"n": 524})
         records = generate_synthetic(int(synth_cfg.get("n", 524)), seed, GeneratorConfig())
         cohort_path = out_dir / "cohort.csv"
         cohort_path.write_bytes(serialize_cohort(records, schema))
 
-    _guard_csv_header(cohort_path, schema)
-    records, rejection = _load_records(cohort_path, schema)
+    cohort_checksum, records, rejection = _read_cohort(cohort_path, schema)
     labeled, labels, _ = label_records(records)
     split = stratified_split(labeled, test_fraction, seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -552,7 +582,7 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
         "seed": seed,
         "test_fraction": test_fraction,
         "cohort_csv": str(cohort_path),
-        "cohort_checksum": _sha256_file(cohort_path),
+        "cohort_checksum": cohort_checksum,
         "schema_version": schema.version,
         "schema_checksum": schema.checksum,
         "scaler_state_id": scaler.state_id,

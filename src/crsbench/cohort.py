@@ -2,7 +2,7 @@
 
 Everything here is value-oriented: records, splits, and scalers are immutable
 once built, and every entry point that produces model-ready features runs the
-post-operative leakage guard.
+post-operative leakage guard, once per encode call rather than per row.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,33 +307,47 @@ class FeatureVector:
 
 
 def encode(record: PatientRecord, schema: Schema, scaler: Scaler) -> FeatureVector:
-    """Deterministically encode one record in schema feature order.
-
-    Booleans map to {0,1}, enums to their fixed codes, continuous fields are
-    standardized by the fitted scaler. Unknown enum values are hard errors.
-    """
-    leakage_guard(list(schema.feature_order), schema.blocklist)
-    values = []
-    for name in schema.feature_order:
-        raw = getattr(record, COLUMN_TO_FIELD[name])
-        spec = schema.column(name)
-        if spec.kind == "enum":
-            try:
-                values.append(float(schema.encodings[name][raw]))
-            except KeyError:
-                raise CohortError(f"{name}: value {raw!r} not in encoding dictionary") from None
-        elif spec.kind == "bool":
-            values.append(1.0 if raw else 0.0)
-        elif name in schema.continuous:
-            values.append(scaler.transform(name, float(raw)))
-        else:
-            values.append(float(raw))
+    """Encode one record in schema feature order; see ``encode_matrix``."""
+    values = encode_matrix([record], schema, scaler)[0].tolist()
     return FeatureVector(tuple(values), tuple(schema.feature_order), scaler.state_id)
 
 
 def encode_matrix(records: list[PatientRecord], schema: Schema, scaler: Scaler) -> np.ndarray:
-    """Encode a record list into an (n, d) float matrix in schema order."""
-    return np.array([encode(r, schema, scaler).values for r in records], dtype=float)
+    """Encode a record list into an (n, d) float matrix in schema order.
+
+    Ints and booleans become floats ({0,1} for booleans), enums their fixed
+    codes, and continuous fields are standardized by the fitted scaler with
+    the same two IEEE operations as ``Scaler.transform``. Unknown enum values
+    are hard errors. The leakage guard runs once per call, before any record
+    is read.
+    """
+    order = schema.feature_order
+    leakage_guard(list(order), schema.blocklist)
+    kinds = [schema.column(name).kind for name in order]
+    n = len(records)
+    X = np.empty((n, len(order)))
+    numeric = [j for j, kind in enumerate(kinds) if kind != "enum"]
+    if numeric:
+        # Each record's tuple is consumed as it is made: a list of n live
+        # tuples costs memory and garbage-collector passes that grow with
+        # the heap.
+        get = operator.attrgetter(*(COLUMN_TO_FIELD[order[j]] for j in numeric))
+        cells = itertools.chain.from_iterable(map(get, records))
+        X[:, numeric] = np.fromiter(cells, float, n * len(numeric)).reshape(n, len(numeric))
+    for j, name in enumerate(order):
+        if kinds[j] == "enum":
+            values = map(operator.attrgetter(COLUMN_TO_FIELD[name]), records)
+            try:
+                X[:, j] = np.fromiter(map(schema.encodings[name].__getitem__, values), float, n)
+            except KeyError as exc:
+                raise CohortError(
+                    f"{name}: value {exc.args[0]!r} not in encoding dictionary"
+                ) from None
+        elif kinds[j] != "bool" and name in schema.continuous:
+            i = scaler.columns.index(name)
+            X[:, j] -= scaler.means[i]
+            X[:, j] /= scaler.sds[i]
+    return X
 
 
 @dataclass(frozen=True)

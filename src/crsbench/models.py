@@ -48,7 +48,7 @@ def reset_clamp_count() -> None:
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    out_of_range = np.count_nonzero((p < EPS) | (p > 1.0 - EPS))
+    out_of_range = int(np.count_nonzero((p < EPS) | (p > 1.0 - EPS)))
     if out_of_range:
         _clamp_counter["count"] += out_of_range
     return np.clip(p, EPS, 1.0 - EPS)
@@ -524,4 +524,17 @@ def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
         raise ModelError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
     if set(params) != _PARAM_NAMES[kind]:
         raise ModelError(f"{path}: a {kind} model needs parameters {sorted(_PARAM_NAMES[kind])}")
+    d = len(model.feature_names)
+    h = params["W1"].shape[-1] if kind == "mlp" and params["W1"].ndim else None
+    shapes = {
+        "logreg": {"w": (d,), "b": (1,)},
+        "gnb": {"means": (2, d), "variances": (2, d), "priors": (2,)},
+        "mlp": {"W1": (d, h), "b1": (h,), "W2": (h, 1), "b2": (1,)},
+    }[kind]
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ModelError(
+                f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                f"a {kind} model over {d} features needs {shape}"
+            )
     return model

@@ -36,11 +36,15 @@ class TransportError(RuntimeError):
 
 
 class ReplayMissError(KeyError):
-    """The replay store has no transcript for the requested prompt hash."""
+    """The replay store cannot serve the requested prompt hash: the entry is
+    missing, or ``defect`` names what is wrong with it."""
 
-    def __init__(self, prompt_hash: str):
+    def __init__(self, prompt_hash: str, defect: str | None = None):
         self.prompt_hash = prompt_hash
-        super().__init__(f"replay store has no entry for prompt hash {prompt_hash}")
+        if defect is None:
+            super().__init__(f"replay store has no entry for prompt hash {prompt_hash}")
+        else:
+            super().__init__(f"replay entry for prompt hash {prompt_hash} is unusable: {defect}")
 
 
 class ProtocolError(ValueError):
@@ -283,22 +287,46 @@ class ModelClient:
 
 
 class ReplayClient(ModelClient):
-    """Serves stored responses keyed by prompt hash; fully deterministic."""
+    """Serves stored responses keyed by prompt hash; fully deterministic.
+
+    The entry is read and validated once per trial: replicate 0, or a prompt
+    other than the last one, reads the store; later replicates of the same
+    prompt reuse that read. Only the last entry is held in memory.
+    """
 
     def __init__(self, store_dir: str | Path):
         self.store_dir = Path(store_dir)
+        self._last: tuple[str, str, list[str]] | None = None  # prompt, hash, responses
 
     def _path(self, prompt_hash: str) -> Path:
         return self.store_dir / f"{prompt_hash}.json"
 
+    def _read(self, prompt_hash: str) -> list[str]:
+        try:
+            raw = self._path(prompt_hash).read_bytes()
+        except FileNotFoundError:
+            raise ReplayMissError(prompt_hash) from None
+        except OSError as exc:
+            raise ReplayMissError(prompt_hash, f"unreadable ({exc.strerror})") from None
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ReplayMissError(prompt_hash, f"not UTF-8 JSON: {exc}") from None
+        responses = doc.get("responses") if isinstance(doc, dict) else None
+        if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+            raise ReplayMissError(prompt_hash, "'responses' must be a list of strings")
+        return responses
+
     def complete(self, prompt: str, decoding: DecodingParams, replicate_index: int) -> str:
-        prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        path = self._path(prompt_hash)
-        if not path.exists():
-            raise ReplayMissError(prompt_hash)
-        responses = json.loads(path.read_text(encoding="utf-8"))["responses"]
+        last = self._last
+        if replicate_index == 0 or last is None or last[0] != prompt:
+            prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+            last = self._last = (prompt, prompt_hash, self._read(prompt_hash))
+        _, prompt_hash, responses = last
         if replicate_index >= len(responses):
-            raise ReplayMissError(prompt_hash)
+            raise ReplayMissError(
+                prompt_hash, f"{len(responses)} responses, replicate {replicate_index} asked for"
+            )
         return responses[replicate_index]
 
 

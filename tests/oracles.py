@@ -345,3 +345,32 @@ def train_logreg_reference(X, y, class_weights, l2=0.0, learning_rate=0.5, momen
             raise ReferenceDivergence(epoch)
     final_loss = float(np.mean(_loss_terms(sigmoid_two_branch(X @ w + b), y, loss, class_weights)))
     return {"w": w, "b": np.array([b])}, {"final_train_loss": final_loss, "grad_norm": grad_norm, "l2": l2}
+
+
+# --- per-row encoder oracle -------------------------------------------------
+# The record-at-a-time form of ``crsbench.cohort.encode_matrix``: the leakage
+# guard per row, a ``tuple.index`` lookup per cell and ``Scaler.transform`` per
+# continuous value. The columnar encoder must reproduce its matrix bit for bit.
+
+
+def encode_row_reference(record, schema, scaler) -> list[float]:
+    from crsbench.cohort import COLUMN_TO_FIELD, leakage_guard
+
+    leakage_guard(list(schema.feature_order), schema.blocklist)
+    values = []
+    for name in schema.feature_order:
+        raw = getattr(record, COLUMN_TO_FIELD[name])
+        spec = schema.column(name)
+        if spec.kind == "enum":
+            values.append(float(schema.encodings[name][raw]))
+        elif spec.kind == "bool":
+            values.append(1.0 if raw else 0.0)
+        elif name in schema.continuous:
+            values.append(scaler.transform(name, float(raw)))
+        else:
+            values.append(float(raw))
+    return values
+
+
+def encode_matrix_reference(records, schema, scaler) -> np.ndarray:
+    return np.array([encode_row_reference(r, schema, scaler) for r in records], dtype=float)

@@ -215,6 +215,10 @@ def _truncate_first_param(doc):
         pytest.param(lambda doc: {**doc, "kind": "forest"}, id="unknown-kind"),
         pytest.param(lambda doc: {**doc, "params": {"w": doc["params"]["w"]}}, id="missing-param-b"),
         pytest.param(lambda doc: {**doc, "params": {"w": [1.0], "b": [0.0]}}, id="param-not-an-object"),
+        pytest.param(
+            lambda doc: {**doc, "params": {**doc["params"], "w": {"shape": [3], "data": [0.0] * 3}}},
+            id="w-shorter-than-features",
+        ),
     ],
 )
 def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change):
@@ -347,7 +351,7 @@ def test_run_requires_seed(tmp_path):
 def test_run_lock_conflict(tmp_path):
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    (out_dir / ".lock").touch()
+    (out_dir / ".lock").write_text(str(os.getpid()))  # held by a live process
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 1, "out_dir": str(out_dir), "synthetic": {"n": 40}}))
     assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
@@ -358,3 +362,87 @@ def test_bad_json_config_is_validation_error(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("{not json")
     assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
+
+
+def _plant_replay_store(store, cohort_csv, schema, entry: bytes):
+    """Write ``entry`` as the replay entry of every test-split prompt."""
+    records, _ = parse_cohort(cohort_csv.read_bytes(), schema)
+    split = stratified_split(records, 0.2, seed=0)
+    template = load_prompt_template()
+    store.mkdir()
+    for rec in records:
+        if rec.patient_id in split.test_ids:
+            _, prompt_hash = build_prompt([serialize_case(rec, schema)], template)
+            (store / f"{prompt_hash}.json").write_bytes(entry)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(b"{}", id="no-responses"),
+        pytest.param(b'{"responses": [1, 1, 1, 1, 1]}', id="non-string-responses"),
+        pytest.param(b"[1]", id="not-an-object"),
+        pytest.param(b'{"responses": "PREDICTION: 1"}', id="responses-a-string"),
+        pytest.param(b'{"responses": ["PREDICTION: 1",', id="torn-json"),
+    ],
+)
+def test_unusable_replay_entry_is_replay_miss(tmp_path, cohort_csv, schema, entry):
+    store = tmp_path / "store"
+    _plant_replay_store(store, cohort_csv, schema, entry)
+    out = tmp_path / "p.json"
+    proc = _run_cli("genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                    "--model-id", "m", "--out", str(out))
+    assert proc.returncode == EXIT_REPLAY_MISS, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda bad, good: bad.write_bytes(b""), id="empty"),
+        pytest.param(lambda bad, good: bad.write_bytes(good.replace(b"\n", b"\n\xff", 3)),
+                     id="not-utf8"),
+        pytest.param(lambda bad, good: bad.write_bytes(good.replace(b"\n", b"\r")),
+                     id="carriage-returns-only"),
+        pytest.param(lambda bad, good: bad.mkdir(), id="a-directory"),
+    ],
+)
+def test_unreadable_cohort_csv_is_validation_error(tmp_path, cohort_csv, make):
+    bad = tmp_path / "bad.csv"
+    make(bad, cohort_csv.read_bytes())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(bad), "models": ["logreg"]}))
+    for argv in (
+        ["train", "--cohort", str(bad), "--model", "logreg", "--out", str(tmp_path / "m.json")],
+        ["run", "--config", str(cfg)],
+    ):
+        proc = _run_cli(*argv)
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_stale_run_lock_is_replaced_and_live_one_is_not(tmp_path):
+    dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, timeout=30)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, "out_dir": str(out_dir), "synthetic": {"n": 40},
+                               "models": ["heuristic"]}))
+    lock = out_dir / ".lock"
+
+    lock.write_text(dead.stdout.strip())
+    proc = _run_cli("run", "--config", str(cfg))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert not lock.exists()
+
+    lock.write_text(str(os.getpid()))
+    proc = _run_cli("run", "--config", str(cfg))
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert lock.read_text() == str(os.getpid())

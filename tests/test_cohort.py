@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from crsbench.cohort import (
 )
 from crsbench.schema import SchemaError
 from crsbench.synthetic import generate_synthetic
+from oracles import encode_matrix_reference
 
 
 def test_record_range_validation():
@@ -174,6 +177,42 @@ def test_encode_enum_codes(schema):
     by_name = dict(zip(fv.feature_names, fv.values))
     assert by_name["SEX"] == float(schema.encodings["SEX"]["Male"])
     assert by_name["INSURANCE"] == float(schema.encodings["INSURANCE"]["Medicare"])
+
+
+@pytest.mark.parametrize("n", [1, 203, 5000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_encode_matrix_matches_per_row_oracle(schema, seed, n):
+    records = generate_synthetic(n, seed=seed)
+    scaler = fit_scaler(records[: max(1, n // 2)], schema)
+    X = encode_matrix(records, schema, scaler)
+    assert X.shape == (n, len(schema.feature_order))
+    assert X.tobytes() == encode_matrix_reference(records, schema, scaler).tobytes()
+    assert encode(records[-1], schema, scaler).values == tuple(X[-1].tolist())
+
+
+def test_encode_matrix_empty_has_feature_width(schema):
+    scaler = fit_scaler(generate_synthetic(20, seed=1), schema)
+    assert encode_matrix([], schema, scaler).shape == (0, len(schema.feature_order))
+
+
+def test_encode_unknown_enum_value_is_error(schema):
+    records = [make_record(), make_record(patient_id="t1", race="Martian")]
+    scaler = fit_scaler(records, schema)
+    with pytest.raises(CohortError, match="RACE.*Martian"):
+        encode_matrix(records, schema, scaler)
+    with pytest.raises(CohortError, match="RACE.*Martian"):
+        encode(records[1], schema, scaler)
+
+
+def test_encode_blocklisted_feature_is_leakage_even_without_records(schema):
+    records = generate_synthetic(20, seed=1)
+    scaler = fit_scaler(records, schema)
+    tainted = dataclasses.replace(
+        schema, feature_order=schema.feature_order + ("SNOT22_6MO_TOTAL",)
+    )
+    for rows in (records, []):
+        with pytest.raises(LeakageError):
+            encode_matrix(rows, tainted, scaler)
 
 
 def test_fit_scaler_empty_is_error(schema):

@@ -85,6 +85,7 @@ def test_clamp_counter_tracks_out_of_range_probabilities():
     assert clamp_count() == 0
     focal_loss(np.array([0.0, 1.0, 0.5]), np.array([1, 0, 1]), gamma=2.0, alpha=0.25)
     assert clamp_count() == 2
+    assert json.loads(json.dumps(clamp_count())) == 2  # a plain int, as trace records need
     reset_clamp_count()
     assert clamp_count() == 0
 
@@ -273,6 +274,37 @@ def test_load_rejects_schema_mismatch(tmp_path, schema):
     doc["schema_checksum"] = "0" * 64
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError, match="schema"):
+        load_model(path, schema)
+
+
+@pytest.mark.parametrize(
+    "kind, param, shape",
+    [
+        ("logreg", "w", [3]),
+        ("logreg", "b", [2]),
+        ("gnb", "means", [2, 3]),
+        ("gnb", "variances", [3, 4]),
+        ("gnb", "priors", [3]),
+        ("mlp", "W1", [3, 8]),
+        ("mlp", "b1", [7]),
+        ("mlp", "W2", [8, 2]),
+        ("mlp", "b2", [2]),
+    ],
+)
+def test_load_rejects_parameter_shapes_that_disagree(tmp_path, schema, kind, param, shape):
+    X, y = _blobs(40)
+    model = {
+        "logreg": lambda: train_logreg(X, y, FEATURES_4, schema=schema),
+        "gnb": lambda: train_gnb(X, y, FEATURES_4, schema=schema),
+        "mlp": lambda: train_mlp(X, y, FEATURES_4, arch=MlpArchitecture(4, 8),
+                                 optimizer=OptimizerConfig(max_epochs=2, patience=2), schema=schema),
+    }[kind]()
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["params"][param] = {"shape": shape, "data": [0.5] * int(np.prod(shape))}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=param):
         load_model(path, schema)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +265,44 @@ def test_replay_miss_on_short_response_list(tmp_path, schema):
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"])
     with pytest.raises(ReplayMissError):
         run_trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=5)
+
+
+def test_replay_reads_store_once_per_trial_and_sees_rewrites(tmp_path, schema, monkeypatch):
+    rec = make_record(patient_id="r1")
+    template = load_prompt_template()
+    _, prompt_hash = build_prompt([serialize_case(rec, schema)], template)
+    store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name) or read_bytes(self))
+    client = ReplayClient(tmp_path)
+
+    t1 = run_trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
+    assert reads == [f"{prompt_hash}.json"]
+    store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 0\nCONFIDENCE: neutral"] * 5)
+    t2 = run_trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
+    assert len(reads) == 2
+    assert (t1.aggregate.final_label, t2.aggregate.final_label) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "entry, defect",
+    [
+        pytest.param(b"{}", "responses", id="no-responses"),
+        pytest.param(b'{"responses": [1, 1, 1]}', "responses", id="non-string-responses"),
+        pytest.param(b"[1]", "responses", id="not-an-object"),
+        pytest.param(b'{"responses": "PREDICTION: 1"}', "responses", id="responses-a-string"),
+        pytest.param(b'{"responses": ["PREDICTION: 1",', "JSON", id="torn-json"),
+        pytest.param(b'{"responses": ["\xff"]}', "UTF-8", id="not-utf8"),
+    ],
+)
+def test_unusable_replay_entry_is_replay_miss(tmp_path, schema, entry, defect):
+    rec = make_record()
+    _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
+    (tmp_path / f"{prompt_hash}.json").write_bytes(entry)
+    with pytest.raises(ReplayMissError, match=defect) as info:
+        run_trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=1)
+    assert info.value.prompt_hash == prompt_hash
 
 
 def test_canonical_bytes_timestamp_toggle(tmp_path, schema):
