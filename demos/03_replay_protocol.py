@@ -21,7 +21,7 @@ from crsbench.protocol import (
     serialize_case,
     store_replay_responses,
 )
-from crsbench.rag import Bm25Index, case_query, load_corpus
+from crsbench.rag import Bm25Index, load_corpus
 from crsbench.schema import load_schema
 from crsbench.synthetic import generate_synthetic
 
@@ -54,7 +54,7 @@ def main():
         decoding = DecodingParams(temperature=0.2, top_p=0.9)
 
         passages_per_case = [None, None,
-                             index.retrieve(case_query(serialize_case(records[2], schema)), k=2)[0]]
+                             index.retrieve(serialize_case(records[2], schema), k=2)[0]]
         for rec, responses, passages in zip(records, CANNED, passages_per_case):
             _, prompt_hash = build_prompt([serialize_case(rec, schema)], template, passages)
             store_replay_responses(store, prompt_hash, responses)

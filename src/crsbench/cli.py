@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,10 @@ import numpy as np
 from . import __version__
 from .cohort import (
     CohortError,
+    CohortSplit,
     LeakageError,
+    RejectionReport,
+    Scaler,
     encode_matrix,
     fit_scaler,
     label_records,
@@ -61,8 +65,9 @@ from .protocol import (
     load_prompt_template,
     proxy_score,
     run_trial,
+    serialize_case,
 )
-from .rag import Bm25Index, RagError, case_query, load_corpus
+from .rag import Bm25Index, RagError, load_corpus
 from .schema import SchemaError, load_schema
 from .synthetic import GeneratorConfig, generate_synthetic
 
@@ -107,6 +112,72 @@ def _read_cohort(cohort_path: Path, schema):
     if not records:
         raise CliError(f"no valid records in {cohort_path}")
     return hashlib.sha256(data).hexdigest(), records, report
+
+
+@dataclass(frozen=True)
+class _Cohort:
+    """A cohort read, labeled, split, scaled and encoded; test rows in case-id order."""
+
+    checksum: str
+    records: list
+    rejection: RejectionReport
+    unlabeled: list[str]
+    split: CohortSplit
+    scaler: Scaler
+    test: list
+    X_train: np.ndarray
+    X_test: np.ndarray
+    y_train: np.ndarray
+    y_test: np.ndarray
+    case_ids: list[str]
+
+
+def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Cohort:
+    """The one data path every subcommand uses: the scaler is fit on the
+    training rows only, and both splits are encoded with it."""
+    checksum, records, rejection = _read_cohort(path, schema)
+    labeled, labels, unlabeled = label_records(records)
+    split = stratified_split(labeled, test_fraction, seed)
+    by_id = {r.patient_id: r for r in labeled}
+    train = [by_id[i] for i in sorted(split.train_ids)]
+    test = [by_id[i] for i in sorted(split.test_ids)]
+    scaler = fit_scaler(train, schema)
+    return _Cohort(
+        checksum, records, rejection, unlabeled, split, scaler, test,
+        X_train=encode_matrix(train, schema, scaler),
+        X_test=encode_matrix(test, schema, scaler),
+        y_train=np.array([labels[r.patient_id] for r in train]),
+        y_test=np.array([labels[r.patient_id] for r in test]),
+        case_ids=[r.patient_id for r in test],
+    )
+
+
+def _replay_trials(test, schema, store, identity, decoding: dict, k, template, audit,
+                   rag_index=None, rag_k=5):
+    """Run one replayed trial per test record; returns (scores, hard labels).
+
+    ``store`` and ``decoding`` come from flags or the run config and are
+    checked here. A case with no parseable replicate scores 0.0.
+    """
+    if not store:
+        raise CliError("replay models need a replay store (config key replay.store)")
+    try:
+        params = DecodingParams(**decoding)
+    except TypeError as exc:  # not a mapping, an unknown key or a non-numeric value
+        raise CliError(f"decoding: {exc}") from None
+    client = ReplayClient(store)
+    scores, hard = [], []
+    for rec in test:
+        passages = None
+        if rag_index is not None:
+            passages, _ = rag_index.retrieve(serialize_case(rec, schema), k=rag_k)
+        agg = run_trial(
+            client, rec, schema, identity, params, k=k,
+            template=template, rag_passages=passages, audit_log=audit,
+        ).aggregate
+        scores.append(agg.mean_proxy if agg.mean_proxy is not None else 0.0)
+        hard.append(agg.final_label)
+    return np.array(scores), np.array(hard)
 
 
 def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
@@ -214,11 +285,8 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     schema = load_schema(args.schema)
-    _, records, rejection = _read_cohort(Path(args.cohort), schema)
-    labeled, labels, unlabeled = label_records(records)
-    split = stratified_split(labeled, args.test_fraction, args.seed)
-    by_id = {r.patient_id: r for r in labeled}
-    scaler = fit_scaler([by_id[i] for i in sorted(split.train_ids)], schema)
+    cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
+    split, scaler, rejection = cohort.split, cohort.scaler, cohort.rejection
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "split.json").write_text(
@@ -252,7 +320,7 @@ def cmd_preprocess(args) -> int:
                 "rows_total": rejection.rows_total,
                 "accepted": rejection.accepted,
                 "rejections": [{"row": r, "reason": why} for r, why in rejection.rejections],
-                "unlabeled": unlabeled,
+                "unlabeled": cohort.unlabeled,
             },
             indent=1,
         ),
@@ -287,85 +355,39 @@ def _train_one(kind, X, y, feature_names, schema, seed, loss_kind):
 
 def cmd_train(args) -> int:
     schema = load_schema(args.schema)
-    _, records, _ = _read_cohort(Path(args.cohort), schema)
-    labeled, labels, _ = label_records(records)
-    split = stratified_split(labeled, args.test_fraction, args.seed)
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    scaler = fit_scaler(train, schema)
-    X = encode_matrix(train, schema, scaler)
-    y = np.array([labels[r.patient_id] for r in train])
-    model = _train_one(args.model, X, y, schema.feature_order, schema, args.seed, args.loss)
+    cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
+    model = _train_one(args.model, cohort.X_train, cohort.y_train, schema.feature_order, schema,
+                       args.seed, args.loss)
     save_model(model, args.out)
-    print(f"trained {args.model} on {len(train)} cases -> {args.out}")
+    print(f"trained {args.model} on {len(cohort.y_train)} cases -> {args.out}")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     schema = load_schema(args.schema)
     model = load_model(args.model_file, schema)
-    _, records, _ = _read_cohort(Path(args.cohort), schema)
-    labeled, labels, _ = label_records(records)
-    split = stratified_split(labeled, args.test_fraction, args.seed)
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    test = [by_id[i] for i in sorted(split.test_ids)]
-    scaler = fit_scaler(train, schema)
-    X_test = encode_matrix(test, schema, scaler)
-    scores = predict_proba(model, X_test)
+    cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
+    scores = predict_proba(model, cohort.X_test)
     hard = (scores >= args.threshold).astype(int)
-    _write_predictions(
-        Path(args.out),
-        model.kind,
-        [r.patient_id for r in test],
-        [labels[r.patient_id] for r in test],
-        scores,
-        hard,
-    )
-    print(f"wrote {len(test)} predictions to {args.out}")
+    _write_predictions(Path(args.out), model.kind, cohort.case_ids, cohort.y_test, scores, hard)
+    print(f"wrote {len(cohort.case_ids)} predictions to {args.out}")
     return EXIT_OK
 
 
 def cmd_genai(args) -> int:
     schema = load_schema(args.schema)
-    _, records, _ = _read_cohort(Path(args.cohort), schema)
-    labeled, labels, _ = label_records(records)
-    split = stratified_split(labeled, args.test_fraction, args.seed)
-    by_id = {r.patient_id: r for r in labeled}
-    test = [by_id[i] for i in sorted(split.test_ids)]
-
-    if args.mode != "replay":
-        raise CliError("only replay mode is wired in; live adapters plug into ModelClient")
-    client = ReplayClient(args.replay_store)
+    cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
     identity = ModelIdentity(args.vendor, args.model_id, args.access_date)
-    decoding = DecodingParams(temperature=args.temperature, top_p=args.top_p)
     template = load_prompt_template(args.template)
     audit = AuditLog(args.audit_log) if args.audit_log else None
-
-    rag_index = None
-    if args.rag:
-        rag_index = Bm25Index(load_corpus(args.corpus))
-
-    from .protocol import serialize_case
-
-    case_ids, scores, hard = [], [], []
-    for rec in test:
-        passages = None
-        if rag_index is not None:
-            passages, _ = rag_index.retrieve(case_query(serialize_case(rec, schema)), k=args.rag_k)
-        transcript = run_trial(
-            client, rec, schema, identity, decoding, k=args.k,
-            template=template, rag_passages=passages, audit_log=audit,
-        )
-        case_ids.append(rec.patient_id)
-        agg = transcript.aggregate
-        scores.append(agg.mean_proxy if agg.mean_proxy is not None else 0.0)
-        hard.append(agg.final_label)
-    _write_predictions(
-        Path(args.out), args.model_id,
-        case_ids, [labels[i] for i in case_ids], scores, hard,
+    rag_index = Bm25Index(load_corpus(args.corpus)) if args.rag else None
+    scores, hard = _replay_trials(
+        cohort.test, schema, args.replay_store, identity,
+        {"temperature": args.temperature, "top_p": args.top_p}, args.k, template, audit,
+        rag_index=rag_index, rag_k=args.rag_k,
     )
-    print(f"ran {len(test)} replay trials -> {args.out}")
+    _write_predictions(Path(args.out), args.model_id, cohort.case_ids, cohort.y_test, scores, hard)
+    print(f"ran {len(cohort.case_ids)} replay trials -> {args.out}")
     return EXIT_OK
 
 
@@ -406,15 +428,8 @@ def cmd_compare(args) -> int:
 def cmd_importance(args) -> int:
     schema = load_schema(args.schema)
     model = load_model(args.model_file, schema)
-    _, records, _ = _read_cohort(Path(args.cohort), schema)
-    labeled, labels, _ = label_records(records)
-    split = stratified_split(labeled, args.test_fraction, args.seed)
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    test = [by_id[i] for i in sorted(split.test_ids)]
-    scaler = fit_scaler(train, schema)
-    X = encode_matrix(test, schema, scaler)
-    y = np.array([labels[r.patient_id] for r in test])
+    cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
+    X, y = cohort.X_test, cohort.y_test
 
     def predict_fn(mat):
         return predict_hard(model, mat)
@@ -507,23 +522,13 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
     if "cohort_csv" in config:
         cohort_path = Path(config["cohort_csv"])
     else:
-        synth_cfg = config.get("synthetic", {"n": 524})
-        records = generate_synthetic(int(synth_cfg.get("n", 524)), seed, GeneratorConfig())
+        n = int(config.get("synthetic", {"n": 524}).get("n", 524))
         cohort_path = out_dir / "cohort.csv"
-        cohort_path.write_bytes(serialize_cohort(records, schema))
+        # Only the records parsed back from the CSV stay alive for the run.
+        cohort_path.write_bytes(serialize_cohort(generate_synthetic(n, seed, GeneratorConfig()), schema))
 
-    cohort_checksum, records, rejection = _read_cohort(cohort_path, schema)
-    labeled, labels, _ = label_records(records)
-    split = stratified_split(labeled, test_fraction, seed)
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    test = [by_id[i] for i in sorted(split.test_ids)]
-    scaler = fit_scaler(train, schema)
-    X_train = encode_matrix(train, schema, scaler)
-    X_test = encode_matrix(test, schema, scaler)
-    y_train = np.array([labels[r.patient_id] for r in train])
-    y_test = np.array([labels[r.patient_id] for r in test])
-    case_ids = [r.patient_id for r in test]
+    cohort = _prepare_cohort(cohort_path, schema, test_fraction, seed)
+    test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
 
     model_specs = config.get("models", ["mlp", "heuristic"])
     reports_dir = out_dir / "reports"
@@ -531,11 +536,11 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
     for spec in model_specs:
         if spec in ("logreg", "gnb", "mlp"):
             model = _train_one(
-                spec, X_train, y_train, schema.feature_order, schema, seed,
+                spec, cohort.X_train, cohort.y_train, schema.feature_order, schema, seed,
                 config.get("loss", "weighted"),
             )
             save_model(model, out_dir / f"{spec}_model.json")
-            scores = predict_proba(model, X_test)
+            scores = predict_proba(model, cohort.X_test)
             hard = (scores >= float(config.get("threshold", 0.5))).astype(int)
             name = spec
         elif spec == "heuristic":
@@ -549,24 +554,15 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
         elif spec.startswith("replay:"):
             name = spec.split(":", 1)[1]
             replay_cfg = config.get("replay", {})
-            client = ReplayClient(replay_cfg["store"])
             identity = ModelIdentity(
                 replay_cfg.get("vendor", "replay"), name,
                 replay_cfg.get("access_date", "1970-01-01"),
             )
-            decoding = DecodingParams(**config.get("decoding", {}))
-            audit = AuditLog(out_dir / "audit.jsonl")
-            template = load_prompt_template(config.get("template"))
-            scores, hard = [], []
-            for rec in test:
-                t = run_trial(
-                    client, rec, schema, identity, decoding,
-                    k=int(config.get("k", 5)), template=template, audit_log=audit,
-                )
-                scores.append(t.aggregate.mean_proxy if t.aggregate.mean_proxy is not None else 0.0)
-                hard.append(t.aggregate.final_label)
-            scores = np.array(scores)
-            hard = np.array(hard)
+            scores, hard = _replay_trials(
+                test, schema, replay_cfg.get("store"), identity, config.get("decoding", {}),
+                int(config.get("k", 5)), load_prompt_template(config.get("template")),
+                AuditLog(out_dir / "audit.jsonl"),
+            )
         else:
             raise CliError(f"unknown model spec: {spec}")
         pred_path = out_dir / f"{name}_predictions.json"
@@ -582,12 +578,12 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
         "seed": seed,
         "test_fraction": test_fraction,
         "cohort_csv": str(cohort_path),
-        "cohort_checksum": cohort_checksum,
+        "cohort_checksum": cohort.checksum,
         "schema_version": schema.version,
         "schema_checksum": schema.checksum,
-        "scaler_state_id": scaler.state_id,
-        "n_records": len(records),
-        "rejections": rejection.rejected,
+        "scaler_state_id": cohort.scaler.state_id,
+        "n_records": len(cohort.records),
+        "rejections": cohort.rejection.rejected,
         "split": {
             "train": len(split.train_ids),
             "test": len(split.test_ids),
@@ -646,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("genai", help="run LLM trials (replay mode)")
-    p.add_argument("--mode", default="replay", choices=["replay", "live"])
     p.add_argument("--replay-store", required=True)
     p.add_argument("--cohort", required=True)
     p.add_argument("--vendor", default="replay")
@@ -696,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="orchestrate the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_run)
-
+    for p in sub.choices.values():  # whole flag names only: a stray "--mode" is not "--model-id"
+        p.allow_abbrev = False
     return parser
 
 

@@ -295,23 +295,6 @@ def fit_scaler(train_records: list[PatientRecord], schema: Schema) -> Scaler:
     return Scaler(tuple(schema.continuous), tuple(means), tuple(sds))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]
-    feature_names: tuple[str, ...]
-    scaling_state_id: str
-
-    def __post_init__(self):
-        if len(self.values) != len(self.feature_names):
-            raise CohortError("feature values/names length mismatch")
-
-
-def encode(record: PatientRecord, schema: Schema, scaler: Scaler) -> FeatureVector:
-    """Encode one record in schema feature order; see ``encode_matrix``."""
-    values = encode_matrix([record], schema, scaler)[0].tolist()
-    return FeatureVector(tuple(values), tuple(schema.feature_order), scaler.state_id)
-
-
 def encode_matrix(records: list[PatientRecord], schema: Schema, scaler: Scaler) -> np.ndarray:
     """Encode a record list into an (n, d) float matrix in schema order.
 

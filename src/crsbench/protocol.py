@@ -12,7 +12,6 @@ import hashlib
 import json
 import logging
 import re
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +34,7 @@ class TransportError(RuntimeError):
     """A live client failed to produce a response (network, quota, etc.)."""
 
 
-class ReplayMissError(KeyError):
+class ReplayMissError(Exception):
     """The replay store cannot serve the requested prompt hash: the entry is
     missing, or ``defect`` names what is wrong with it."""
 
@@ -339,29 +338,11 @@ def store_replay_responses(store_dir: str | Path, prompt_hash: str, responses: l
     return path
 
 
-class RecordingClient(ModelClient):
-    """Wraps a live client and persists every response, so runs replay."""
-
-    def __init__(self, inner: ModelClient, store_dir: str | Path):
-        self.inner = inner
-        self.store_dir = Path(store_dir)
-        self._buffers: dict[str, list[str]] = {}
-
-    def complete(self, prompt: str, decoding: DecodingParams, replicate_index: int) -> str:
-        text = self.inner.complete(prompt, decoding, replicate_index)
-        prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        buf = self._buffers.setdefault(prompt_hash, [])
-        buf.append(text)
-        store_replay_responses(self.store_dir, prompt_hash, buf)
-        return text
-
-
 class AuditLog:
     """Append-only JSON Lines log with a schema version header line."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         if not self.path.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.write_text(
@@ -371,9 +352,8 @@ class AuditLog:
 
     def append(self, transcript: TrialTranscript) -> None:
         line = json.dumps(transcript.to_dict(), sort_keys=True)
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
 
     def read_transcripts(self) -> list[dict]:
         lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -401,6 +381,8 @@ def run_trial(
     that still fails is recorded as Malformed with the error text (failures
     are data). A replay miss is a hard error.
     """
+    if k < 1:
+        raise ProtocolError(f"k must be >= 1, got {k}")
     if template is None:
         template = load_prompt_template()
     prompt, prompt_hash = build_prompt([serialize_case(record, schema)], template, rag_passages)

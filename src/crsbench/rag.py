@@ -120,15 +120,3 @@ class Bm25Index:
         top = scored[:k]
         return [self.passages[pid] for _, pid in top], flagged
 
-
-def augment_prompt(prompt_text: str, passages: list[Passage]) -> str:
-    """Prepend tagged passage blocks (in retrieval order) to a prompt."""
-    if not passages:
-        return prompt_text
-    blocks = [render_passage(p) for p in passages]
-    return "\n\n".join(blocks + [prompt_text])
-
-
-def case_query(case_block: str) -> str:
-    """Retrieval query for a case: its serialized field lines."""
-    return case_block

@@ -374,3 +374,38 @@ def encode_row_reference(record, schema, scaler) -> list[float]:
 
 def encode_matrix_reference(records, schema, scaler) -> np.ndarray:
     return np.array([encode_row_reference(r, schema, scaler) for r in records], dtype=float)
+
+
+# --- per-command data path ----------------------------------------------------
+# The read -> label -> split -> by-id -> scaler -> encode -> y chain that each
+# CLI subcommand used to spell out for itself. ``cli._prepare_cohort`` must
+# give the same split, scaler state, matrix bytes, labels and case ids.
+
+
+def prepare_cohort_reference(path, schema, test_fraction, seed) -> SimpleNamespace:
+    import hashlib
+
+    from crsbench.cohort import encode_matrix, fit_scaler, label_records, parse_cohort, stratified_split
+
+    data = path.read_bytes()
+    records, rejection = parse_cohort(data, schema)
+    labeled, labels, unlabeled = label_records(records)
+    split = stratified_split(labeled, test_fraction, seed)
+    by_id = {r.patient_id: r for r in labeled}
+    train = [by_id[i] for i in sorted(split.train_ids)]
+    test = [by_id[i] for i in sorted(split.test_ids)]
+    scaler = fit_scaler(train, schema)
+    return SimpleNamespace(
+        checksum=hashlib.sha256(data).hexdigest(),
+        records=records,
+        rejection=rejection,
+        unlabeled=unlabeled,
+        split=split,
+        scaler=scaler,
+        test=test,
+        X_train=encode_matrix(train, schema, scaler),
+        X_test=encode_matrix(test, schema, scaler),
+        y_train=np.array([labels[r.patient_id] for r in train]),
+        y_test=np.array([labels[r.patient_id] for r in test]),
+        case_ids=[r.patient_id for r in test],
+    )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,13 @@ from crsbench.cli import (
     EXIT_OK,
     EXIT_REPLAY_MISS,
     EXIT_VALIDATION,
+    _prepare_cohort,
     main,
 )
-from crsbench.cohort import label_records, parse_cohort, stratified_split
+from crsbench.cohort import label_records, parse_cohort, serialize_cohort, stratified_split
 from crsbench.protocol import build_prompt, load_prompt_template, serialize_case, store_replay_responses
+from crsbench.synthetic import generate_synthetic
+from oracles import prepare_cohort_reference
 
 
 @pytest.fixture
@@ -68,6 +72,22 @@ def test_postop_column_aborts_with_leakage_code(tmp_path, cohort_csv):
     )
     code = main(["preprocess", "--cohort", str(tainted), "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_LEAKAGE
+
+
+def test_blocklisted_feature_name_is_leakage_on_every_encoding_command(tmp_path, cohort_csv):
+    # the CSV header guard exempts the label column; the encoder's guard does not
+    doc = json.loads(resources.files("crsbench.data").joinpath("schema.json").read_text())
+    doc["feature_order"].append("SNOT22_6MO_TOTAL")
+    tainted = tmp_path / "schema.json"
+    tainted.write_text(json.dumps(doc))
+    store = tmp_path / "store"
+    store.mkdir()
+    for argv in (
+        ["preprocess", "--out-dir", str(tmp_path / "prep")],
+        ["genai", "--replay-store", str(store), "--model-id", "m", "--out", str(tmp_path / "p.json")],
+        ["train", "--model", "logreg", "--out", str(tmp_path / "m.json")],
+    ):
+        assert main([*argv, "--cohort", str(cohort_csv), "--schema", str(tainted)]) == EXIT_LEAKAGE
 
 
 def test_train_predict_evaluate_flow(tmp_path, cohort_csv):
@@ -312,12 +332,15 @@ def test_genai_replay_flow(tmp_path, cohort_csv, schema):
     assert len(audit.read_text().splitlines()) == 1 + len(doc["case_ids"])
 
 
-def test_genai_live_mode_rejected(tmp_path, cohort_csv):
-    code = main([
-        "genai", "--mode", "live", "--replay-store", str(tmp_path), "--cohort", str(cohort_csv),
-        "--model-id", "m", "--out", str(tmp_path / "p.json"),
-    ])
-    assert code == EXIT_VALIDATION
+def test_genai_live_mode_rejected(tmp_path, cohort_csv, capsys):
+    # there is no --mode flag, and it must not be taken for an abbreviation of --model-id
+    with pytest.raises(SystemExit) as info:
+        main([
+            "genai", "--mode", "live", "--replay-store", str(tmp_path), "--cohort", str(cohort_csv),
+            "--model-id", "m", "--out", str(tmp_path / "p.json"),
+        ])
+    assert info.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments: --mode live" in capsys.readouterr().err
 
 
 def test_run_pipeline_and_report(tmp_path):
@@ -366,14 +389,9 @@ def test_bad_json_config_is_validation_error(tmp_path):
 
 def _plant_replay_store(store, cohort_csv, schema, entry: bytes):
     """Write ``entry`` as the replay entry of every test-split prompt."""
-    records, _ = parse_cohort(cohort_csv.read_bytes(), schema)
-    split = stratified_split(records, 0.2, seed=0)
-    template = load_prompt_template()
     store.mkdir()
-    for rec in records:
-        if rec.patient_id in split.test_ids:
-            _, prompt_hash = build_prompt([serialize_case(rec, schema)], template)
-            (store / f"{prompt_hash}.json").write_bytes(entry)
+    for prompt_hash in _test_split_prompt_hashes(cohort_csv, schema):
+        (store / f"{prompt_hash}.json").write_bytes(entry)
 
 
 @pytest.mark.parametrize(
@@ -446,3 +464,120 @@ def test_stale_run_lock_is_replaced_and_live_one_is_not(tmp_path):
     assert proc.returncode == EXIT_VALIDATION, proc.stderr
     assert "Traceback" not in proc.stderr
     assert lock.read_text() == str(os.getpid())
+
+
+def _test_split_prompt_hashes(cohort_csv, schema):
+    """Prompt hash of each test-split case of ``cohort_csv`` (seed 0), in case-id order."""
+    records, _ = parse_cohort(cohort_csv.read_bytes(), schema)
+    split = stratified_split(records, 0.2, seed=0)
+    template = load_prompt_template()
+    by_id = {r.patient_id: r for r in records}
+    return [build_prompt([serialize_case(by_id[i], schema)], template)[1]
+            for i in sorted(split.test_ids)]
+
+
+def _one_error_line(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    return lines[0]
+
+
+def test_replay_miss_message_has_no_stray_quotes(tmp_path, cohort_csv, schema):
+    store = tmp_path / "store"
+    store.mkdir()
+    first = _test_split_prompt_hashes(cohort_csv, schema)[0]
+    proc = _run_cli("genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                    "--model-id", "m", "--out", str(tmp_path / "p.json"))
+    line = _one_error_line(proc, EXIT_REPLAY_MISS)
+    assert line == f"replay miss: replay store has no entry for prompt hash {first}"
+
+
+def test_replay_model_without_store_is_validation_error(tmp_path, cohort_csv):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(cohort_csv), "models": ["replay:m"]}))
+    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    assert "replay.store" in line
+
+
+def test_unknown_decoding_key_is_validation_error(tmp_path, cohort_csv):
+    store = tmp_path / "store"
+    store.mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(cohort_csv), "models": ["replay:m"],
+                               "replay": {"store": str(store)},
+                               "decoding": {"temprature": 0.3}}))
+    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    assert "temprature" in line
+
+
+def test_genai_k_zero_is_validation_error(tmp_path, cohort_csv):
+    store = tmp_path / "store"
+    store.mkdir()
+    out = tmp_path / "p.json"
+    proc = _run_cli("genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                    "--model-id", "m", "--k", "0", "--out", str(out))
+    line = _one_error_line(proc, EXIT_VALIDATION)
+    assert "k must be >= 1, got 0" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [50, 524, 5000])
+@pytest.mark.parametrize("seed", range(5))
+def test_prepare_cohort_matches_per_command_chain(tmp_path, schema, seed, n):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(serialize_cohort(generate_synthetic(n, seed=seed), schema))
+    got = _prepare_cohort(path, schema, 0.2, seed)
+    want = prepare_cohort_reference(path, schema, 0.2, seed)
+    assert got.checksum == want.checksum
+    assert got.records == want.records
+    assert got.rejection == want.rejection
+    assert got.unlabeled == want.unlabeled
+    assert got.split == want.split
+    assert got.scaler.state_id == want.scaler.state_id
+    assert got.test == want.test
+    assert got.X_train.tobytes() == want.X_train.tobytes()
+    assert got.X_test.tobytes() == want.X_test.tobytes()
+    for a, b in ((got.y_train, want.y_train), (got.y_test, want.y_test)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert got.case_ids == want.case_ids
+
+
+REPLAY_VARIANTS = [
+    ["PREDICTION: 1\nCONFIDENCE: very confident"] * 5,
+    ["PREDICTION: 0\nCONFIDENCE: somewhat unsure"] * 3 + ["PREDICTION: 1\nCONFIDENCE: neutral"] * 2,
+    ["PREDICTION: 1\nCONFIDENCE: very confident", "PREDICTION: 0\nCONFIDENCE: neutral"] * 2
+    + ["no answer"],
+    ["no answer"] * 5,
+]
+
+
+def test_genai_and_run_replay_write_identical_predictions(tmp_path, cohort_csv, schema):
+    store = tmp_path / "store"
+    for i, prompt_hash in enumerate(_test_split_prompt_hashes(cohort_csv, schema)):
+        store_replay_responses(store, prompt_hash, REPLAY_VARIANTS[i % len(REPLAY_VARIANTS)])
+    genai_out, genai_audit = tmp_path / "genai.json", tmp_path / "genai_audit.jsonl"
+    assert main(["genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                 "--model-id", "m", "--audit-log", str(genai_audit),
+                 "--out", str(genai_out)]) == EXIT_OK
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(cohort_csv), "models": ["replay:m"],
+                               "replay": {"store": str(store)}}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    via_genai = json.loads(genai_out.read_text())
+    via_run = json.loads((tmp_path / "run" / "m_predictions.json").read_text())
+    assert len(set(via_genai["scores"])) == 4  # every response variant was scored
+    for key in ("case_ids", "labels", "scores", "hard_labels"):
+        assert via_genai[key] == via_run[key]
+
+    def untimed(path):
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        for doc in docs[1:]:
+            doc.pop("timestamp")
+        return docs
+
+    assert untimed(genai_audit) == untimed(tmp_path / "run" / "audit.jsonl")

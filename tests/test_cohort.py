@@ -11,7 +11,6 @@ from crsbench.cohort import (
     CohortError,
     LeakageError,
     derive_label,
-    encode,
     encode_matrix,
     fit_scaler,
     label_records,
@@ -159,22 +158,21 @@ def test_scaler_state_id_changes_with_data(schema):
 def test_encode_layout(schema):
     records = generate_synthetic(20, seed=6)
     scaler = fit_scaler(records, schema)
-    fv = encode(records[0], schema, scaler)
-    assert fv.feature_names == schema.feature_order
-    assert len(fv.values) == len(schema.feature_order)
-    assert fv.scaling_state_id == scaler.state_id
     X = encode_matrix(records, schema, scaler)
     assert X.shape == (20, len(schema.feature_order))
-    # binary columns really are binary
+    # column j holds feature j of schema order
     j = schema.feature_order.index("CRS_POLYPS")
+    assert X[:, j].tolist() == [float(r.crs_polyps) for r in records]
     assert set(np.unique(X[:, j])) <= {0.0, 1.0}
+    j = schema.feature_order.index("Age")
+    assert X[:, j].tolist() == [scaler.transform("Age", float(r.age)) for r in records]
 
 
 def test_encode_enum_codes(schema):
     records = [make_record(sex="Male", insurance="Medicare")]
     scaler = fit_scaler(records, schema)
-    fv = encode(records[0], schema, scaler)
-    by_name = dict(zip(fv.feature_names, fv.values))
+    X = encode_matrix(records, schema, scaler)
+    by_name = dict(zip(schema.feature_order, X[0]))
     assert by_name["SEX"] == float(schema.encodings["SEX"]["Male"])
     assert by_name["INSURANCE"] == float(schema.encodings["INSURANCE"]["Medicare"])
 
@@ -187,7 +185,6 @@ def test_encode_matrix_matches_per_row_oracle(schema, seed, n):
     X = encode_matrix(records, schema, scaler)
     assert X.shape == (n, len(schema.feature_order))
     assert X.tobytes() == encode_matrix_reference(records, schema, scaler).tobytes()
-    assert encode(records[-1], schema, scaler).values == tuple(X[-1].tolist())
 
 
 def test_encode_matrix_empty_has_feature_width(schema):
@@ -201,7 +198,7 @@ def test_encode_unknown_enum_value_is_error(schema):
     with pytest.raises(CohortError, match="RACE.*Martian"):
         encode_matrix(records, schema, scaler)
     with pytest.raises(CohortError, match="RACE.*Martian"):
-        encode(records[1], schema, scaler)
+        encode_matrix(records[1:], schema, scaler)
 
 
 def test_encode_blocklisted_feature_is_leakage_even_without_records(schema):

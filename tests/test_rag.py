@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+from crsbench.protocol import build_prompt
 from crsbench.rag import (
     B_DEFAULT,
     Bm25Index,
     K1_DEFAULT,
     Passage,
     RagError,
-    augment_prompt,
     load_corpus,
     render_passage,
     tokenize,
@@ -118,5 +118,6 @@ def test_load_corpus_from_path(tmp_path):
 def test_render_and_augment():
     p = _passage("p", "some guidance text", tag="guideline-3")
     assert render_passage(p) == "[guideline-3] some guidance text"
-    assert augment_prompt("BODY", [p]) == "[guideline-3] some guidance text\n\nBODY"
-    assert augment_prompt("BODY", []) == "BODY"
+    prompt, _ = build_prompt(["CASE"], "BODY", [p])
+    assert prompt == "[guideline-3] some guidance text\n\nBODY\n\nCASE"
+    assert build_prompt(["CASE"], "BODY", [])[0] == "BODY\n\nCASE"
