@@ -100,6 +100,7 @@ def _read_cohort(cohort_path: Path, schema):
     try:
         header_end = data.find(b"\n")
         header_line = (data[:header_end] if header_end >= 0 else data).decode("utf-8")
+        header_line = header_line.removeprefix("\ufeff")  # as parse_cohort reads it
         columns = next(csv_mod.reader([header_line]))
         leakage_guard(
             [c for c in columns if c not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")], schema.blocklist
@@ -157,7 +158,9 @@ def _replay_trials(test, schema, store, identity, decoding: dict, k, template, a
     """Run one replayed trial per test record; returns (scores, hard labels).
 
     ``store`` and ``decoding`` come from flags or the run config and are
-    checked here. A case with no parseable replicate scores 0.0.
+    checked here. A case with no parseable replicate scores 0.0. The audit
+    log, if any, is closed when the trials end or fail, so it holds a line
+    for each finished trial.
     """
     if not store:
         raise CliError("replay models need a replay store (config key replay.store)")
@@ -167,16 +170,20 @@ def _replay_trials(test, schema, store, identity, decoding: dict, k, template, a
         raise CliError(f"decoding: {exc}") from None
     client = ReplayClient(store)
     scores, hard = [], []
-    for rec in test:
-        passages = None
-        if rag_index is not None:
-            passages, _ = rag_index.retrieve(serialize_case(rec, schema), k=rag_k)
-        agg = run_trial(
-            client, rec, schema, identity, params, k=k,
-            template=template, rag_passages=passages, audit_log=audit,
-        ).aggregate
-        scores.append(agg.mean_proxy if agg.mean_proxy is not None else 0.0)
-        hard.append(agg.final_label)
+    try:
+        for rec in test:
+            passages = None
+            if rag_index is not None:
+                passages, _ = rag_index.retrieve(serialize_case(rec, schema), k=rag_k)
+            agg = run_trial(
+                client, rec, schema, identity, params, k=k,
+                template=template, rag_passages=passages, audit_log=audit,
+            ).aggregate
+            scores.append(agg.mean_proxy if agg.mean_proxy is not None else 0.0)
+            hard.append(agg.final_label)
+    finally:
+        if audit is not None:
+            audit.close()
     return np.array(scores), np.array(hard)
 
 
@@ -554,13 +561,19 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
         elif spec.startswith("replay:"):
             name = spec.split(":", 1)[1]
             replay_cfg = config.get("replay", {})
+            if not isinstance(replay_cfg, dict):
+                raise CliError(f"config key replay must be an object, got {replay_cfg!r}")
+            try:
+                k = int(config.get("k", 5))
+            except (TypeError, ValueError, OverflowError):
+                raise CliError(f"config key k must be an integer, got {config['k']!r}") from None
             identity = ModelIdentity(
                 replay_cfg.get("vendor", "replay"), name,
                 replay_cfg.get("access_date", "1970-01-01"),
             )
             scores, hard = _replay_trials(
                 test, schema, replay_cfg.get("store"), identity, config.get("decoding", {}),
-                int(config.get("k", 5)), load_prompt_template(config.get("template")),
+                k, load_prompt_template(config.get("template")),
                 AuditLog(out_dir / "audit.jsonl"),
             )
         else:

@@ -8,6 +8,7 @@ post-operative leakage guard, once per encode call rather than per row.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -150,58 +151,131 @@ def _parse_cell(raw: str, spec, schema: Schema):
     return value  # id
 
 
+class _Rejected(str):
+    """The reason a cell rejects its row, told apart from a parsed value."""
+
+
+def _cell_value(raw: str | None, spec, schema: Schema):
+    """One cell's value: parsed, None for a missing optional cell, or ``_Rejected``.
+
+    ``raw`` is None when the row has no cell in this column.
+    """
+    # a literal enum category ("None" insurance) beats the placeholder rule
+    is_category = (
+        raw is not None and spec.kind == "enum" and raw.strip() in schema.encodings[spec.name]
+    )
+    if not is_category and (raw is None or _is_placeholder(raw)):
+        return _Rejected(f"missing required field {spec.name}") if spec.required else None
+    try:
+        return _parse_cell(raw, spec, schema)
+    except ValueError as exc:
+        return _Rejected(exc)
+
+
+class _ColumnCells(dict):
+    """Raw cell -> ``_cell_value`` for one column: each distinct cell is parsed once."""
+
+    def __init__(self, spec, schema: Schema):
+        super().__init__()
+        self.spec, self.schema = spec, schema
+        self.rejected: set[str | None] = set()  # the raw cells that map to a _Rejected
+
+    def __missing__(self, raw):
+        value = self[raw] = _cell_value(raw, self.spec, self.schema)
+        if value.__class__ is _Rejected:
+            self.rejected.add(raw)
+        return value
+
+
+# Non-empty rows parsed per block. A block is transposed and converted column
+# by column; transposing the whole file at once would hold every cell of it
+# in memory.
+PARSE_BLOCK_ROWS = 256
+
+
 def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[list[PatientRecord], RejectionReport]:
     """Parse a canonical cohort CSV into validated records.
 
     Rows with placeholders or malformed values in required fields are dropped
-    and counted; a missing required column is a hard error naming the column.
+    and counted, with the first failing column in schema order as the reason;
+    so is a row whose PATIENT_ID, given or generated, repeats an earlier
+    accepted row's. A missing required column is a hard error naming the
+    column. One leading UTF-8 byte-order mark is ignored. Rows are read as
+    ``csv.DictReader`` reads them: empty lines are skipped and not counted, a
+    duplicated header name reads its last column, a short row's missing cells
+    are missing values and extra cells are ignored.
     """
-    text = csv_bytes.decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames
+    reader = csv.reader(io.StringIO(csv_bytes.decode("utf-8").removeprefix("\ufeff")))
+    header = next(reader, None)
     if header is None:
         raise SchemaError("csv has no header row")
     for required in schema.required_columns:
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
 
+    position = {name: j for j, name in enumerate(header)}  # the last column of a name
+    fields = dataclasses.fields(PatientRecord)
+    slot = {f.name: k for k, f in enumerate(fields)}
+    named = {COLUMN_TO_FIELD.get(spec.name) for spec in schema.columns}
+    for f in fields:
+        if f.name not in named and f.default is dataclasses.MISSING:
+            raise SchemaError(f"schema has no column for record field {f.name}")
+    # a block's values per record field; a field the schema leaves out keeps its default
+    defaults = [itertools.repeat(f.default) for f in fields]
+    columns = []  # (spec, header position or None, record slot, cell cache or None)
+    for spec in schema.columns:
+        if spec.name not in COLUMN_TO_FIELD:
+            raise SchemaError(f"schema column {spec.name} has no record field")
+        # the id column has no cache: ids are distinct, so nothing would be shared
+        cells = None if spec.name == "PATIENT_ID" else _ColumnCells(spec, schema)
+        columns.append((spec, position.get(spec.name), slot[COLUMN_TO_FIELD[spec.name]], cells))
+    width = 1 + max((j for _, j, _, _ in columns if j is not None), default=-1)
+
     records: list[PatientRecord] = []
     rejections: list[tuple[int, str]] = []
-    rows_total = 0
-    for idx, row in enumerate(reader):
-        rows_total += 1
-        kwargs = {}
-        reason = None
-        for spec in schema.columns:
-            raw = row.get(spec.name)
-            # a literal enum category ("None" insurance) beats the placeholder rule
-            is_category = (
-                raw is not None
-                and spec.kind == "enum"
-                and raw.strip() in schema.encodings[spec.name]
-            )
-            if not is_category and (raw is None or _is_placeholder(raw)):
-                if spec.required:
-                    reason = f"missing required field {spec.name}"
-                    break
-                if spec.name == "PATIENT_ID":
-                    kwargs["patient_id"] = f"case_{idx:04d}"
+    first_at: dict[str, int] = {}  # accepted patient id -> its row
+    rows = filter(None, reader)  # drops empty lines
+    base = 0  # data-row index of the block's first row
+    while block := list(itertools.islice(rows, PARSE_BLOCK_ROWS)):
+        n = len(block)
+        if min(map(len, block)) < width:
+            block = [row + [None] * (width - len(row)) for row in block]
+        by_position = list(zip(*block))
+        args = list(defaults)
+        reasons: dict[int, str] = {}  # row in block -> first failing column's reason
+        for spec, j, k, cells in columns:
+            raw = by_position[j] if j is not None else (None,) * n
+            if cells is None:
+                values = [_cell_value(cell, spec, schema) for cell in raw]
+                if None in values:
+                    values = [f"case_{base + i:04d}" if v is None else v
+                              for i, v in enumerate(values)]
+                failing = True
+            else:
+                values = list(map(cells.__getitem__, raw))
+                failing = cells.rejected and not cells.rejected.isdisjoint(raw)
+            if failing:
+                for i, v in enumerate(values):
+                    if v.__class__ is _Rejected:
+                        reasons.setdefault(i, str(v))
+            args[k] = values
+        for i, row in enumerate(zip(*args)):
+            idx = base + i
+            reason = reasons.get(i)
+            if reason is None:
+                try:
+                    record = PatientRecord(*row)
+                except CohortError as exc:
+                    reason = str(exc)
                 else:
-                    kwargs[COLUMN_TO_FIELD[spec.name]] = None
-                continue
-            try:
-                kwargs[COLUMN_TO_FIELD[spec.name]] = _parse_cell(raw, spec, schema)
-            except ValueError as exc:
-                reason = str(exc)
-                break
-        if reason is not None:
+                    first = first_at.setdefault(record.patient_id, idx)
+                    if first == idx:
+                        records.append(record)
+                        continue
+                    reason = f"duplicate PATIENT_ID {record.patient_id} (first at row {first})"
             rejections.append((idx, reason))
-            continue
-        try:
-            records.append(PatientRecord(**kwargs))
-        except CohortError as exc:
-            rejections.append((idx, str(exc)))
-    return records, RejectionReport(rows_total, len(records), tuple(rejections))
+        base += n
+    return records, RejectionReport(base, len(records), tuple(rejections))
 
 
 def serialize_cohort(records: list[PatientRecord], schema: Schema) -> bytes:

@@ -37,7 +37,7 @@ class HeuristicPrediction:
             "adjusted_improvement": self.adjusted_improvement,
             "predicted_6mo": self.predicted_6mo,
             "label": self.label,
-            "confidence": self.confidence.value,
+            "confidence": self.confidence._value_,  # skips the Enum.value descriptor
         }
 
 

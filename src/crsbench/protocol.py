@@ -8,9 +8,12 @@ an auditable transcript for every trial.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import operator
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -25,6 +28,9 @@ logger = logging.getLogger(__name__)
 
 AUDIT_SCHEMA_VERSION = 1
 DEFAULT_K = 5
+
+# json.dumps(..., sort_keys=True) without building an encoder per call
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 TEMPERATURE_RANGE = (0.1, 0.5)
 TOP_P_RANGE = (0.7, 0.95)
@@ -111,10 +117,21 @@ class ParsedOutput:
     def to_dict(self) -> dict:
         return {
             "prediction": self.prediction,
-            "confidence": self.confidence.value if self.confidence else None,
-            "parser_status": self.parser_status.value,
+            # ``_value_`` reads the member's value without the ``Enum.value`` descriptor
+            "confidence": self.confidence._value_ if self.confidence else None,
+            "parser_status": self.parser_status._value_,
         }
 
+
+# Parser outcomes are few and immutable, so each is built once and shared.
+_MISSING_PREDICTION = ParsedOutput(None, None, ParserStatus.MISSING_PREDICTION)
+_MALFORMED = ParsedOutput(None, None, ParserStatus.MALFORMED)
+_PARSED = {  # (prediction token, confidence or None) -> outcome
+    (token, level): ParsedOutput(
+        int(token), level, ParserStatus.OK if level else ParserStatus.MISSING_CONFIDENCE
+    )
+    for token in ("0", "1") for level in (None, *Confidence)
+}
 
 _PREDICTION_RE = re.compile(r"PREDICTION\s*:\s*(\S+)", re.IGNORECASE)
 _CONFIDENCE_RE = re.compile(r"CONFIDENCE\s*:\s*([^\n\r]+)", re.IGNORECASE)
@@ -128,17 +145,12 @@ def parse_response(raw: str) -> ParsedOutput:
     """
     pred_match = _PREDICTION_RE.search(raw)
     if pred_match is None:
-        return ParsedOutput(None, None, ParserStatus.MISSING_PREDICTION)
+        return _MISSING_PREDICTION
     token = pred_match.group(1).rstrip(".,;")
     if token not in ("0", "1"):
-        return ParsedOutput(None, None, ParserStatus.MALFORMED)
-    prediction = int(token)
-
+        return _MALFORMED
     conf_match = _CONFIDENCE_RE.search(raw)
-    confidence = parse_confidence(conf_match.group(1)) if conf_match else None
-    if confidence is None:
-        return ParsedOutput(prediction, None, ParserStatus.MISSING_CONFIDENCE)
-    return ParsedOutput(prediction, confidence, ParserStatus.OK)
+    return _PARSED[token, parse_confidence(conf_match.group(1)) if conf_match else None]
 
 
 def proxy_score(prediction: int, confidence: Confidence) -> float:
@@ -192,19 +204,24 @@ def aggregate_replicates(outputs: list[ParsedOutput], k: int) -> Aggregate:
     return Aggregate(label, mean_proxy, (votes0, votes1), len(valid), flag=flag)
 
 
+@functools.cache
+def _case_columns(column_names: tuple[str, ...]) -> tuple:
+    """(column name, attrgetter) for each serialized column of a schema."""
+    return tuple(
+        (name, operator.attrgetter(COLUMN_TO_FIELD[name]))
+        for name in column_names if name not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")
+    )
+
+
 def serialize_case(record: PatientRecord, schema: Schema) -> str:
     """Render one case as deterministic NAME: value lines in schema order.
 
     The 6-month outcome column is excluded unconditionally.
     """
     lines = [f"PATIENT_ID: {record.patient_id}"]
-    for name in schema.column_names:
-        if name in ("PATIENT_ID", "SNOT22_6MO_TOTAL"):
-            continue
-        value = getattr(record, COLUMN_TO_FIELD[name])
-        if isinstance(value, bool):
-            value = int(value)
-        lines.append(f"{name}: {value}")
+    for name, get in _case_columns(tuple(schema.column_names)):
+        value = get(record)
+        lines.append(f"{name}: {int(value) if isinstance(value, bool) else value}")
     return "\n".join(lines)
 
 
@@ -275,7 +292,7 @@ class TrialTranscript:
         doc = self.to_dict()
         if not include_timestamp:
             doc.pop("timestamp")
-        return json.dumps(doc, sort_keys=True).encode("utf-8")
+        return _SORTED_JSON.encode(doc).encode("utf-8")
 
 
 class ModelClient:
@@ -295,14 +312,13 @@ class ReplayClient(ModelClient):
 
     def __init__(self, store_dir: str | Path):
         self.store_dir = Path(store_dir)
+        self._prefix = os.path.join(store_dir, "")  # entry paths are joined as strings
         self._last: tuple[str, str, list[str]] | None = None  # prompt, hash, responses
-
-    def _path(self, prompt_hash: str) -> Path:
-        return self.store_dir / f"{prompt_hash}.json"
 
     def _read(self, prompt_hash: str) -> list[str]:
         try:
-            raw = self._path(prompt_hash).read_bytes()
+            with open(f"{self._prefix}{prompt_hash}.json", "rb", buffering=0) as fh:
+                raw = fh.read()
         except FileNotFoundError:
             raise ReplayMissError(prompt_hash) from None
         except OSError as exc:
@@ -339,10 +355,17 @@ def store_replay_responses(store_dir: str | Path, prompt_hash: str, responses: l
 
 
 class AuditLog:
-    """Append-only JSON Lines log with a schema version header line."""
+    """Append-only JSON Lines log with a schema version header line.
+
+    The first ``append`` opens one line-buffered handle that later appends
+    reuse: every line reaches the file whole as it is written, so a killed
+    process leaves only complete lines. ``close`` releases the handle; a later
+    ``append`` reopens it.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._fh = None
         if not self.path.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.write_text(
@@ -351,9 +374,14 @@ class AuditLog:
             )
 
     def append(self, transcript: TrialTranscript) -> None:
-        line = json.dumps(transcript.to_dict(), sort_keys=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+        self._fh.write(_SORTED_JSON.encode(transcript.to_dict()) + "\n")
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def read_transcripts(self) -> list[dict]:
         lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -401,7 +429,7 @@ def run_trial(
                     sleep(backoff_base * 2**attempt)
         if raw is None:
             text = f"<transport failure after {retries} attempts: {last_error}>"
-            replicates.append((text, ParsedOutput(None, None, ParserStatus.MALFORMED)))
+            replicates.append((text, _MALFORMED))
         else:
             replicates.append((raw, parse_response(raw)))
 

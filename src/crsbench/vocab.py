@@ -24,13 +24,12 @@ CONFIDENCE_VALUE = {
 }
 
 
+_BY_TEXT = {level.value: level for level in Confidence}
+
+
 def parse_confidence(text: str) -> Confidence | None:
     """Match ``text`` against the closed vocabulary, or None if outside it.
 
     Case-insensitive, internal whitespace collapsed.
     """
-    normalized = " ".join(text.strip().lower().split())
-    for level in Confidence:
-        if normalized == level.value:
-            return level
-    return None
+    return _BY_TEXT.get(" ".join(text.lower().split()))

@@ -378,17 +378,18 @@ def encode_matrix_reference(records, schema, scaler) -> np.ndarray:
 
 # --- per-command data path ----------------------------------------------------
 # The read -> label -> split -> by-id -> scaler -> encode -> y chain that each
-# CLI subcommand used to spell out for itself. ``cli._prepare_cohort`` must
-# give the same split, scaler state, matrix bytes, labels and case ids.
+# CLI subcommand used to spell out for itself, reading with the row-at-a-time
+# parser below. ``cli._prepare_cohort`` must give the same split, scaler
+# state, matrix bytes, labels and case ids.
 
 
 def prepare_cohort_reference(path, schema, test_fraction, seed) -> SimpleNamespace:
     import hashlib
 
-    from crsbench.cohort import encode_matrix, fit_scaler, label_records, parse_cohort, stratified_split
+    from crsbench.cohort import encode_matrix, fit_scaler, label_records, stratified_split
 
     data = path.read_bytes()
-    records, rejection = parse_cohort(data, schema)
+    records, rejection = dedupe_reference(*parse_cohort_reference(data, schema))
     labeled, labels, unlabeled = label_records(records)
     split = stratified_split(labeled, test_fraction, seed)
     by_id = {r.patient_id: r for r in labeled}
@@ -409,3 +410,119 @@ def prepare_cohort_reference(path, schema, test_fraction, seed) -> SimpleNamespa
         y_test=np.array([labels[r.patient_id] for r in test]),
         case_ids=[r.patient_id for r in test],
     )
+
+
+# --- row-at-a-time cohort parser ----------------------------------------------
+# ``crsbench.cohort.parse_cohort`` as it was before it parsed in column blocks:
+# a ``csv.DictReader`` dict and a kwargs dict per row, every cell stripped and
+# checked on its own. Kept verbatim (helpers included) so the block parser is
+# checked against code it does not share. It predates the duplicate-id rule
+# and the byte-order-mark fix; ``dedupe_reference`` applies the former.
+
+
+def _is_placeholder(value: str) -> bool:
+    from crsbench.schema import PLACEHOLDERS
+
+    return value.strip().lower() in PLACEHOLDERS
+
+
+def _parse_cell(raw: str, spec, schema):
+    """Parse one non-placeholder cell per its column spec. Raises ValueError."""
+    value = raw.strip()
+    if spec.kind == "int":
+        parsed = int(value)
+        if spec.min is not None and parsed < spec.min:
+            raise ValueError(f"{spec.name}={parsed} below {spec.min}")
+        if spec.max is not None and parsed > spec.max:
+            raise ValueError(f"{spec.name}={parsed} above {spec.max}")
+        return parsed
+    if spec.kind == "bool":
+        if value == "0":
+            return False
+        if value == "1":
+            return True
+        raise ValueError(f"{spec.name}: expected 0/1, got {value!r}")
+    if spec.kind == "enum":
+        if value not in schema.encodings[spec.name]:
+            raise ValueError(f"{spec.name}: unknown category {value!r}")
+        return value
+    return value  # id
+
+
+def parse_cohort_reference(csv_bytes: bytes, schema):
+    """Parse a canonical cohort CSV into validated records.
+
+    Rows with placeholders or malformed values in required fields are dropped
+    and counted; a missing required column is a hard error naming the column.
+    """
+    import csv
+    import io
+
+    from crsbench.cohort import COLUMN_TO_FIELD, CohortError, PatientRecord, RejectionReport
+    from crsbench.schema import SchemaError
+
+    text = csv_bytes.decode("utf-8")
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames
+    if header is None:
+        raise SchemaError("csv has no header row")
+    for required in schema.required_columns:
+        if required not in header:
+            raise SchemaError(f"missing required column: {required}")
+
+    records: list[PatientRecord] = []
+    rejections: list[tuple[int, str]] = []
+    rows_total = 0
+    for idx, row in enumerate(reader):
+        rows_total += 1
+        kwargs = {}
+        reason = None
+        for spec in schema.columns:
+            raw = row.get(spec.name)
+            # a literal enum category ("None" insurance) beats the placeholder rule
+            is_category = (
+                raw is not None
+                and spec.kind == "enum"
+                and raw.strip() in schema.encodings[spec.name]
+            )
+            if not is_category and (raw is None or _is_placeholder(raw)):
+                if spec.required:
+                    reason = f"missing required field {spec.name}"
+                    break
+                if spec.name == "PATIENT_ID":
+                    kwargs["patient_id"] = f"case_{idx:04d}"
+                else:
+                    kwargs[COLUMN_TO_FIELD[spec.name]] = None
+                continue
+            try:
+                kwargs[COLUMN_TO_FIELD[spec.name]] = _parse_cell(raw, spec, schema)
+            except ValueError as exc:
+                reason = str(exc)
+                break
+        if reason is not None:
+            rejections.append((idx, reason))
+            continue
+        try:
+            records.append(PatientRecord(**kwargs))
+        except CohortError as exc:
+            rejections.append((idx, str(exc)))
+    return records, RejectionReport(rows_total, len(records), tuple(rejections))
+
+
+def dedupe_reference(records, report):
+    """Reject each accepted row whose patient id repeats an earlier accepted row's."""
+    from crsbench.cohort import RejectionReport
+
+    rejected = {idx for idx, _ in report.rejections}
+    accepted_rows = [idx for idx in range(report.rows_total) if idx not in rejected]
+    kept, first_at, extra = [], {}, []
+    for idx, rec in zip(accepted_rows, records):
+        if rec.patient_id in first_at:
+            extra.append(
+                (idx, f"duplicate PATIENT_ID {rec.patient_id} (first at row {first_at[rec.patient_id]})")
+            )
+        else:
+            first_at[rec.patient_id] = idx
+            kept.append(rec)
+    rejections = tuple(sorted(report.rejections + tuple(extra)))
+    return kept, RejectionReport(report.rows_total, len(kept), rejections)

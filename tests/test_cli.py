@@ -1,10 +1,15 @@
+import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crsbench
@@ -525,11 +530,7 @@ def test_genai_k_zero_is_validation_error(tmp_path, cohort_csv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", [50, 524, 5000])
-@pytest.mark.parametrize("seed", range(5))
-def test_prepare_cohort_matches_per_command_chain(tmp_path, schema, seed, n):
-    path = tmp_path / "cohort.csv"
-    path.write_bytes(serialize_cohort(generate_synthetic(n, seed=seed), schema))
+def _assert_same_prepared_cohort(path, schema, seed):
     got = _prepare_cohort(path, schema, 0.2, seed)
     want = prepare_cohort_reference(path, schema, 0.2, seed)
     assert got.checksum == want.checksum
@@ -544,6 +545,31 @@ def test_prepare_cohort_matches_per_command_chain(tmp_path, schema, seed, n):
     for a, b in ((got.y_train, want.y_train), (got.y_test, want.y_test)):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
     assert got.case_ids == want.case_ids
+
+
+@pytest.mark.parametrize("n", [50, 524, 5000])
+@pytest.mark.parametrize("seed", range(5))
+def test_prepare_cohort_matches_per_command_chain(tmp_path, schema, seed, n):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(serialize_cohort(generate_synthetic(n, seed=seed), schema))
+    _assert_same_prepared_cohort(path, schema, seed)
+
+
+def test_prepare_cohort_matches_per_command_chain_on_a_csv_with_rejected_rows(tmp_path, schema):
+    """The large-cohort benchmark's input shape: valid rows with one row in a
+    thousand broken (a placeholder, an out-of-range value, a record invariant)."""
+    rng = np.random.default_rng(7)
+    lines = serialize_cohort(generate_synthetic(5000, seed=7), schema).decode().splitlines()
+    col = {name: i for i, name in enumerate(lines[0].split(","))}
+    for j, (name, value) in enumerate([("SNOT22_BLN_TOTAL", "NA"), ("BLN_CT_TOTAL", "31"),
+                                       ("Age", "17")] * 2):
+        row = lines[int(rng.integers(1, len(lines)))].split(",")
+        row[col["PATIENT_ID"]], row[col[name]] = f"reject_{j:05d}", value
+        lines.insert(int(rng.integers(1, len(lines))), ",".join(row))
+    path = tmp_path / "cohort.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert _prepare_cohort(path, schema, 0.2, 7).rejection.rejected == 6
+    _assert_same_prepared_cohort(path, schema, 7)
 
 
 REPLAY_VARIANTS = [
@@ -581,3 +607,124 @@ def test_genai_and_run_replay_write_identical_predictions(tmp_path, cohort_csv, 
         return docs
 
     assert untimed(genai_audit) == untimed(tmp_path / "run" / "audit.jsonl")
+
+
+def test_preprocess_reads_ids_behind_a_byte_order_mark(tmp_path, cohort_csv):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + cohort_csv.read_bytes())
+    for path, out in ((cohort_csv, "plain"), (bom, "bom")):
+        assert main(["preprocess", "--cohort", str(path), "--out-dir", str(tmp_path / out)]) == EXIT_OK
+    split = json.loads((tmp_path / "bom" / "split.json").read_text())
+    assert split == json.loads((tmp_path / "plain" / "split.json").read_text())
+    assert all(i.startswith("syn_") for i in split["train_ids"] + split["test_ids"])
+
+
+def test_preprocess_rejects_repeated_patient_ids(tmp_path):
+    cohort = tmp_path / "c.csv"
+    assert main(["synth", "--n", "200", "--seed", "3", "--out", str(cohort)]) == EXIT_OK
+    lines = cohort.read_text().splitlines()
+    dup = tmp_path / "dup.csv"
+    dup.write_text("\n".join(lines + lines[1:41]) + "\n")  # rows 200-239 repeat rows 0-39
+    assert main(["preprocess", "--cohort", str(dup), "--out-dir", str(tmp_path / "dup")]) == EXIT_OK
+    rej = json.loads((tmp_path / "dup" / "rejections.json").read_text())
+    assert (rej["rows_total"], rej["accepted"]) == (240, 200)
+    first_id = lines[1].split(",")[0]
+    assert rej["rejections"][0] == {"row": 200, "reason": f"duplicate PATIENT_ID {first_id} (first at row 0)"}
+    split = json.loads((tmp_path / "dup" / "split.json").read_text())
+    assert (len(split["train_ids"]), len(split["test_ids"])) == (160, 40)
+
+    # a blank id on row 3 becomes case_0003, which a later row also claims
+    rows = [line.split(",", 1) for line in lines]
+    rows[4][0], rows[9][0] = "", "case_0003"
+    clash = tmp_path / "clash.csv"
+    clash.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    assert main(["preprocess", "--cohort", str(clash), "--out-dir", str(tmp_path / "clash")]) == EXIT_OK
+    rej = json.loads((tmp_path / "clash" / "rejections.json").read_text())
+    assert rej["accepted"] == 199
+    assert rej["rejections"] == [{"row": 8, "reason": "duplicate PATIENT_ID case_0003 (first at row 3)"}]
+    split = json.loads((tmp_path / "clash" / "split.json").read_text())
+    assert len(split["train_ids"]) + len(split["test_ids"]) == 199
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        pytest.param({"k": "abc"}, "k", id="k-not-an-integer"),
+        pytest.param({"replay": "st"}, "replay", id="replay-not-an-object"),
+    ],
+)
+def test_replay_config_of_the_wrong_type_is_validation_error(tmp_path, cohort_csv, change, key):
+    store = tmp_path / "store"
+    store.mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(cohort_csv), "models": ["replay:m"],
+                               "replay": {"store": str(store)}, **change}))
+    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    assert f"config key {key} " in line
+
+
+def _plant_test_split(cohort_csv, schema, store, n_cases=None):
+    """Replay entries for the first ``n_cases`` test-split cases (all by default)."""
+    reply = "PREDICTION: 1\nCONFIDENCE: neutral"
+    for prompt_hash in _test_split_prompt_hashes(cohort_csv, schema)[:n_cases]:
+        store_replay_responses(store, prompt_hash, [reply] * 5)
+
+
+def test_killed_genai_leaves_only_whole_audit_lines(tmp_path, schema):
+    cohort = tmp_path / "c.csv"
+    assert main(["synth", "--n", "5000", "--seed", "2", "--out", str(cohort)]) == EXIT_OK
+    store, audit = tmp_path / "store", tmp_path / "audit.jsonl"
+    _plant_test_split(cohort, schema, store)
+    src = str(Path(crsbench.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crsbench.cli", "genai", "--replay-store", str(store),
+         "--cohort", str(cohort), "--model-id", "m", "--audit-log", str(audit),
+         "--out", str(tmp_path / "p.json")],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and proc.poll() is None:
+            if audit.exists() and audit.stat().st_size > 200:  # the header and part of a trial
+                break
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.wait(timeout=30)
+    assert proc.returncode == -signal.SIGKILL  # killed mid-run, not finished
+    lines = audit.read_bytes().split(b"\n")
+    assert lines[-1] == b""  # the file ends at a line break
+    docs = [json.loads(line) for line in lines[:-1]]
+    assert docs[0] == {"audit_schema_version": 1}
+    assert 1 <= len(docs) - 1 < 1000
+
+
+def test_replay_miss_leaves_the_finished_trials_in_the_audit_log(tmp_path, cohort_csv, schema):
+    store, audit = tmp_path / "store", tmp_path / "audit.jsonl"
+    _plant_test_split(cohort_csv, schema, store, n_cases=6)  # trial 7 misses
+    assert main(["genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                 "--model-id", "m", "--audit-log", str(audit),
+                 "--out", str(tmp_path / "p.json")]) == EXIT_REPLAY_MISS
+    lines = audit.read_text().splitlines()
+    assert len(lines) == 1 + 6
+    assert [json.loads(line)["aggregate"]["final_label"] for line in lines[1:]] == [1] * 6
+
+
+def test_trial_commands_close_the_audit_log(tmp_path, cohort_csv, schema):
+    full, partial = tmp_path / "full", tmp_path / "partial"
+    _plant_test_split(cohort_csv, schema, full)
+    _plant_test_split(cohort_csv, schema, partial, n_cases=3)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(cohort_csv), "models": ["replay:m"],
+                               "replay": {"store": str(partial)}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["genai", "--replay-store", str(full), "--cohort", str(cohort_csv),
+                     "--model-id", "m", "--audit-log", str(tmp_path / "a.jsonl"),
+                     "--out", str(tmp_path / "p.json")]) == EXIT_OK
+        assert main(["run", "--config", str(cfg)]) == EXIT_REPLAY_MISS
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len((tmp_path / "run" / "audit.jsonl").read_text().splitlines()) == 1 + 3

@@ -1,10 +1,11 @@
 import hashlib
 import json
-from pathlib import Path
+import os
 
 import pytest
 
 from conftest import make_record
+from crsbench import protocol
 from crsbench.protocol import (
     AUDIT_SCHEMA_VERSION,
     Aggregate,
@@ -273,8 +274,12 @@ def test_replay_reads_store_once_per_trial_and_sees_rewrites(tmp_path, schema, m
     _, prompt_hash = build_prompt([serialize_case(rec, schema)], template)
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
     reads = []
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name) or read_bytes(self))
+
+    def counting_open(path, *args, **kwargs):  # every file the protocol module opens
+        reads.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "open", counting_open, raising=False)
     client = ReplayClient(tmp_path)
 
     t1 = run_trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
