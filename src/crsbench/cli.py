@@ -187,20 +187,27 @@ def _replay_trials(test, schema, store, identity, decoding: dict, k, template, a
     return np.array(scores), np.array(hard)
 
 
+# Encodes a list the way json.dumps(..., indent=1) lays out a list value of
+# an object: one element per line, indented two spaces. The C encoder runs
+# only without ``indent``, so the layout comes from the item separator.
+_INDENTED_ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _indented_list(values: list) -> str:
+    return f"[\n  {_INDENTED_ITEMS.encode(values)[1:-1]}\n ]" if values else "[]"
+
+
 def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
-    path.write_text(
-        json.dumps(
-            {
-                "model_name": name,
-                "case_ids": list(case_ids),
-                "labels": [int(v) for v in labels],
-                "scores": [float(v) for v in scores],
-                "hard_labels": [int(v) for v in hard],
-            },
-            indent=1,
-        ),
-        encoding="utf-8",
-    )
+    """Write the predictions document byte for byte as ``json.dumps(doc, indent=1)``."""
+    fields = {
+        "model_name": json.dumps(name),
+        "case_ids": _indented_list(list(case_ids)),
+        "labels": _indented_list([int(v) for v in labels]),
+        "scores": _indented_list(np.asarray(scores, dtype=float).tolist()),
+        "hard_labels": _indented_list([int(v) for v in hard]),
+    }
+    body = ",\n".join(f" {json.dumps(key)}: {value}" for key, value in fields.items())
+    path.write_text(f"{{\n{body}\n}}", encoding="utf-8")
 
 
 def _read_predictions(path: Path) -> tuple[str, PredictionSet]:
@@ -470,17 +477,34 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+def _run_settings(config) -> tuple[int, float, str]:
+    """The run config's seed, threshold and loss, checked before anything
+    is written or trained."""
+    if not isinstance(config, dict):
+        raise CliError(f"config must be a JSON object, got {type(config).__name__}")
     if "seed" not in config:
         raise CliError("config must pin a seed (no wall-clock default)")
-    seed = int(config["seed"])
+    seed = config["seed"]
+    if type(seed) is not int or seed < 0:
+        raise CliError(f"config key seed must be a non-negative integer, got {seed!r}")
+    threshold = config.get("threshold", 0.5)
+    if type(threshold) not in (int, float) or not 0 <= threshold <= 1:
+        raise CliError(f"config key threshold must be a number in [0, 1], got {threshold!r}")
+    loss = config.get("loss", "weighted")
+    if loss not in ("weighted", "focal"):
+        raise CliError(f"config key loss must be 'weighted' or 'focal', got {loss!r}")
+    return seed, float(threshold), loss
+
+
+def cmd_run(args) -> int:
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    seed, threshold, loss = _run_settings(config)
     out_dir = Path(config.get("out_dir", "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     _acquire_run_lock(lock)
     try:
-        return _run_pipeline(config, seed, out_dir, args)
+        return _run_pipeline(config, seed, threshold, loss, out_dir)
     finally:
         lock.unlink(missing_ok=True)
 
@@ -522,8 +546,10 @@ def _lock_holder(lock: Path) -> int | None:
     return pid
 
 
-def _run_pipeline(config, seed, out_dir, args) -> int:
+def _run_pipeline(config, seed, threshold, loss, out_dir) -> int:
     schema = load_schema(config.get("schema"))
+    audit_path = out_dir / "audit.jsonl"
+    audit_path.unlink(missing_ok=True)  # each run starts its own log
     test_fraction = float(config.get("test_fraction", 0.2))
 
     if "cohort_csv" in config:
@@ -543,12 +569,11 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
     for spec in model_specs:
         if spec in ("logreg", "gnb", "mlp"):
             model = _train_one(
-                spec, cohort.X_train, cohort.y_train, schema.feature_order, schema, seed,
-                config.get("loss", "weighted"),
+                spec, cohort.X_train, cohort.y_train, schema.feature_order, schema, seed, loss,
             )
             save_model(model, out_dir / f"{spec}_model.json")
             scores = predict_proba(model, cohort.X_test)
-            hard = (scores >= float(config.get("threshold", 0.5))).astype(int)
+            hard = (scores >= threshold).astype(int)
             name = spec
         elif spec == "heuristic":
             preds = [predict_heuristic(r) for r in test]
@@ -574,7 +599,7 @@ def _run_pipeline(config, seed, out_dir, args) -> int:
             scores, hard = _replay_trials(
                 test, schema, replay_cfg.get("store"), identity, config.get("decoding", {}),
                 k, load_prompt_template(config.get("template")),
-                AuditLog(out_dir / "audit.jsonl"),
+                AuditLog(audit_path),
             )
         else:
             raise CliError(f"unknown model spec: {spec}")

@@ -187,6 +187,19 @@ class _ColumnCells(dict):
         return value
 
 
+def _lines(text: str):
+    """The lines of ``text`` as iterating ``io.StringIO(text)`` yields them:
+    split only after each "\n", terminators kept, a stray "\r" left inside
+    its line. StringIO would hold a second copy of the text at 4 bytes per
+    character."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
 # Non-empty rows parsed per block. A block is transposed and converted column
 # by column; transposing the whole file at once would hold every cell of it
 # in memory.
@@ -205,7 +218,7 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[list[PatientRecord],
     duplicated header name reads its last column, a short row's missing cells
     are missing values and extra cells are ignored.
     """
-    reader = csv.reader(io.StringIO(csv_bytes.decode("utf-8").removeprefix("\ufeff")))
+    reader = csv.reader(_lines(csv_bytes.decode("utf-8").removeprefix("\ufeff")))
     header = next(reader, None)
     if header is None:
         raise SchemaError("csv has no header row")

@@ -282,9 +282,30 @@ def init_mlp_params(arch: MlpArchitecture, seed: int) -> dict:
     }
 
 
+# Rows per block of MLP inference, so a forward pass holds one (256, hidden)
+# matrix rather than three (n, hidden) ones. OpenBLAS gives the rows of a
+# block the bits of the whole-matrix product only when the block has more
+# than one row (a 1-row product runs through gemv) and, except for the last
+# block, a multiple of 4 rows (the (rows, hidden) @ (hidden, 1) product is
+# a gemv); a lone last row is folded into the block before it. Blocks also
+# keep each row's bits independent of the BLAS thread count.
+FORWARD_BLOCK_ROWS = 256
+
+
 def mlp_forward(params: dict, X: np.ndarray) -> np.ndarray:
-    hidden = np.maximum(0.0, X @ params["W1"] + params["b1"])
-    return sigmoid(hidden @ params["W2"] + params["b2"]).ravel()
+    """P(class 1) per row of ``X``, computed over blocks of ``FORWARD_BLOCK_ROWS`` rows."""
+    W1, b1, W2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
+    n = X.shape[0]
+    out = np.empty(n)
+    starts = list(range(0, n, FORWARD_BLOCK_ROWS))
+    if n > 1 and n % FORWARD_BLOCK_ROWS == 1:
+        del starts[-1]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        hidden = X[start:stop] @ W1
+        hidden += b1
+        np.maximum(0.0, hidden, out=hidden)  # 0.0 first: equal values return it
+        out[start:stop] = sigmoid(hidden @ W2 + b2)[:, 0]
+    return out
 
 
 def mlp_loss_and_grads(

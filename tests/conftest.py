@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ BASE_RECORD = dict(
     income_bracket="<25k",
     race="White",
 )
+
+
+def peak_traced_bytes(fn) -> tuple[int, int]:
+    """Run ``fn()`` under tracemalloc; return the peak of the bytes it allocated
+    and the bytes still allocated when it returns, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- kept alive so its bytes count as retained
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, retained
 
 
 def make_record(**overrides) -> PatientRecord:

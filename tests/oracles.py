@@ -258,7 +258,8 @@ def mlp_loss_and_grads_reference(params, X, y, loss, class_weights):
     return value, grads
 
 
-def _mlp_forward(params, X):
+def mlp_forward_reference(params, X):
+    """The forward pass as one whole-matrix product: three (n, hidden) arrays."""
     hidden = np.maximum(0.0, X @ params["W1"] + params["b1"])
     return sigmoid_two_branch(hidden @ params["W2"] + params["b2"]).ravel()
 
@@ -302,7 +303,7 @@ def train_mlp_reference(X, y, params, loss, optimizer, class_weights, seed):
                 velocity[key] = optimizer.momentum * velocity[key] - optimizer.learning_rate * grads[key]
                 params[key] = params[key] + velocity[key]
         train_loss = float(np.mean(batch_losses))
-        val_loss = float(np.mean(_loss_terms(_mlp_forward(params, Xv), yv, loss, class_weights)))
+        val_loss = float(np.mean(_loss_terms(mlp_forward_reference(params, Xv), yv, loss, class_weights)))
         if not np.isfinite(val_loss):
             raise ReferenceDivergence(epoch)
         if val_loss < best_val - 1e-12:

@@ -20,6 +20,7 @@ from crsbench.cli import (
     EXIT_REPLAY_MISS,
     EXIT_VALIDATION,
     _prepare_cohort,
+    _write_predictions,
     main,
 )
 from crsbench.cohort import label_records, parse_cohort, serialize_cohort, stratified_split
@@ -728,3 +729,71 @@ def test_trial_commands_close_the_audit_log(tmp_path, cohort_csv, schema):
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert len((tmp_path / "run" / "audit.jsonl").read_text().splitlines()) == 1 + 3
+
+
+def test_each_run_starts_its_own_audit_log_and_genai_appends(tmp_path, cohort_csv, schema):
+    store = tmp_path / "store"
+    _plant_test_split(cohort_csv, schema, store)
+    n_test = len(_test_split_prompt_hashes(cohort_csv, schema))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
+                               "cohort_csv": str(cohort_csv), "models": ["replay:m"],
+                               "replay": {"store": str(store)}}))
+    genai = ["genai", "--replay-store", str(store), "--cohort", str(cohort_csv), "--model-id", "m",
+             "--audit-log", str(tmp_path / "a.jsonl"), "--out", str(tmp_path / "p.json")]
+    for _ in range(2):
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert main(genai) == EXIT_OK
+    assert len((tmp_path / "run" / "audit.jsonl").read_text().splitlines()) == 1 + n_test
+    assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 1 + 2 * n_test
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        pytest.param({"threshold": "x"}, "threshold", id="threshold-not-a-number"),
+        pytest.param({"threshold": 1.5}, "threshold", id="threshold-above-one"),
+        pytest.param({"threshold": True}, "threshold", id="threshold-a-boolean"),
+        pytest.param({"loss": "hinge"}, "loss", id="unknown-loss"),
+        pytest.param({"seed": "abc"}, "seed", id="seed-a-string"),
+        pytest.param({"seed": 1.7}, "seed", id="seed-not-integral"),
+        pytest.param({"seed": -1}, "seed", id="seed-negative"),
+    ],
+)
+def test_bad_run_settings_fail_before_anything_is_written(tmp_path, cohort_csv, change, key):
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(out_dir), "cohort_csv": str(cohort_csv),
+                               "models": ["logreg", "mlp"], **change}))
+    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    assert f"config key {key} " in line
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config", [5, [1], "seed"])
+def test_run_config_that_is_not_an_object_is_validation_error(tmp_path, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    assert "config must be a JSON object" in line
+
+
+@pytest.mark.parametrize(
+    "case_ids, scores",
+    [
+        pytest.param([], [], id="empty"),
+        pytest.param(["only"], [0.25], id="one-element"),
+        pytest.param(["a", "b", "c", "d"], [float("nan"), float("inf"), -float("inf"), 1e-300],
+                     id="non-finite"),
+        pytest.param(["Zoë", "患者_1", "\u2028", 'q"uote\\'], [0.1, 0.2, 0.3, 1 / 3],
+                     id="non-ascii"),
+    ],
+)
+def test_predictions_file_is_laid_out_as_json_dumps_indent_1(tmp_path, case_ids, scores):
+    labels = np.arange(len(case_ids)) % 2
+    hard = 1 - labels
+    path = tmp_path / "p.json"
+    _write_predictions(path, "mlp-é", case_ids, labels, np.array(scores), hard)
+    doc = {"model_name": "mlp-é", "case_ids": case_ids, "labels": labels.tolist(),
+           "scores": scores, "hard_labels": hard.tolist()}
+    assert path.read_bytes() == json.dumps(doc, indent=1).encode("utf-8")

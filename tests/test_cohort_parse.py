@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crsbench.cohort import PARSE_BLOCK_ROWS, parse_cohort, serialize_cohort
+from conftest import peak_traced_bytes
+from crsbench.cohort import PARSE_BLOCK_ROWS, _lines, parse_cohort, serialize_cohort
 from crsbench.schema import SchemaError, load_schema
 from crsbench.synthetic import generate_synthetic
 from oracles import dedupe_reference, parse_cohort_reference
@@ -158,3 +159,26 @@ def test_rejected_row_does_not_claim_its_id(schema):
     parsed, report = parse_cohort("\n".join(lines).encode(), schema)
     assert parsed == records
     assert report.rejections == ((0, "missing required field SNOT22_BLN_TOTAL"),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="\n\r\"a,\x85\u2028", max_size=40))
+def test_lines_split_as_stringio_iterates(text):
+    """Only a line feed ends a line; a carriage return, NEL and LINE SEPARATOR stay inside it."""
+    assert list(_lines(text)) == list(io.StringIO(text))
+
+
+def test_undecodable_byte_is_reported_at_its_file_offset(schema):
+    blob = serialize_cohort(generate_synthetic(300, seed=1), schema)
+    at = blob.index(b"\n", len(blob) // 2) + 1
+    with pytest.raises(UnicodeDecodeError) as caught:
+        parse_cohort(blob[:at] + b"\xff" + blob[at:], schema)
+    assert caught.value.start == at
+
+
+def test_parse_memory_is_bounded_by_the_csv_size(schema):
+    """The parse holds the decoded text once (1 byte per ASCII character),
+    plus one block of rows, besides the records it returns."""
+    blob = serialize_cohort(generate_synthetic(20000, seed=1), schema)
+    peak, retained = peak_traced_bytes(lambda: parse_cohort(blob, schema))
+    assert peak - retained < 2.5 * len(blob)

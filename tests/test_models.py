@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crsbench
+from conftest import peak_traced_bytes
 from crsbench.cohort import LeakageError
 from crsbench.models import (
     DivergenceError,
@@ -19,6 +25,7 @@ from crsbench.models import (
     load_model,
     loss_grad_z,
     loss_values,
+    mlp_forward,
     mlp_loss_and_grads,
     predict_hard,
     predict_proba,
@@ -32,6 +39,7 @@ from crsbench.models import (
 )
 from oracles import (
     ReferenceDivergence,
+    mlp_forward_reference,
     mlp_loss_and_grads_reference,
     sigmoid_two_branch,
     train_logreg_reference,
@@ -449,3 +457,68 @@ def test_mlp_step_counts_each_clamped_probability_once():
         assert np.isfinite(value)
         assert clamp_count() == 2, loss.kind
     reset_clamp_count()
+
+
+# Row counts around the forward pass's block edges (256 rows, a lone last row
+# folded back) and past the sizes where a whole-matrix product's bits depend
+# on the BLAS thread count.
+FORWARD_SIZES = (1, 2, 3, 4, 5, 7, 8, 105, 255, 256, 257, 258, 259, 260, 511, 512, 513, 514,
+                 1000, 1001, 1002, 1003, 4000, 4097, 10000, 10001, 20003, 50001)
+
+# Prints "hidden seed n sha256(mlp_forward) sha256(reference)" per case; argv
+# holds the hidden sizes and row counts, comma-separated.
+_FORWARD_CHILD = """
+import hashlib, sys
+import numpy as np
+from crsbench.models import MlpArchitecture, init_mlp_params, mlp_forward
+from oracles import mlp_forward_reference
+
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+for h in map(int, sys.argv[1].split(",")):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        params = init_mlp_params(MlpArchitecture(21, h), seed)
+        params["b1"] = rng.normal(0.0, 0.1, h)
+        params["b2"] = rng.normal(0.0, 0.1, 1)
+        for n in map(int, sys.argv[2].split(",")):
+            X = rng.normal(size=(n, 21))
+            print(h, seed, n, digest(mlp_forward(params, X)), digest(mlp_forward_reference(params, X)))
+"""
+
+
+def _forward_digests(hidden, sizes, blas_threads):
+    tests = Path(__file__).resolve().parent
+    src = str(Path(crsbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tests)]),
+               OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORWARD_CHILD, ",".join(map(str, hidden)), ",".join(map(str, sizes))],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_blocked_mlp_forward_is_bit_identical_to_the_whole_matrix_form():
+    rows = _forward_digests([400], FORWARD_SIZES, blas_threads=1)
+    rows += _forward_digests(range(1, 8), [n for n in FORWARD_SIZES if n <= 4097], blas_threads=1)
+    assert len(rows) == 3 * (len(FORWARD_SIZES) + 7 * 24)
+    assert [r[:3] for r in rows if r[3] != r[4]] == []
+
+
+def test_mlp_forward_bits_do_not_depend_on_the_blas_thread_count():
+    one = _forward_digests([400], [20003], blas_threads=1)
+    two = _forward_digests([400], [20003], blas_threads=2)
+    assert [r[3] for r in one] == [r[3] for r in two]
+
+
+def test_mlp_forward_of_no_rows_is_empty():
+    params = init_mlp_params(MlpArchitecture(4, 3), 0)
+    assert mlp_forward(params, np.empty((0, 4))).shape == (0,)
+
+
+def test_mlp_forward_memory_does_not_grow_with_rows():
+    X = np.random.default_rng(0).normal(size=(20000, 21))
+    params = init_mlp_params(MlpArchitecture(21), 0)
+    peak, _ = peak_traced_bytes(lambda: mlp_forward(params, X))
+    assert peak < 4_000_000
