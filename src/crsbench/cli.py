@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -477,9 +478,27 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _run_settings(config) -> tuple[int, float, str]:
-    """The run config's seed, threshold and loss, checked before anything
-    is written or trained."""
+@dataclass(frozen=True)
+class _RunSettings:
+    """The values of a run config that are checked before anything is written."""
+
+    seed: int
+    threshold: float
+    loss: str
+    test_fraction: float
+    synthetic_n: int
+    models: tuple[str, ...]
+
+
+def _is_model_spec(spec) -> bool:
+    return spec in ("logreg", "gnb", "mlp", "heuristic") or (
+        isinstance(spec, str) and spec.startswith("replay:") and spec != "replay:"
+    )
+
+
+def _run_settings(config) -> _RunSettings:
+    """Check the run config's keys before anything is written or trained; a
+    bad value is a validation error naming its key."""
     if not isinstance(config, dict):
         raise CliError(f"config must be a JSON object, got {type(config).__name__}")
     if "seed" not in config:
@@ -493,40 +512,61 @@ def _run_settings(config) -> tuple[int, float, str]:
     loss = config.get("loss", "weighted")
     if loss not in ("weighted", "focal"):
         raise CliError(f"config key loss must be 'weighted' or 'focal', got {loss!r}")
-    return seed, float(threshold), loss
+    test_fraction = config.get("test_fraction", 0.2)
+    if type(test_fraction) not in (int, float) or not 0 < test_fraction < 1:
+        raise CliError(f"config key test_fraction must be a number in (0, 1), got {test_fraction!r}")
+    synthetic = config.get("synthetic", {})
+    n = synthetic.get("n", 524) if isinstance(synthetic, dict) else None
+    if type(n) is not int or n < 1:
+        raise CliError(
+            f"config key synthetic must be an object whose n is an integer >= 1, got {synthetic!r}"
+        )
+    models = config.get("models", ["mlp", "heuristic"])
+    if not isinstance(models, list) or not all(map(_is_model_spec, models)):
+        raise CliError(
+            "config key models must be a list of 'logreg', 'gnb', 'mlp', 'heuristic' or "
+            f"'replay:<id>', got {models!r}"
+        )
+    return _RunSettings(seed, float(threshold), loss, float(test_fraction), n, tuple(models))
 
 
 def cmd_run(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    seed, threshold, loss = _run_settings(config)
+    settings = _run_settings(config)
     out_dir = Path(config.get("out_dir", "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     _acquire_run_lock(lock)
     try:
-        return _run_pipeline(config, seed, threshold, loss, out_dir)
+        return _run_pipeline(config, settings, out_dir)
     finally:
         lock.unlink(missing_ok=True)
 
 
 def _acquire_run_lock(lock: Path) -> None:
     """Create ``lock`` holding this process's pid, or fail if a live process
-    holds it. A lock that is empty, unreadable or names a dead pid was left by
-    a crashed run and is replaced once."""
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    holds it. The pid is written to a temporary file that is then hard-linked
+    as ``lock``, so no other run can find the lock without its pid. A lock
+    that is empty, unreadable or names a dead pid was left by a crashed run
+    and is replaced once."""
+    fd, tmp = tempfile.mkstemp(prefix=f"{lock.name}.", dir=lock.parent)
     try:
-        fd = os.open(lock, flags, 0o644)
-    except FileExistsError:
-        holder = _lock_holder(lock)
-        if holder is not None:
-            raise CliError(f"run directory {lock.parent} is locked by process {holder}") from None
-        lock.unlink(missing_ok=True)
+        os.fchmod(fd, 0o644)  # mkstemp makes it 0600; other users' runs must read the pid
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(str(os.getpid()))
         try:
-            fd = os.open(lock, flags, 0o644)
+            os.link(tmp, lock)
         except FileExistsError:
-            raise CliError(f"run directory {lock.parent} is locked by another process") from None
-    with os.fdopen(fd, "w", encoding="ascii") as fh:
-        fh.write(str(os.getpid()))
+            holder = _lock_holder(lock)
+            if holder is not None:
+                raise CliError(f"run directory {lock.parent} is locked by process {holder}") from None
+            lock.unlink(missing_ok=True)
+            try:
+                os.link(tmp, lock)
+            except FileExistsError:
+                raise CliError(f"run directory {lock.parent} is locked by another process") from None
+    finally:
+        os.unlink(tmp)
 
 
 def _lock_holder(lock: Path) -> int | None:
@@ -546,34 +586,34 @@ def _lock_holder(lock: Path) -> int | None:
     return pid
 
 
-def _run_pipeline(config, seed, threshold, loss, out_dir) -> int:
+def _run_pipeline(config, settings: _RunSettings, out_dir) -> int:
+    seed = settings.seed
     schema = load_schema(config.get("schema"))
     audit_path = out_dir / "audit.jsonl"
     audit_path.unlink(missing_ok=True)  # each run starts its own log
-    test_fraction = float(config.get("test_fraction", 0.2))
 
     if "cohort_csv" in config:
         cohort_path = Path(config["cohort_csv"])
     else:
-        n = int(config.get("synthetic", {"n": 524}).get("n", 524))
         cohort_path = out_dir / "cohort.csv"
         # Only the records parsed back from the CSV stay alive for the run.
-        cohort_path.write_bytes(serialize_cohort(generate_synthetic(n, seed, GeneratorConfig()), schema))
+        cohort_path.write_bytes(serialize_cohort(
+            generate_synthetic(settings.synthetic_n, seed, GeneratorConfig()), schema))
 
-    cohort = _prepare_cohort(cohort_path, schema, test_fraction, seed)
+    cohort = _prepare_cohort(cohort_path, schema, settings.test_fraction, seed)
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
 
-    model_specs = config.get("models", ["mlp", "heuristic"])
     reports_dir = out_dir / "reports"
     produced = []
-    for spec in model_specs:
+    for spec in settings.models:
         if spec in ("logreg", "gnb", "mlp"):
             model = _train_one(
-                spec, cohort.X_train, cohort.y_train, schema.feature_order, schema, seed, loss,
+                spec, cohort.X_train, cohort.y_train, schema.feature_order, schema, seed,
+                settings.loss,
             )
             save_model(model, out_dir / f"{spec}_model.json")
             scores = predict_proba(model, cohort.X_test)
-            hard = (scores >= threshold).astype(int)
+            hard = (scores >= settings.threshold).astype(int)
             name = spec
         elif spec == "heuristic":
             preds = [predict_heuristic(r) for r in test]
@@ -583,7 +623,7 @@ def _run_pipeline(config, seed, threshold, loss, out_dir) -> int:
                 for r, p in zip(test, preds):
                     fh.write(json.dumps({"case_id": r.patient_id, **p.to_dict()}) + "\n")
             name = spec
-        elif spec.startswith("replay:"):
+        else:  # replay:<id>
             name = spec.split(":", 1)[1]
             replay_cfg = config.get("replay", {})
             if not isinstance(replay_cfg, dict):
@@ -601,8 +641,6 @@ def _run_pipeline(config, seed, threshold, loss, out_dir) -> int:
                 k, load_prompt_template(config.get("template")),
                 AuditLog(audit_path),
             )
-        else:
-            raise CliError(f"unknown model spec: {spec}")
         pred_path = out_dir / f"{name}_predictions.json"
         _write_predictions(pred_path, name, case_ids, y_test, scores, hard)
         _emit_report(
@@ -614,7 +652,7 @@ def _run_pipeline(config, seed, threshold, loss, out_dir) -> int:
     manifest = {
         "crsbench_version": __version__,
         "seed": seed,
-        "test_fraction": test_fraction,
+        "test_fraction": settings.test_fraction,
         "cohort_csv": str(cohort_path),
         "cohort_checksum": cohort.checksum,
         "schema_version": schema.version,

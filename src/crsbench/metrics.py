@@ -341,7 +341,7 @@ def delong_test(labels, scores_a, scores_b) -> dict:
     scores_b = np.asarray(scores_b, dtype=float)
     if not (len(labels) == len(scores_a) == len(scores_b)):
         raise MetricError("inputs must be aligned")
-    if len(np.unique(labels)) < 2:
+    if labels.size == 0 or labels.min() == labels.max():
         raise MetricError("delong_test requires both classes")
 
     auc_a, v01_a, v10_a = _delong_placements(labels, scores_a)

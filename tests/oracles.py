@@ -3,6 +3,7 @@ implementations they check. Table-driven and O(n^2) on purpose."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -527,3 +528,21 @@ def dedupe_reference(records, report):
             kept.append(rec)
     rejections = tuple(sorted(report.rejections + tuple(extra)))
     return kept, RejectionReport(report.rows_total, len(kept), rejections)
+
+
+def save_model_reference(model) -> bytes:
+    """The bytes of a model file as one ``json.dumps`` of the whole document."""
+    doc = {
+        "kind": model.kind,
+        "feature_names": list(model.feature_names),
+        "training_seed": model.training_seed,
+        "loss_config": model.loss_config.to_dict() if model.loss_config else None,
+        "class_weights": list(model.class_weights),
+        "schema_checksum": model.schema_checksum,
+        "metadata": model.metadata,
+        "params": {
+            k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+            for k, v in model.params.items()
+        },
+    }
+    return json.dumps(doc).encode("utf-8")

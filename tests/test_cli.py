@@ -19,6 +19,8 @@ from crsbench.cli import (
     EXIT_OK,
     EXIT_REPLAY_MISS,
     EXIT_VALIDATION,
+    CliError,
+    _acquire_run_lock,
     _prepare_cohort,
     _write_predictions,
     main,
@@ -385,6 +387,31 @@ def test_run_lock_conflict(tmp_path):
     cfg.write_text(json.dumps({"seed": 1, "out_dir": str(out_dir), "synthetic": {"n": 40}}))
     assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
     assert (out_dir / ".lock").exists()  # a foreign lock is left in place
+
+
+def test_a_second_run_cannot_take_a_lock_that_is_being_written(tmp_path, monkeypatch):
+    # A second run that looks for the lock while the first is writing its pid
+    # must find either no lock or a lock with the pid, never an empty one.
+    lock = tmp_path / ".lock"
+    real_getpid, outcomes = os.getpid, []
+
+    def acquire():
+        try:
+            _acquire_run_lock(lock)
+            outcomes.append("held")
+        except CliError:
+            outcomes.append("refused")
+
+    def getpid_with_a_second_run():
+        monkeypatch.setattr(os, "getpid", real_getpid)
+        acquire()
+        return real_getpid()
+
+    monkeypatch.setattr(os, "getpid", getpid_with_a_second_run)
+    acquire()
+    assert sorted(outcomes) == ["held", "refused"]
+    assert lock.read_text() == str(real_getpid())
+    assert [p.name for p in tmp_path.iterdir()] == [".lock"]  # no temp file is left
 
 
 def test_bad_json_config_is_validation_error(tmp_path):
@@ -758,13 +785,27 @@ def test_each_run_starts_its_own_audit_log_and_genai_appends(tmp_path, cohort_cs
         pytest.param({"seed": "abc"}, "seed", id="seed-a-string"),
         pytest.param({"seed": 1.7}, "seed", id="seed-not-integral"),
         pytest.param({"seed": -1}, "seed", id="seed-negative"),
+        pytest.param({"test_fraction": "x"}, "test_fraction", id="test-fraction-not-a-number"),
+        pytest.param({"test_fraction": 1.5}, "test_fraction", id="test-fraction-above-one"),
+        pytest.param({"test_fraction": 0}, "test_fraction", id="test-fraction-zero"),
+        pytest.param({"synthetic": {"n": "x"}}, "synthetic", id="synthetic-n-not-a-number"),
+        pytest.param({"synthetic": {"n": 0}}, "synthetic", id="synthetic-n-zero"),
+        pytest.param({"synthetic": {"n": 40.0}}, "synthetic", id="synthetic-n-not-an-integer"),
+        pytest.param({"synthetic": "big"}, "synthetic", id="synthetic-not-an-object"),
+        pytest.param({"models": "mlp"}, "models", id="models-a-string"),
+        pytest.param({"models": ["mlp", "svm"]}, "models", id="models-unknown-kind"),
+        pytest.param({"models": ["replay:"]}, "models", id="models-replay-without-id"),
+        pytest.param({"models": [1]}, "models", id="models-not-strings"),
     ],
 )
 def test_bad_run_settings_fail_before_anything_is_written(tmp_path, cohort_csv, change, key):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(out_dir), "cohort_csv": str(cohort_csv),
-                               "models": ["logreg", "mlp"], **change}))
+    config = {"seed": 0, "out_dir": str(out_dir), "cohort_csv": str(cohort_csv),
+              "models": ["logreg", "mlp"], **change}
+    if "synthetic" in change:  # the synthetic cohort is made only without a cohort_csv
+        del config["cohort_csv"]
+    cfg.write_text(json.dumps(config))
     line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
     assert f"config key {key} " in line
     assert not out_dir.exists()

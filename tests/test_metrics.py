@@ -327,6 +327,19 @@ def test_delong_identical_scores_flagged():
     assert res["z"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [pytest.param([], id="empty"), pytest.param([1, 1, 1], id="one-class"),
+     pytest.param([0], id="one-case")],
+)
+def test_delong_without_both_classes_is_metric_error(labels):
+    scores = np.linspace(0.1, 0.9, len(labels))
+    with pytest.raises(MetricError) as info:
+        delong_test(labels, scores, scores[::-1])
+    assert type(info.value) is MetricError
+    assert str(info.value) == "delong_test requires both classes"
+
+
 def test_mcnemar_exact_small_discordance():
     labels = np.zeros(20, dtype=int)
     hard_a = labels.copy()

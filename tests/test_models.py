@@ -6,18 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crsbench
 from conftest import peak_traced_bytes
 from crsbench.cohort import LeakageError
 from crsbench.models import (
+    SAVE_CHUNK_VALUES,
     DivergenceError,
     LossConfig,
     MlpArchitecture,
     ModelError,
     OptimizerConfig,
+    TrainedModel,
     clamp_count,
     focal_loss,
     init_mlp_params,
@@ -41,6 +43,7 @@ from oracles import (
     ReferenceDivergence,
     mlp_forward_reference,
     mlp_loss_and_grads_reference,
+    save_model_reference,
     sigmoid_two_branch,
     train_logreg_reference,
     train_mlp_reference,
@@ -522,3 +525,140 @@ def test_mlp_forward_memory_does_not_grow_with_rows():
     params = init_mlp_params(MlpArchitecture(21), 0)
     peak, _ = peak_traced_bytes(lambda: mlp_forward(params, X))
     assert peak < 4_000_000
+
+
+# Values a saved parameter must keep exactly: signed zeros, subnormals and the
+# non-finite values json.dumps writes as NaN / Infinity / -Infinity.
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.225073858507201e-308, float("nan"),
+                   float("inf"), -float("inf"), 1 / 3, -1e300)
+_CHUNK_EDGES = (0, 1, SAVE_CHUNK_VALUES - 1, SAVE_CHUNK_VALUES, SAVE_CHUNK_VALUES + 1,
+                2 * SAVE_CHUNK_VALUES, 3 * SAVE_CHUNK_VALUES)
+
+
+@st.composite
+def _param_arrays(draw, size=None):
+    """A float array whose values come from a small pool that mixes drawn
+    floats with the special ones."""
+    if size is None:
+        size = draw(st.sampled_from(_CHUNK_EDGES) | st.integers(0, 3 * SAVE_CHUNK_VALUES))
+    pool = draw(st.lists(st.floats(width=64) | st.sampled_from(_SPECIAL_FLOATS), min_size=1,
+                         max_size=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = np.random.default_rng(seed).choice(np.array(pool), size=size)
+    cols = draw(st.sampled_from([c for c in (1, 2, 3, 7) if size % c == 0]))
+    return data.reshape(-1, cols) if draw(st.booleans()) else data
+
+
+_metadata = st.dictionaries(
+    st.text(max_size=6),
+    st.floats(width=64) | st.integers(-10**20, 10**20) | st.text(max_size=6) | st.none(),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.dictionaries(st.text(min_size=1, max_size=4), _param_arrays(), max_size=3),
+    metadata=_metadata,
+    feature_names=st.lists(st.text(max_size=8), max_size=4),
+    loss=st.none() | st.builds(LossConfig, st.sampled_from(["weighted", "focal"]),
+                               st.floats(0, 5), st.floats(0, 1)),
+)
+@example(params={"w": np.array(_SPECIAL_FLOATS)}, metadata={"v": float("nan")},
+         feature_names=["é"], loss=None)
+def test_save_model_writes_json_dumps_of_the_whole_document(
+    tmp_path_factory, params, metadata, feature_names, loss
+):
+    model = TrainedModel(kind="mlp", feature_names=tuple(feature_names), params=params,
+                         training_seed=7, loss_config=loss, class_weights=(0.5, 1.5),
+                         schema_checksum="abc", metadata=metadata)
+    path = tmp_path_factory.mktemp("save") / "m.json"
+    save_model(model, path)
+    assert path.read_bytes() == save_model_reference(model)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5), h=st.integers(1, 3 * SAVE_CHUNK_VALUES // 5))
+def test_saved_model_loads_back_with_every_value_and_sign(tmp_path_factory, data, d, h):
+    shapes = {"W1": (d, h), "b1": (h,), "W2": (h, 1), "b2": (1,)}
+    params = {k: data.draw(_param_arrays(size=int(np.prod(s)))).reshape(s)
+              for k, s in shapes.items()}
+    metadata = data.draw(_metadata)
+    model = TrainedModel(kind="mlp", feature_names=tuple(f"f{i}" for i in range(d)),
+                         params=params, metadata=metadata)
+    path = tmp_path_factory.mktemp("load") / "m.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for key, value in params.items():
+        got = loaded.params[key]
+        assert got.shape == value.shape
+        np.testing.assert_array_equal(got, value)  # NaN matches NaN
+        signed = ~np.isnan(value)  # JSON's NaN carries no sign
+        np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(value[signed]))
+    assert json.dumps(loaded.metadata) == json.dumps(metadata)
+
+
+def test_unserializable_model_leaves_no_file(tmp_path):
+    model = TrainedModel(kind="logreg", feature_names=("a",),
+                         params={"w": np.zeros(1), "b": np.zeros(1)}, metadata={"x": object()})
+    with pytest.raises(TypeError):
+        save_model(model, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_saving_an_mlp_holds_one_chunk_not_the_whole_document(tmp_path):
+    params = init_mlp_params(MlpArchitecture(21), 0)  # 21 x 400, the run's MLP
+    model = TrainedModel(kind="mlp", feature_names=tuple(f"f{i}" for i in range(21)),
+                         params=params)
+    path = tmp_path / "m.json"
+    save_model(model, path)  # first call: file and encoder set-up
+    peak, _ = peak_traced_bytes(lambda: save_model(model, path))
+    assert path.read_bytes() == save_model_reference(model)
+    assert peak < 400_000  # the whole document as a list and a string took 1.26 MB
+
+
+def _class_check_cases():
+    X2, X4 = np.array([[0.0], [1.0]]), np.zeros((4, 1))
+    one_class, empty = np.zeros(4, dtype=int), np.empty((0, 1))
+    single = "training set contains a single class"
+    carve = "validation carve-out left a single-class training set"
+    fast = OptimizerConfig(max_epochs=1)
+    return [
+        pytest.param(lambda s: train_logreg(X4, one_class, ("a",), schema=s), single,
+                     id="logreg-one-class"),
+        pytest.param(lambda s: train_logreg(empty, [], ("a",), schema=s), "empty training set",
+                     id="logreg-empty"),
+        pytest.param(lambda s: train_gnb(X4, one_class + 1, ("a",), schema=s), single,
+                     id="gnb-one-class"),
+        pytest.param(lambda s: train_gnb(empty, [], ("a",), schema=s), "empty training set",
+                     id="gnb-empty"),
+        pytest.param(lambda s: train_mlp(X4, one_class, ("a",), schema=s), single,
+                     id="mlp-one-class"),
+        # one validation row out of two leaves one training row, of one class
+        pytest.param(lambda s: train_mlp(X2, [0, 1], ("a",), optimizer=fast, schema=s), carve,
+                     id="mlp-carve-out-one-class"),
+        pytest.param(lambda s: train_mlp(X2, [0, 1], ("a",), class_weights=(1.0, 1.0),
+                                         optimizer=OptimizerConfig(val_fraction=1.0), schema=s),
+                     carve, id="mlp-carve-out-empty"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", _class_check_cases())
+def test_class_checks_raise_model_error_with_a_fixed_message(schema, call, message):
+    with pytest.raises(ModelError) as info:
+        call(schema)
+    assert type(info.value) is ModelError
+    assert str(info.value) == message
+
+
+def test_train_mlp_does_not_copy_the_training_rows(schema):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20000, 21))
+    y = (rng.random(20000) < 0.3).astype(int)
+    names = tuple(f"f{i}" for i in range(21))
+    arch, fast = MlpArchitecture(21, 16), OptimizerConfig(max_epochs=1)
+    train_mlp(X[:200], y[:200], names, arch=arch, optimizer=fast, schema=schema)
+    peak, _ = peak_traced_bytes(
+        lambda: train_mlp(X, y, names, arch=arch, optimizer=fast, schema=schema))
+    training_rows = 18000 * 21 * 8  # 90% of X after the validation carve-out: 3.0 MB
+    assert peak < training_rows / 2
