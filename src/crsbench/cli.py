@@ -48,6 +48,7 @@ from .models import (
     DivergenceError,
     LossConfig,
     ModelError,
+    inverse_prevalence_weights,
     load_model,
     predict_hard,
     predict_proba,
@@ -350,8 +351,6 @@ def cmd_preprocess(args) -> int:
 
 def _train_one(kind, X, y, feature_names, schema, seed, loss_kind):
     if kind == "logreg":
-        from .models import inverse_prevalence_weights
-
         return train_logreg(
             X, y, feature_names, class_weights=inverse_prevalence_weights(y),
             l2=1e-3, seed=seed, schema=schema,

@@ -205,8 +205,9 @@ def sign_test_p(k: int, total: int) -> float:
 # --- training-kernel oracles -------------------------------------------------
 # The straightforward forms of the classifier kernels: a masked two-branch
 # sigmoid, a two-log cross-entropy, a matmul outer product with a boolean ReLU
-# scatter and allocating momentum updates. The lean kernels in
-# ``crsbench.models`` must reproduce these bit for bit.
+# scatter and allocating momentum updates. The lean MLP kernels in
+# ``crsbench.models`` must reproduce these bit for bit; its Newton logreg fit
+# must match the gradient-descent fit here within a stated tolerance.
 
 _EPS = 1e-7
 
@@ -320,9 +321,11 @@ def train_mlp_reference(X, y, params, loss, optimizer, class_weights, seed):
 
 def train_logreg_reference(X, y, class_weights, l2=0.0, learning_rate=0.5, momentum=0.9,
                            max_epochs=5000, tol=1e-7):
-    """Full-batch gradient descent rebuilding the class weights every epoch.
+    """Full-batch gradient descent with momentum, rebuilding the class weights
+    every epoch, on the objective ``train_logreg`` minimises.
 
-    Returns ``(params, metadata)`` in the layout of ``train_logreg``.
+    Returns ``(params, metadata)``; the metadata holds ``train_logreg``'s keys
+    but ``iterations``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
