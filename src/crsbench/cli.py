@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,21 +158,16 @@ def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Coh
     )
 
 
-def _replay_trials(test, schema, store, identity, decoding: dict, k, template, audit,
+def _replay_trials(test, schema, store, identity, params: DecodingParams, k, template, audit,
                    rag_index=None, rag_k=5):
     """Run one replayed trial per test record; returns (scores, hard labels).
 
-    ``store`` and ``decoding`` come from flags or the run config and are
-    checked here. A case with no parseable replicate scores 0.0. The audit
-    log, if any, is closed when the trials end or fail, so it holds a line
-    for each finished trial.
+    ``store``, ``params`` and ``k`` were checked where they were read: by
+    ``_parse_run_config`` for ``run``, by the parser and ``main`` for
+    ``genai``. A case with no parseable replicate scores 0.0. The audit log,
+    if any, is closed when the trials end or fail, so it holds a line for
+    each finished trial.
     """
-    if not store:
-        raise CliError("replay models need a replay store (config key replay.store)")
-    try:
-        params = DecodingParams(**decoding)
-    except TypeError as exc:  # not a mapping, an unknown key or a non-numeric value
-        raise CliError(f"decoding: {exc}") from None
     client = ReplayClient(store)
     scores, hard = [], []
     try:
@@ -210,6 +208,10 @@ def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
     }
     body = ",\n".join(f" {json.dumps(key)}: {value}" for key, value in fields.items())
     path.write_text(f"{{\n{body}\n}}", encoding="utf-8")
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
 def _read_predictions(path: Path) -> tuple[str, PredictionSet]:
@@ -305,43 +307,25 @@ def cmd_preprocess(args) -> int:
     split, scaler, rejection = cohort.split, cohort.scaler, cohort.rejection
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "split.json").write_text(
-        json.dumps(
-            {
-                "seed": split.seed,
-                "train_ids": sorted(split.train_ids),
-                "test_ids": sorted(split.test_ids),
-                "label_prevalence_train": split.label_prevalence_train,
-                "label_prevalence_test": split.label_prevalence_test,
-            },
-            indent=1,
-        ),
-        encoding="utf-8",
-    )
-    (out_dir / "scaler.json").write_text(
-        json.dumps(
-            {
-                "columns": list(scaler.columns),
-                "means": list(scaler.means),
-                "sds": list(scaler.sds),
-                "state_id": scaler.state_id,
-            },
-            indent=1,
-        ),
-        encoding="utf-8",
-    )
-    (out_dir / "rejections.json").write_text(
-        json.dumps(
-            {
-                "rows_total": rejection.rows_total,
-                "accepted": rejection.accepted,
-                "rejections": [{"row": r, "reason": why} for r, why in rejection.rejections],
-                "unlabeled": cohort.unlabeled,
-            },
-            indent=1,
-        ),
-        encoding="utf-8",
-    )
+    _write_json(out_dir / "split.json", {
+        "seed": split.seed,
+        "train_ids": sorted(split.train_ids),
+        "test_ids": sorted(split.test_ids),
+        "label_prevalence_train": split.label_prevalence_train,
+        "label_prevalence_test": split.label_prevalence_test,
+    })
+    _write_json(out_dir / "scaler.json", {
+        "columns": list(scaler.columns),
+        "means": list(scaler.means),
+        "sds": list(scaler.sds),
+        "state_id": scaler.state_id,
+    })
+    _write_json(out_dir / "rejections.json", {
+        "rows_total": rejection.rows_total,
+        "accepted": rejection.accepted,
+        "rejections": [{"row": r, "reason": why} for r, why in rejection.rejections],
+        "unlabeled": cohort.unlabeled,
+    })
     print(
         f"split: {len(split.train_ids)} train / {len(split.test_ids)} test, "
         f"prevalence {split.label_prevalence_train:.3f}/{split.label_prevalence_test:.3f}"
@@ -349,7 +333,8 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _train_one(kind, X, y, feature_names, schema, seed, loss_kind):
+def _train_one(kind, X, y, schema, seed, loss_kind):
+    feature_names = schema.feature_order
     if kind == "logreg":
         return train_logreg(
             X, y, feature_names, class_weights=inverse_prevalence_weights(y),
@@ -357,21 +342,18 @@ def _train_one(kind, X, y, feature_names, schema, seed, loss_kind):
         )
     if kind == "gnb":
         return train_gnb(X, y, feature_names, schema=schema)
-    if kind == "mlp":
-        if loss_kind == "focal":
-            p0 = float(np.mean(np.asarray(y) == 0))
-            loss = LossConfig(kind="focal", gamma=2.0, alpha=1.0 - p0)
-        else:
-            loss = LossConfig(kind="weighted")
-        return train_mlp(X, y, feature_names, loss=loss, seed=seed, schema=schema)
-    raise CliError(f"unknown model kind: {kind}")
+    if loss_kind == "focal":  # kind == "mlp"
+        p0 = float(np.mean(np.asarray(y) == 0))
+        loss = LossConfig(kind="focal", gamma=2.0, alpha=1.0 - p0)
+    else:
+        loss = LossConfig(kind="weighted")
+    return train_mlp(X, y, feature_names, loss=loss, seed=seed, schema=schema)
 
 
 def cmd_train(args) -> int:
     schema = load_schema(args.schema)
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
-    model = _train_one(args.model, cohort.X_train, cohort.y_train, schema.feature_order, schema,
-                       args.seed, args.loss)
+    model = _train_one(args.model, cohort.X_train, cohort.y_train, schema, args.seed, args.loss)
     save_model(model, args.out)
     print(f"trained {args.model} on {len(cohort.y_train)} cases -> {args.out}")
     return EXIT_OK
@@ -397,7 +379,7 @@ def cmd_genai(args) -> int:
     rag_index = Bm25Index(load_corpus(args.corpus)) if args.rag else None
     scores, hard = _replay_trials(
         cohort.test, schema, args.replay_store, identity,
-        {"temperature": args.temperature, "top_p": args.top_p}, args.k, template, audit,
+        DecodingParams(args.temperature, args.top_p), args.k, template, audit,
         rag_index=rag_index, rag_k=args.rag_k,
     )
     _write_predictions(Path(args.out), args.model_id, cohort.case_ids, cohort.y_test, scores, hard)
@@ -406,8 +388,7 @@ def cmd_genai(args) -> int:
 
 
 def cmd_rag_build(args) -> int:
-    corpus = load_corpus(args.corpus)
-    index = Bm25Index(corpus)
+    index = Bm25Index(load_corpus(args.corpus))
     print(
         f"indexed {index.n_docs} passages, vocabulary {len(index.postings)} terms, "
         f"avg length {index.avg_doc_length:.1f} tokens"
@@ -417,7 +398,10 @@ def cmd_rag_build(args) -> int:
 
 def cmd_evaluate(args) -> int:
     name, pred_set = _read_predictions(Path(args.predictions))
-    _emit_report(pred_set, args.name or name, Path(args.out_dir))
+    name = args.name or name
+    if not _STEM.fullmatch(name):
+        raise CliError(f"report name {name!r} must be {_STEM_RULE}")
+    _emit_report(pred_set, name, Path(args.out_dir))
     print(f"evaluation written under {args.out_dir}")
     return EXIT_OK
 
@@ -430,8 +414,7 @@ def cmd_compare(args) -> int:
     if not np.array_equal(pred_a.labels, pred_b.labels):
         raise CliError(f"{args.pred_a} and {args.pred_b} disagree on ground-truth labels")
     result = compare_sets(pred_a, pred_b, seed=args.seed)
-    doc = {"model_a": name_a, "model_b": name_b, **result}
-    Path(args.out).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    _write_json(Path(args.out), {"model_a": name_a, "model_b": name_b, **result})
     print(
         f"delong p={result['delong']['p_value']:.4f}, "
         f"mcnemar p={result['mcnemar']['p_value']:.4f} -> {args.out}"
@@ -440,20 +423,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    if args.repeats < 1:
+        raise CliError(f"--repeats must be an integer >= 1, got {args.repeats}")
     schema = load_schema(args.schema)
     model = load_model(args.model_file, schema)
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
     X, y = cohort.X_test, cohort.y_test
-
-    def predict_fn(mat):
-        return predict_hard(model, mat)
-
+    predict_fn = functools.partial(predict_hard, model)
     rows = []
     for j, name in enumerate(schema.feature_order):
         res = permutation_importance(predict_fn, X, y, j, repeats=args.repeats, seed=args.seed + j)
         rows.append({"feature": name, **res})
     rows.sort(key=lambda r: -r["mean_delta_balanced_accuracy"])
-    Path(args.out).write_text(json.dumps(rows, indent=1), encoding="utf-8")
+    _write_json(Path(args.out), rows)
     print(f"permutation importance for {len(rows)} features -> {args.out}")
     return EXIT_OK
 
@@ -466,78 +448,127 @@ def cmd_report(args) -> int:
     lines = ["# Run summary", ""]
     for path in reports:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        m = doc["threshold_metrics"]
-        lines.append(
-            f"- {doc['model_name']}: accuracy {m['accuracy']:.3f}, "
-            f"balanced accuracy {m['balanced_accuracy']:.3f}, AUROC {doc['auroc']:.3f}"
-        )
+        try:
+            m = doc["threshold_metrics"]
+            lines.append(
+                f"- {doc['model_name']}: accuracy {m['accuracy']:.3f}, "
+                f"balanced accuracy {m['balanced_accuracy']:.3f}, AUROC {doc['auroc']:.3f}"
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # a missing key or a value of the wrong type
+            raise CliError(f"{path} is not an evaluation report: {exc!r}") from None
     out = run_dir / "summary.md"
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class _RunSettings:
-    """The values of a run config that are checked before anything is written."""
-
-    seed: int
-    threshold: float
-    loss: str
-    test_fraction: float
-    synthetic_n: int
-    models: tuple[str, ...]
+_STEM = re.compile(r"(?!\.)[A-Za-z0-9_.-]+")
+_STEM_RULE = "a file-name stem ([A-Za-z0-9_.-]+, not starting with '.')"
+_PATH_RULE = "null or a non-empty printable string"
 
 
-def _is_model_spec(spec) -> bool:
-    return spec in ("logreg", "gnb", "mlp", "heuristic") or (
-        isinstance(spec, str) and spec.startswith("replay:") and spec != "replay:"
-    )
+def _valid(ok: bool, value):
+    """``value`` when ``ok``; otherwise the ValueError that ``_check`` reports."""
+    if not ok:
+        raise ValueError
+    return value
 
 
-def _run_settings(config) -> _RunSettings:
-    """Check the run config's keys before anything is written or trained; a
-    bad value is a validation error naming its key."""
+def _int_from(lo: int):
+    return lambda v: _valid(type(v) is int and v >= lo, v)
+
+
+def _number(ok):
+    return lambda v: _valid(type(v) in (int, float) and ok(v), v)  # NaN fails every ``ok``
+
+
+def _string(v):
+    return _valid(isinstance(v, str) and v != "" and v.isprintable(), v)
+
+
+def _path(v):
+    return None if v is None else _string(v)
+
+
+def _object(rules: dict, build=dict, **defaults):
+    """A rule for an object with some of ``rules``'s keys; ``build`` takes them over ``defaults``."""
+    def check(v):
+        _valid(isinstance(v, dict) and v.keys() <= rules.keys(), v)
+        return build(**{**defaults, **{key: rules[key](x) for key, x in v.items()}})
+    return check
+
+
+def _models(specs):
+    """Model specs whose output names, the spec or the id after ``replay:``, are distinct stems."""
+    names = [spec.removeprefix("replay:") for spec in _valid(isinstance(specs, list), specs)
+             if spec in ("logreg", "gnb", "mlp", "heuristic") or str(spec).startswith("replay:")]
+    return tuple(_valid(len(set(names)) == len(names) == len(specs)
+                        and all(map(_STEM.fullmatch, names)), specs))
+
+
+# Every key of a run config: its default, the rule that checks it and returns
+# the value RunConfig holds, and what a valid value is. README's run-config
+# table lists the same keys.
+_RUN_CONFIG = {
+    "seed": (None, _int_from(0), "a non-negative integer"),  # required: see _parse_run_config
+    "out_dir": ("run", _string, "a non-empty printable string"),
+    "schema": (None, _path, _PATH_RULE),
+    "cohort_csv": (None, _path, _PATH_RULE),
+    "synthetic": ({}, _object({"n": _int_from(1)}, n=524), "an object whose n is an integer >= 1"),
+    "models": (["mlp", "heuristic"], _models, "a list of 'logreg', 'gnb', 'mlp', 'heuristic' or "
+               f"'replay:<id>' strings with distinct output names, each <id> {_STEM_RULE}"),
+    "threshold": (0.5, _number(lambda v: 0 <= v <= 1), "a number in [0, 1]"),
+    "loss": ("weighted", lambda v: _valid(v in ("weighted", "focal"), v), "'weighted' or 'focal'"),
+    "test_fraction": (0.2, _number(lambda v: 0 < v < 1), "a number in (0, 1)"),
+    "k": (5, _int_from(1), ">= 1"),
+    "decoding": ({}, _object({"temperature": _number(lambda v: 0 <= v <= 2),
+                              "top_p": _number(lambda v: 0 <= v <= 1), "max_tokens": _int_from(1),
+                              "seed": lambda v: None if v is None else _int_from(0)(v)},
+                             DecodingParams),
+                 "an object with some of temperature (a number in [0, 2]), top_p (a number in "
+                 "[0, 1]), max_tokens (an integer >= 1) and seed (null or an integer >= 0)"),
+    "template": (None, _path, _PATH_RULE),
+    "replay": ({}, _object({"store": _path, "vendor": _string, "access_date": _string},
+                           store=None, vendor="replay", access_date="1970-01-01"),
+               f"an object with some of store ({_PATH_RULE}), vendor and access_date"),
+}
+RunConfig = namedtuple("RunConfig", _RUN_CONFIG)
+
+
+def _check(name: str, key: str, value):
+    """``value`` as ``key``'s rule returns it; a bad value is a CliError naming ``name``."""
+    _, rule, what = _RUN_CONFIG[key]
+    try:
+        return rule(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _parse_run_config(config) -> RunConfig:
+    """Check every key of a run config, whatever models it lists, before
+    anything is written; a bad value is a validation error naming its key."""
     if not isinstance(config, dict):
         raise CliError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = sorted(config.keys() - _RUN_CONFIG.keys())
+    if unknown:
+        raise CliError(f"config key {unknown[0]!r} is unknown")
     if "seed" not in config:
-        raise CliError("config must pin a seed (no wall-clock default)")
-    seed = config["seed"]
-    if type(seed) is not int or seed < 0:
-        raise CliError(f"config key seed must be a non-negative integer, got {seed!r}")
-    threshold = config.get("threshold", 0.5)
-    if type(threshold) not in (int, float) or not 0 <= threshold <= 1:
-        raise CliError(f"config key threshold must be a number in [0, 1], got {threshold!r}")
-    loss = config.get("loss", "weighted")
-    if loss not in ("weighted", "focal"):
-        raise CliError(f"config key loss must be 'weighted' or 'focal', got {loss!r}")
-    test_fraction = config.get("test_fraction", 0.2)
-    if type(test_fraction) not in (int, float) or not 0 < test_fraction < 1:
-        raise CliError(f"config key test_fraction must be a number in (0, 1), got {test_fraction!r}")
-    synthetic = config.get("synthetic", {})
-    n = synthetic.get("n", 524) if isinstance(synthetic, dict) else None
-    if type(n) is not int or n < 1:
-        raise CliError(
-            f"config key synthetic must be an object whose n is an integer >= 1, got {synthetic!r}"
-        )
-    models = config.get("models", ["mlp", "heuristic"])
-    if not isinstance(models, list) or not all(map(_is_model_spec, models)):
-        raise CliError(
-            "config key models must be a list of 'logreg', 'gnb', 'mlp', 'heuristic' or "
-            f"'replay:<id>', got {models!r}"
-        )
-    return _RunSettings(seed, float(threshold), loss, float(test_fraction), n, tuple(models))
+        raise CliError("config key seed is required (there is no wall-clock default)")
+    cfg = RunConfig(*(_check(f"config key {key}", key, config.get(key, default))
+                      for key, (default, _, _) in _RUN_CONFIG.items()))
+    if cfg.replay["store"] is None and any(spec.startswith("replay:") for spec in cfg.models):
+        raise CliError("replay models need a replay store (config key replay.store)")
+    return cfg
 
 
 def cmd_run(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    settings = _run_settings(config)
-    out_dir = Path(config.get("out_dir", "run"))
+    cfg = _parse_run_config(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     _acquire_run_lock(lock)
     try:
-        return _run_pipeline(config, settings, out_dir)
+        return _run_pipeline(cfg, out_dir)
     finally:
         lock.unlink(missing_ok=True)
 
@@ -585,35 +616,31 @@ def _lock_holder(lock: Path) -> int | None:
     return pid
 
 
-def _run_pipeline(config, settings: _RunSettings, out_dir) -> int:
-    seed = settings.seed
-    schema = load_schema(config.get("schema"))
+def _run_pipeline(cfg: RunConfig, out_dir) -> int:
+    seed = cfg.seed
+    schema = load_schema(cfg.schema)
     audit_path = out_dir / "audit.jsonl"
     audit_path.unlink(missing_ok=True)  # each run starts its own log
 
-    if "cohort_csv" in config:
-        cohort_path = Path(config["cohort_csv"])
+    if cfg.cohort_csv is not None:
+        cohort_path = Path(cfg.cohort_csv)
     else:
         cohort_path = out_dir / "cohort.csv"
         # Only the records parsed back from the CSV stay alive for the run.
         cohort_path.write_bytes(serialize_cohort(
-            generate_synthetic(settings.synthetic_n, seed, GeneratorConfig()), schema))
+            generate_synthetic(cfg.synthetic["n"], seed, GeneratorConfig()), schema))
 
-    cohort = _prepare_cohort(cohort_path, schema, settings.test_fraction, seed)
+    cohort = _prepare_cohort(cohort_path, schema, cfg.test_fraction, seed)
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
 
     reports_dir = out_dir / "reports"
-    produced = []
-    for spec in settings.models:
+    names = [spec.removeprefix("replay:") for spec in cfg.models]
+    for spec, name in zip(cfg.models, names):
         if spec in ("logreg", "gnb", "mlp"):
-            model = _train_one(
-                spec, cohort.X_train, cohort.y_train, schema.feature_order, schema, seed,
-                settings.loss,
-            )
+            model = _train_one(spec, cohort.X_train, cohort.y_train, schema, seed, cfg.loss)
             save_model(model, out_dir / f"{spec}_model.json")
             scores = predict_proba(model, cohort.X_test)
-            hard = (scores >= settings.threshold).astype(int)
-            name = spec
+            hard = (scores >= cfg.threshold).astype(int)
         elif spec == "heuristic":
             preds = [predict_heuristic(r) for r in test]
             scores = np.array([proxy_score(p.label, p.confidence) for p in preds])
@@ -621,37 +648,22 @@ def _run_pipeline(config, settings: _RunSettings, out_dir) -> int:
             with (out_dir / "heuristic_traces.jsonl").open("w", encoding="utf-8") as fh:
                 for r, p in zip(test, preds):
                     fh.write(json.dumps({"case_id": r.patient_id, **p.to_dict()}) + "\n")
-            name = spec
         else:  # replay:<id>
-            name = spec.split(":", 1)[1]
-            replay_cfg = config.get("replay", {})
-            if not isinstance(replay_cfg, dict):
-                raise CliError(f"config key replay must be an object, got {replay_cfg!r}")
-            try:
-                k = int(config.get("k", 5))
-            except (TypeError, ValueError, OverflowError):
-                raise CliError(f"config key k must be an integer, got {config['k']!r}") from None
-            identity = ModelIdentity(
-                replay_cfg.get("vendor", "replay"), name,
-                replay_cfg.get("access_date", "1970-01-01"),
-            )
+            identity = ModelIdentity(cfg.replay["vendor"], name, cfg.replay["access_date"])
             scores, hard = _replay_trials(
-                test, schema, replay_cfg.get("store"), identity, config.get("decoding", {}),
-                k, load_prompt_template(config.get("template")),
-                AuditLog(audit_path),
+                test, schema, cfg.replay["store"], identity, cfg.decoding, cfg.k,
+                load_prompt_template(cfg.template), AuditLog(audit_path),
             )
-        pred_path = out_dir / f"{name}_predictions.json"
-        _write_predictions(pred_path, name, case_ids, y_test, scores, hard)
+        _write_predictions(out_dir / f"{name}_predictions.json", name, case_ids, y_test, scores, hard)
         _emit_report(
             PredictionSet(tuple(case_ids), y_test, np.asarray(scores), np.asarray(hard)),
             name, reports_dir,
         )
-        produced.append(name)
 
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "crsbench_version": __version__,
         "seed": seed,
-        "test_fraction": settings.test_fraction,
+        "test_fraction": cfg.test_fraction,
         "cohort_csv": str(cohort_path),
         "cohort_checksum": cohort.checksum,
         "schema_version": schema.version,
@@ -665,10 +677,9 @@ def _run_pipeline(config, settings: _RunSettings, out_dir) -> int:
             "prevalence_train": split.label_prevalence_train,
             "prevalence_test": split.label_prevalence_test,
         },
-        "models": produced,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    print(f"run complete: {', '.join(produced)} -> {out_dir}")
+        "models": names,
+    })
+    print(f"run complete: {', '.join(names)} -> {out_dir}")
     return EXIT_OK
 
 
@@ -681,44 +692,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--schema", default=None, help="schema file (packaged default)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--test-fraction", type=float, default=0.2)
+    def command(name, func, help, cohort=False, out=False):
+        # whole flag names only: a stray "--mode" is not "--model-id"
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if cohort:  # the flags of the one data path, _prepare_cohort
+            p.add_argument("--cohort", required=True)
+            p.add_argument("--schema", default=None, help="schema file (packaged default)")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--test-fraction", type=float, default=0.2)
+        if out:
+            p.add_argument("--out", required=True)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic cohort CSV")
+    p = command("synth", cmd_synth, "generate a synthetic cohort CSV", out=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--schema", default=None)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="parse, label, split, fit scaler")
-    p.add_argument("--cohort", required=True)
+    p = command("preprocess", cmd_preprocess, "parse, label, split, fit scaler", cohort=True)
     p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train a supervised model")
-    p.add_argument("--cohort", required=True)
+    p = command("train", cmd_train, "train a supervised model", cohort=True, out=True)
     p.add_argument("--model", required=True, choices=["logreg", "gnb", "mlp"])
     p.add_argument("--loss", default="weighted", choices=["weighted", "focal"])
-    p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="score the held-out split with a saved model")
+    p = command("predict", cmd_predict, "score the held-out split with a saved model",
+                cohort=True, out=True)
     p.add_argument("--model-file", required=True)
-    p.add_argument("--cohort", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("genai", help="run LLM trials (replay mode)")
+    p = command("genai", cmd_genai, "run LLM trials (replay mode)", cohort=True, out=True)
     p.add_argument("--replay-store", required=True)
-    p.add_argument("--cohort", required=True)
     p.add_argument("--vendor", default="replay")
     p.add_argument("--model-id", required=True)
     p.add_argument("--access-date", default="1970-01-01")
@@ -730,44 +736,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rag", action="store_true")
     p.add_argument("--rag-k", type=int, default=5)
     p.add_argument("--corpus", default=None)
-    p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_genai)
 
-    p = sub.add_parser("rag-build", help="validate and summarize the BM25 corpus")
+    p = command("rag-build", cmd_rag_build, "validate and summarize the BM25 corpus")
     p.add_argument("--corpus", default=None)
-    p.set_defaults(func=cmd_rag_build)
 
-    p = sub.add_parser("evaluate", help="full evaluation report for stored predictions")
+    p = command("evaluate", cmd_evaluate, "full evaluation report for stored predictions")
     p.add_argument("--predictions", required=True)
     p.add_argument("--name", default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="paired DeLong/McNemar/bootstrap comparison")
+    p = command("compare", cmd_compare, "paired DeLong/McNemar/bootstrap comparison", out=True)
     p.add_argument("--pred-a", required=True)
     p.add_argument("--pred-b", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("importance", help="permutation feature importance")
+    p = command("importance", cmd_importance, "permutation feature importance", cohort=True, out=True)
     p.add_argument("--model-file", required=True)
-    p.add_argument("--cohort", required=True)
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_importance)
 
-    p = sub.add_parser("report", help="summarize reports under a run directory")
+    p = command("report", cmd_report, "summarize reports under a run directory")
     p.add_argument("--run-dir", required=True)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("run", help="orchestrate the full pipeline from a config file")
+    p = command("run", cmd_run, "orchestrate the full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
-    for p in sub.choices.values():  # whole flag names only: a stray "--mode" is not "--model-id"
-        p.allow_abbrev = False
     return parser
 
 
@@ -775,6 +766,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for key in ("seed", "threshold", "test_fraction", "k"):  # flags named after config keys
+            if key in vars(args):
+                _check("--" + key.replace("_", "-"), key, vars(args)[key])
         return args.func(args)
     except LeakageError as exc:
         print(f"leakage violation: {exc}", file=sys.stderr)
@@ -786,7 +780,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliError, CohortError, SchemaError, ModelError, ProtocolError, RagError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -452,6 +452,8 @@ def stratified_split(
 
     n = len(labeled)
     n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise CohortError(f"test_fraction {test_fraction} leaves {n_test} of {n} records to test")
     quotas = {cls: len(ids) * test_fraction for cls, ids in by_class.items()}
     base = {cls: math.floor(q) for cls, q in quotas.items()}
     leftover = n_test - sum(base.values())

@@ -311,6 +311,8 @@ class ReplayClient(ModelClient):
     """
 
     def __init__(self, store_dir: str | Path):
+        if not os.fspath(store_dir):  # "" would read entries from the working directory
+            raise ProtocolError("the replay store path is empty")
         self.store_dir = Path(store_dir)
         self._prefix = os.path.join(store_dir, "")  # entry paths are joined as strings
         self._last: tuple[str, str, list[str]] | None = None  # prompt, hash, responses

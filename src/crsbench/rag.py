@@ -52,15 +52,11 @@ def load_corpus(path: str | Path | None = None) -> list[Passage]:
     else:
         raw = Path(path).read_text(encoding="utf-8")
     entries = json.loads(raw)
-    return [
-        Passage(
-            passage_id=e["passage_id"],
-            source_tag=e["source_tag"],
-            text=e["text"],
-            token_count=len(tokenize(e["text"])),
-        )
-        for e in entries
-    ]
+    keys = ("passage_id", "source_tag", "text")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and all(isinstance(e.get(key), str) for key in keys) for e in entries):
+        raise RagError(f"a corpus must be a list of objects with string {', '.join(keys)}")
+    return [Passage(*(e[key] for key in keys), len(tokenize(e["text"]))) for e in entries]
 
 
 class Bm25Index:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import signal
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -44,6 +46,28 @@ def peak_traced_bytes(fn) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
     return peak, retained
+
+
+class Overtime(BaseException):
+    """Raised by ``time_bound``; not an ``Exception``, so no handler in the code
+    under test (the CLI maps every ``OSError``, ``TimeoutError`` included, to
+    exit 2) can turn a hang into a result."""
+
+
+@contextmanager
+def time_bound(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise Overtime(f"exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_record(**overrides) -> PatientRecord:

@@ -1,9 +1,11 @@
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from importlib import resources
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import crsbench
 from crsbench.cli import (
@@ -20,6 +24,7 @@ from crsbench.cli import (
     EXIT_REPLAY_MISS,
     EXIT_VALIDATION,
     CliError,
+    RunConfig,
     _acquire_run_lock,
     _prepare_cohort,
     _write_predictions,
@@ -28,6 +33,7 @@ from crsbench.cli import (
 from crsbench.cohort import label_records, parse_cohort, serialize_cohort, stratified_split
 from crsbench.protocol import build_prompt, load_prompt_template, serialize_case, store_replay_responses
 from crsbench.synthetic import generate_synthetic
+from conftest import time_bound
 from oracles import prepare_cohort_reference
 
 
@@ -161,6 +167,17 @@ def _run_cli(*argv, timeout=30):
         [sys.executable, "-m", "crsbench.cli", *argv],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def _main_in_process(capsys, *argv, timeout=30):
+    """Run ``main(argv)`` in this process, as ``_run_cli`` runs it in a fresh
+    one; an exception that escapes ``main`` fails the test, and so does a run
+    longer than ``timeout`` seconds."""
+    capsys.readouterr()  # drop what the fixtures printed
+    with time_bound(timeout):
+        code = main(list(argv))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(argv, code, out, err)
 
 
 GOOD_PREDICTIONS = {
@@ -527,15 +544,15 @@ def test_replay_miss_message_has_no_stray_quotes(tmp_path, cohort_csv, schema):
     assert line == f"replay miss: replay store has no entry for prompt hash {first}"
 
 
-def test_replay_model_without_store_is_validation_error(tmp_path, cohort_csv):
+def test_replay_model_without_store_is_validation_error(tmp_path, cohort_csv, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
                                "cohort_csv": str(cohort_csv), "models": ["replay:m"]}))
-    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
     assert "replay.store" in line
 
 
-def test_unknown_decoding_key_is_validation_error(tmp_path, cohort_csv):
+def test_unknown_decoding_key_is_validation_error(tmp_path, cohort_csv, capsys):
     store = tmp_path / "store"
     store.mkdir()
     cfg = tmp_path / "c.json"
@@ -543,16 +560,16 @@ def test_unknown_decoding_key_is_validation_error(tmp_path, cohort_csv):
                                "cohort_csv": str(cohort_csv), "models": ["replay:m"],
                                "replay": {"store": str(store)},
                                "decoding": {"temprature": 0.3}}))
-    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
     assert "temprature" in line
 
 
-def test_genai_k_zero_is_validation_error(tmp_path, cohort_csv):
+def test_genai_k_zero_is_validation_error(tmp_path, cohort_csv, capsys):
     store = tmp_path / "store"
     store.mkdir()
     out = tmp_path / "p.json"
-    proc = _run_cli("genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
-                    "--model-id", "m", "--k", "0", "--out", str(out))
+    proc = _main_in_process(capsys, "genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                            "--model-id", "m", "--k", "0", "--out", str(out))
     line = _one_error_line(proc, EXIT_VALIDATION)
     assert "k must be >= 1, got 0" in line
     assert not out.exists()
@@ -681,14 +698,15 @@ def test_preprocess_rejects_repeated_patient_ids(tmp_path):
         pytest.param({"replay": "st"}, "replay", id="replay-not-an-object"),
     ],
 )
-def test_replay_config_of_the_wrong_type_is_validation_error(tmp_path, cohort_csv, change, key):
+def test_replay_config_of_the_wrong_type_is_validation_error(tmp_path, cohort_csv, capsys, change,
+                                                            key):
     store = tmp_path / "store"
     store.mkdir()
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),
                                "cohort_csv": str(cohort_csv), "models": ["replay:m"],
                                "replay": {"store": str(store)}, **change}))
-    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
     assert f"config key {key} " in line
 
 
@@ -796,9 +814,29 @@ def test_each_run_starts_its_own_audit_log_and_genai_appends(tmp_path, cohort_cs
         pytest.param({"models": ["mlp", "svm"]}, "models", id="models-unknown-kind"),
         pytest.param({"models": ["replay:"]}, "models", id="models-replay-without-id"),
         pytest.param({"models": [1]}, "models", id="models-not-strings"),
+        pytest.param({"modles": ["gnb"]}, "'modles'", id="unknown-key"),
+        pytest.param({"out_dir": 5}, "out_dir", id="out-dir-not-a-string"),
+        pytest.param({"schema": 5}, "schema", id="schema-not-a-string"),
+        pytest.param({"cohort_csv": 5}, "cohort_csv", id="cohort-csv-not-a-string"),
+        pytest.param({"replay": {"store": 5}}, "replay", id="replay-store-not-a-string"),
+        pytest.param({"models": ["gnb"], "k": 0}, "k", id="k-zero-without-replay-models"),
+        pytest.param({"models": ["gnb"], "template": 5}, "template", id="template-not-a-string"),
+        pytest.param({"models": ["gnb"], "decoding": {"temprature": 1}}, "decoding",
+                     id="unknown-decoding-key-without-replay-models"),
+        pytest.param({"models": ["gnb"], "replay": {"stor": "s"}}, "replay", id="unknown-replay-key"),
+        pytest.param({"decoding": {"max_tokens": "x", "seed": "y"}}, "decoding",
+                     id="decoding-values-not-integers"),
+        pytest.param({"models": ["replay:../escaped"]}, "models", id="replay-id-escapes-out-dir"),
+        pytest.param({"models": ["gnb", "replay:gnb"]}, "models", id="replay-id-repeats-a-model"),
+        pytest.param({"models": ["gnb", "gnb"]}, "models", id="model-listed-twice"),
+        pytest.param({"k": "5"}, "k", id="k-a-string"),
+        pytest.param({"k": 5.0}, "k", id="k-a-float"),
+        pytest.param({"k": True}, "k", id="k-a-boolean"),
+        pytest.param({"synthetic": {"n": 40, "m": 1}}, "synthetic", id="unknown-synthetic-key"),
+        pytest.param({"replay": {"store": "s", "x": 1}}, "replay", id="unknown-replay-key-beside-store"),
     ],
 )
-def test_bad_run_settings_fail_before_anything_is_written(tmp_path, cohort_csv, change, key):
+def test_bad_run_settings_fail_before_anything_is_written(tmp_path, cohort_csv, capsys, change, key):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "c.json"
     config = {"seed": 0, "out_dir": str(out_dir), "cohort_csv": str(cohort_csv),
@@ -806,16 +844,16 @@ def test_bad_run_settings_fail_before_anything_is_written(tmp_path, cohort_csv, 
     if "synthetic" in change:  # the synthetic cohort is made only without a cohort_csv
         del config["cohort_csv"]
     cfg.write_text(json.dumps(config))
-    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
     assert f"config key {key} " in line
     assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("config", [5, [1], "seed"])
-def test_run_config_that_is_not_an_object_is_validation_error(tmp_path, config):
+def test_run_config_that_is_not_an_object_is_validation_error(tmp_path, capsys, config):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
-    line = _one_error_line(_run_cli("run", "--config", str(cfg)), EXIT_VALIDATION)
+    line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
     assert "config must be a JSON object" in line
 
 
@@ -838,3 +876,172 @@ def test_predictions_file_is_laid_out_as_json_dumps_indent_1(tmp_path, case_ids,
     doc = {"model_name": "mlp-é", "case_ids": case_ids, "labels": labels.tolist(),
            "scores": scores, "hard_labels": hard.tolist()}
     assert path.read_bytes() == json.dumps(doc, indent=1).encode("utf-8")
+
+
+def _write(path: Path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.fixture
+def gnb_model(tmp_path, cohort_csv):
+    out = tmp_path / "gnb.json"
+    assert main(["train", "--cohort", str(cohort_csv), "--model", "gnb", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["synth", "--n", "40", "--seed", "-1"], "--seed", id="synth-seed-negative"),
+        pytest.param(["train", "--model", "gnb", "--seed", "-1"], "--seed", id="train-seed-negative"),
+        pytest.param(["compare", "--seed", "-1"], "--seed", id="compare-seed-negative"),
+        pytest.param(["predict", "--threshold", "7"], "--threshold", id="threshold-above-one"),
+        pytest.param(["predict", "--threshold", "nan"], "--threshold", id="threshold-nan"),
+        pytest.param(["preprocess", "--test-fraction", "1"], "--test-fraction", id="test-fraction-one"),
+        pytest.param(["genai", "--model-id", "m", "--k", "-2"], "--k", id="k-negative"),
+        pytest.param(["importance", "--repeats", "0"], "--repeats", id="repeats-zero"),
+        pytest.param(["importance", "--repeats", "-1"], "--repeats", id="repeats-negative"),
+    ],
+)
+def test_bad_flag_values_fail_before_anything_is_written(tmp_path, cohort_csv, gnb_model, capsys,
+                                                         argv, flag):
+    # every other flag is valid, so the command would otherwise run
+    out, cohort = tmp_path / "out", str(cohort_csv)
+    preds = _write(tmp_path / "p.json", json.dumps(GOOD_PREDICTIONS).encode())
+    rest = {
+        "synth": ["--out", str(out)],
+        "train": ["--cohort", cohort, "--out", str(out)],
+        "compare": ["--pred-a", preds, "--pred-b", preds, "--out", str(out)],
+        "predict": ["--cohort", cohort, "--model-file", str(gnb_model), "--out", str(out)],
+        "preprocess": ["--cohort", cohort, "--out-dir", str(out)],
+        "genai": ["--cohort", cohort, "--replay-store", str(tmp_path), "--out", str(out)],
+        "importance": ["--cohort", cohort, "--model-file", str(gnb_model), "--out", str(out)],
+    }[argv[0]]
+    line = _one_error_line(_main_in_process(capsys, *argv, *rest), EXIT_VALIDATION)
+    assert line.startswith(f"error: {flag} must be ")
+    assert not out.exists()
+
+
+def _report_dir(tmp_path: Path, doc) -> list[str]:
+    run_dir = tmp_path / "reports"
+    run_dir.mkdir()
+    (run_dir / "m_report.json").write_text(json.dumps(doc))
+    return ["report", "--run-dir", str(run_dir)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda tmp, cohort: ["run", "--config", str(tmp)], id="run-config-a-directory"),
+        pytest.param(lambda tmp, cohort: ["run", "--config", _write(tmp / "c.json", b'{"seed": "\xff"}')],
+                     id="run-config-not-utf8"),
+        pytest.param(lambda tmp, cohort: ["evaluate", "--out-dir", str(tmp / "ev"),
+                                          "--predictions", _write(tmp / "p.json", b'{"\xff": 1}')],
+                     id="predictions-not-utf8"),
+        pytest.param(lambda tmp, cohort: ["train", "--cohort", str(cohort), "--model", "gnb",
+                                          "--out", str(tmp)], id="train-out-a-directory"),
+        pytest.param(lambda tmp, cohort: _report_dir(tmp, {"model_name": "m", "auroc": 0.5}),
+                     id="report-without-threshold-metrics"),
+        pytest.param(lambda tmp, cohort: _report_dir(tmp, [1]), id="report-a-list"),
+        pytest.param(lambda tmp, cohort: ["rag-build", "--corpus", _write(
+            tmp / "corpus.json", json.dumps([{"source_tag": "s", "text": "t"}]).encode())],
+                     id="corpus-entry-without-passage-id"),
+        pytest.param(lambda tmp, cohort: ["evaluate", "--out-dir", str(tmp / "ev"), "--predictions", _write(
+            tmp / "p.json", json.dumps({**GOOD_PREDICTIONS, "model_name": "../escaped"}).encode())],
+                     id="model-name-escapes-out-dir"),
+        pytest.param(lambda tmp, cohort: ["genai", "--replay-store", "", "--cohort", str(cohort),
+                                          "--model-id", "m", "--out", str(tmp / "p.json")],
+                     id="replay-store-empty"),
+        pytest.param(lambda tmp, cohort: ["evaluate", "--out-dir", str(tmp / "ev"), "--name", ".hidden",
+                                          "--predictions", _write(tmp / "p.json",
+                                                                  json.dumps(GOOD_PREDICTIONS).encode())],
+                     id="name-not-a-stem"),
+    ],
+)
+def test_bad_input_at_the_cli_boundary_is_one_line_validation_error(tmp_path, cohort_csv, capsys, make):
+    argv = make(tmp_path, cohort_csv)
+    before = sorted(tmp_path.iterdir())
+    _one_error_line(_main_in_process(capsys, *argv), EXIT_VALIDATION)
+    assert sorted(tmp_path.iterdir()) == before  # nothing written, in or out of the output dirs
+
+
+def test_readme_run_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | rule |", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", table, re.M) == list(RunConfig._fields)
+
+
+# -- fuzz of the run config ---------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_PATH_KEYS = {("out_dir",), ("cohort_csv",), ("schema",), ("template",), ("replay", "store")}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, schema):
+    """A valid run config that reads an 80-row cohort and replays every test
+    case of it from a planted store; the values the fuzz draws replace it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cohort = root / "cohort.csv"
+    assert main(["synth", "--n", "80", "--seed", "1", "--out", str(cohort)]) == EXIT_OK
+    (root / "schema.json").write_bytes(
+        resources.files("crsbench.data").joinpath("schema.json").read_bytes())
+    (root / "template.txt").write_text(load_prompt_template(), encoding="utf-8")
+    store = root / "store"
+    store.mkdir()
+    _plant_test_split(cohort, schema, store)
+    config = {
+        "seed": 0, "out_dir": "run", "schema": str(root / "schema.json"), "cohort_csv": str(cohort),
+        "synthetic": {"n": 40}, "models": ["gnb", "heuristic", "replay:m"], "threshold": 0.5,
+        "loss": "weighted", "test_fraction": 0.2, "k": 2, "template": str(root / "template.txt"),
+        "decoding": {"temperature": 0.2, "top_p": 0.9, "max_tokens": 64, "seed": 3},
+        "replay": {"store": str(store), "vendor": "v", "access_date": "2026-01-01"},
+    }
+    assert set(config) == set(RunConfig._fields)
+    return root, config
+
+
+@st.composite
+def _mutated_config(draw, config):
+    """``config`` with one key dropped, one unknown key added or one value,
+    nested ones included, replaced by an arbitrary JSON value."""
+    doc = json.loads(json.dumps(config))
+    nested = [(key, sub) for key, value in config.items() if isinstance(value, dict) for sub in value]
+    where = draw(st.sampled_from([(key,) for key in config] + nested))
+    *outer, last = where
+    parent = doc[outer[0]] if outer else doc
+    how = draw(st.sampled_from(["drop", "add", "replace"]))
+    if how == "drop":
+        del parent[last]
+    elif how == "add":
+        parent[draw(st.text(max_size=8).filter(lambda k: k not in parent))] = draw(_JSON)
+    else:
+        parent[last] = draw(_JSON)
+    return doc, where if how == "replace" else None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_run_config_exits_with_a_documented_code(fuzz_inputs, capsys, data):
+    root, config = fuzz_inputs
+    doc, replaced = data.draw(_mutated_config(config))
+    if replaced in _PATH_KEYS:  # a drawn path is relative: it stays inside the example's directory
+        parent = doc if len(replaced) == 1 else doc[replaced[0]]
+        if isinstance(parent[replaced[-1]], str):
+            parent[replaced[-1]] = parent[replaced[-1]].replace("/", "_")
+    work = Path(tempfile.mkdtemp(dir=root))
+    (work / "config.json").write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(work)  # out_dir is relative, by the base config or by its default
+    try:
+        proc = _main_in_process(capsys, "run", "--config", "config.json", timeout=60)
+    finally:
+        os.chdir(cwd)
+    assert proc.returncode in (EXIT_OK, EXIT_VALIDATION, EXIT_LEAKAGE, EXIT_REPLAY_MISS, EXIT_NUMERIC)
+    assert len(proc.stderr.splitlines()) <= 1, proc.stderr

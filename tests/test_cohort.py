@@ -227,6 +227,12 @@ def test_stratified_split_proportions():
     assert abs(split.label_prevalence_test - split.label_prevalence_train) <= 1.5 / 105
 
 
+@pytest.mark.parametrize("test_fraction", [1e-9, 0.999])
+def test_stratified_split_that_leaves_a_split_empty_is_error(test_fraction):
+    with pytest.raises(CohortError, match="records to test"):
+        stratified_split(generate_synthetic(80, seed=1), test_fraction=test_fraction, seed=0)
+
+
 def test_stratified_split_deterministic():
     records = generate_synthetic(200, seed=9)
     a = stratified_split(records, seed=42)

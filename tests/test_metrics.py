@@ -1,6 +1,4 @@
 import json
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ from crsbench.metrics import (
     write_curve_csvs,
     write_report_json,
 )
+from conftest import time_bound
 from oracles import (
     ap_step_sum,
     auc_pair_count,
@@ -39,22 +38,6 @@ from oracles import (
     sequential_bootstrap_values,
     sign_test_p,
 )
-
-
-@contextmanager
-def _time_bound(seconds):
-    """Fail, rather than hang, when the body runs longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"exceeded {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _random_instance(rng, n=None, tie_prone=False):
@@ -183,7 +166,7 @@ def test_ranking_on_empty_input():
 
 
 def test_nan_score_raises_instead_of_hanging():
-    with _time_bound(5.0):
+    with time_bound(5.0):
         for fn in (auroc, average_precision, roc_points, pr_points):
             with pytest.raises(MetricError):
                 fn([0, 1, 1], [0.1, float("nan"), 0.3])
@@ -243,7 +226,7 @@ def test_metrics_return_or_raise_metric_error_on_arbitrary_floats(rows):
             n_resamples=100,
         ),
     ]
-    with _time_bound(10.0):
+    with time_bound(10.0):
         for call in calls:
             try:
                 call()
