@@ -7,9 +7,7 @@ MLP, and prints held-out threshold metrics for each.
 Run:  python3 demos/01_cohort_and_models.py
 """
 
-import numpy as np
-
-from crsbench.cohort import encode_matrix, fit_scaler, label_records, stratified_split
+from crsbench.cohort import CohortTable, encode_matrix, fit_scaler, stratified_split
 from crsbench.metrics import confusion, threshold_metrics
 from crsbench.models import (
     inverse_prevalence_weights,
@@ -26,21 +24,18 @@ SEED = 7
 
 def main():
     schema = load_schema()
-    records = generate_synthetic(524, seed=SEED)
-    labeled, labels, _ = label_records(records)
-    split = stratified_split(labeled, test_fraction=0.2, seed=SEED)
-    print(f"cohort: {len(labeled)} cases, "
+    cohort = CohortTable.from_records(generate_synthetic(524, seed=SEED))
+    split = stratified_split(cohort, test_fraction=0.2, seed=SEED)
+    print(f"cohort: {len(cohort)} cases, "
           f"train prevalence {split.label_prevalence_train:.3f}, "
           f"test prevalence {split.label_prevalence_test:.3f}")
 
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    test = [by_id[i] for i in sorted(split.test_ids)]
+    # each split's rows, in case-id order
+    train, test = cohort.take(split.train_rows), cohort.take(split.test_rows)
     scaler = fit_scaler(train, schema)
     X_train = encode_matrix(train, schema, scaler)
     X_test = encode_matrix(test, schema, scaler)
-    y_train = np.array([labels[r.patient_id] for r in train])
-    y_test = np.array([labels[r.patient_id] for r in test])
+    y_train, y_test = train.labels(), test.labels()
 
     weights = inverse_prevalence_weights(y_train, power=0.5)
     models = {

@@ -9,7 +9,7 @@ Run:  python3 demos/04_evaluation_and_comparison.py
 
 import numpy as np
 
-from crsbench.cohort import encode_matrix, fit_scaler, label_records, stratified_split
+from crsbench.cohort import CohortTable, encode_matrix, fit_scaler, stratified_split
 from crsbench.heuristic import predict_heuristic
 from crsbench.metrics import PredictionSet, compare, evaluate
 from crsbench.models import inverse_prevalence_weights, predict_proba, train_mlp
@@ -22,15 +22,12 @@ SEED = 7
 
 def main():
     schema = load_schema()
-    labeled, labels, _ = label_records(generate_synthetic(524, seed=SEED))
-    split = stratified_split(labeled, test_fraction=0.2, seed=SEED)
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    test = [by_id[i] for i in sorted(split.test_ids)]
+    cohort = CohortTable.from_records(generate_synthetic(524, seed=SEED))
+    split = stratified_split(cohort, test_fraction=0.2, seed=SEED)
+    train, test = cohort.take(split.train_rows), cohort.take(split.test_rows)
     scaler = fit_scaler(train, schema)
-    y_train = np.array([labels[r.patient_id] for r in train])
-    y_test = np.array([labels[r.patient_id] for r in test])
-    case_ids = tuple(r.patient_id for r in test)
+    y_train, y_test = train.labels(), test.labels()
+    case_ids = tuple(test.ids.tolist())
 
     model = train_mlp(
         encode_matrix(train, schema, scaler), y_train, schema.feature_order,
@@ -40,7 +37,7 @@ def main():
     mlp_scores = predict_proba(model, encode_matrix(test, schema, scaler))
     mlp_set = PredictionSet(case_ids, y_test, mlp_scores, (mlp_scores >= 0.5).astype(int))
 
-    rule_preds = [predict_heuristic(r) for r in test]
+    rule_preds = [predict_heuristic(r) for r in test.records()]  # the rule engine reads records
     rule_scores = np.array([proxy_score(p.label, p.confidence) for p in rule_preds])
     rule_set = PredictionSet(case_ids, y_test, rule_scores,
                              np.array([p.label for p in rule_preds]))

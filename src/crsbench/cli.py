@@ -26,18 +26,19 @@ from . import __version__
 from .cohort import (
     CohortError,
     CohortSplit,
+    CohortTable,
     LeakageError,
     RejectionReport,
     Scaler,
     encode_matrix,
     fit_scaler,
-    label_records,
     leakage_guard,
     parse_cohort,
     serialize_cohort,
     stratified_split,
 )
 from .heuristic import predict_heuristic
+from .jsondoc import load_json
 from .metrics import (
     MetricError,
     PredictionSet,
@@ -93,7 +94,7 @@ def _read_cohort(cohort_path: Path, schema):
     The leakage guard runs over the raw header columns before any row is
     parsed; the sanctioned label column and the id column are exempt, and any
     other blocklisted column halts the run. Returns the SHA-256 of the
-    file's bytes, the records and the rejection report. A missing or unreadable path and an
+    file's bytes, the parsed table and the rejection report. A missing or unreadable path and an
     empty, non-UTF-8, malformed or record-less CSV file are validation errors.
     """
     try:
@@ -110,14 +111,14 @@ def _read_cohort(cohort_path: Path, schema):
         leakage_guard(
             [c for c in columns if c not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")], schema.blocklist
         )
-        records, report = parse_cohort(data, schema)
+        table, report = parse_cohort(data, schema)
     except UnicodeDecodeError as exc:
         raise CliError(f"{cohort_path} is not UTF-8 text (byte {exc.start})") from None
     except csv_mod.Error as exc:
         raise CliError(f"{cohort_path} is not a readable CSV: {exc}") from None
-    if not records:
+    if not len(table):
         raise CliError(f"no valid records in {cohort_path}")
-    return hashlib.sha256(data).hexdigest(), records, report
+    return hashlib.sha256(data).hexdigest(), table, report
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class _Cohort:
     """A cohort read, labeled, split, scaled and encoded; test rows in case-id order."""
 
     checksum: str
-    records: list
+    n_records: int
     rejection: RejectionReport
     unlabeled: list[str]
     split: CohortSplit
@@ -140,21 +141,23 @@ class _Cohort:
 
 def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Cohort:
     """The one data path every subcommand uses: the scaler is fit on the
-    training rows only, and both splits are encoded with it."""
-    checksum, records, rejection = _read_cohort(path, schema)
-    labeled, labels, unlabeled = label_records(records)
+    training rows only, and both splits are encoded with it. Records are
+    built only for the test rows."""
+    checksum, table, rejection = _read_cohort(path, schema)
+    unlabeled = table.outcome_missing
+    labeled = table.take(~unlabeled) if unlabeled.any() else table
     split = stratified_split(labeled, test_fraction, seed)
-    by_id = {r.patient_id: r for r in labeled}
-    train = [by_id[i] for i in sorted(split.train_ids)]
-    test = [by_id[i] for i in sorted(split.test_ids)]
+    labels = labeled.labels()
+    train, test = labeled.take(split.train_rows), labeled.take(split.test_rows)
     scaler = fit_scaler(train, schema)
     return _Cohort(
-        checksum, records, rejection, unlabeled, split, scaler, test,
+        checksum, len(table), rejection, table.ids[unlabeled].tolist(), split, scaler,
+        test.records(),
         X_train=encode_matrix(train, schema, scaler),
         X_test=encode_matrix(test, schema, scaler),
-        y_train=np.array([labels[r.patient_id] for r in train]),
-        y_test=np.array([labels[r.patient_id] for r in test]),
-        case_ids=[r.patient_id for r in test],
+        y_train=labels[split.train_rows],
+        y_test=labels[split.test_rows],
+        case_ids=test.ids.tolist(),
     )
 
 
@@ -215,7 +218,7 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _read_predictions(path: Path) -> tuple[str, PredictionSet]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = load_json(path.read_bytes(), CliError, path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: predictions must be a JSON object")
 
@@ -292,12 +295,12 @@ def cmd_synth(args) -> int:
     if args.n < 1:
         raise CliError("--n must be >= 1")
     schema = load_schema(args.schema)
-    records = generate_synthetic(args.n, args.seed, GeneratorConfig())
+    table = CohortTable.from_records(generate_synthetic(args.n, args.seed, GeneratorConfig()))
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(serialize_cohort(records, schema))
-    _, labels, _ = label_records(records)
-    prevalence = sum(labels.values()) / len(labels)
-    print(f"wrote {len(records)} records to {out} (label prevalence {prevalence:.3f})")
+    out.write_bytes(serialize_cohort(table, schema))
+    labels = table.labels()
+    prevalence = int(labels.sum()) / len(labels)
+    print(f"wrote {len(table)} records to {out} (label prevalence {prevalence:.3f})")
     return EXIT_OK
 
 
@@ -447,7 +450,7 @@ def cmd_report(args) -> int:
         raise CliError(f"no *_report.json found under {run_dir}")
     lines = ["# Run summary", ""]
     for path in reports:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = load_json(path.read_bytes(), CliError, path)
         try:
             m = doc["threshold_metrics"]
             lines.append(
@@ -506,6 +509,15 @@ def _models(specs):
                         and all(map(_STEM.fullmatch, names)), specs))
 
 
+# The keys of a run config's decoding object: the rule that checks each and
+# what a valid value is. genai's --temperature and --top-p go through the same.
+_DECODING = {
+    "temperature": (_number(lambda v: 0 <= v <= 2), "a number in [0, 2]"),
+    "top_p": (_number(lambda v: 0 <= v <= 1), "a number in [0, 1]"),
+    "max_tokens": (_int_from(1), "an integer >= 1"),
+    "seed": (lambda v: None if v is None else _int_from(0)(v), "null or an integer >= 0"),
+}
+
 # Every key of a run config: its default, the rule that checks it and returns
 # the value RunConfig holds, and what a valid value is. README's run-config
 # table lists the same keys.
@@ -521,23 +533,22 @@ _RUN_CONFIG = {
     "loss": ("weighted", lambda v: _valid(v in ("weighted", "focal"), v), "'weighted' or 'focal'"),
     "test_fraction": (0.2, _number(lambda v: 0 < v < 1), "a number in (0, 1)"),
     "k": (5, _int_from(1), ">= 1"),
-    "decoding": ({}, _object({"temperature": _number(lambda v: 0 <= v <= 2),
-                              "top_p": _number(lambda v: 0 <= v <= 1), "max_tokens": _int_from(1),
-                              "seed": lambda v: None if v is None else _int_from(0)(v)},
-                             DecodingParams),
-                 "an object with some of temperature (a number in [0, 2]), top_p (a number in "
-                 "[0, 1]), max_tokens (an integer >= 1) and seed (null or an integer >= 0)"),
+    "decoding": ({}, _object({key: rule for key, (rule, _) in _DECODING.items()}, DecodingParams),
+                 "an object with some of "
+                 + ", ".join(f"{key} ({what})" for key, (_, what) in _DECODING.items())),
     "template": (None, _path, _PATH_RULE),
     "replay": ({}, _object({"store": _path, "vendor": _string, "access_date": _string},
                            store=None, vendor="replay", access_date="1970-01-01"),
                f"an object with some of store ({_PATH_RULE}), vendor and access_date"),
 }
 RunConfig = namedtuple("RunConfig", _RUN_CONFIG)
+# Subcommand flags named after run-config or decoding keys, checked by the same rules.
+_FLAG_RULES = {**{key: _RUN_CONFIG[key][1:] for key in ("seed", "threshold", "test_fraction", "k")},
+               **{key: _DECODING[key] for key in ("temperature", "top_p")}}
 
 
-def _check(name: str, key: str, value):
-    """``value`` as ``key``'s rule returns it; a bad value is a CliError naming ``name``."""
-    _, rule, what = _RUN_CONFIG[key]
+def _check(name: str, rule, what: str, value):
+    """``value`` as ``rule`` returns it; a bad value is a CliError naming ``name``."""
     try:
         return rule(value)
     except (TypeError, ValueError):
@@ -554,15 +565,15 @@ def _parse_run_config(config) -> RunConfig:
         raise CliError(f"config key {unknown[0]!r} is unknown")
     if "seed" not in config:
         raise CliError("config key seed is required (there is no wall-clock default)")
-    cfg = RunConfig(*(_check(f"config key {key}", key, config.get(key, default))
-                      for key, (default, _, _) in _RUN_CONFIG.items()))
+    cfg = RunConfig(*(_check(f"config key {key}", rule, what, config.get(key, default))
+                      for key, (default, rule, what) in _RUN_CONFIG.items()))
     if cfg.replay["store"] is None and any(spec.startswith("replay:") for spec in cfg.models):
         raise CliError("replay models need a replay store (config key replay.store)")
     return cfg
 
 
 def cmd_run(args) -> int:
-    cfg = _parse_run_config(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    cfg = _parse_run_config(load_json(Path(args.config).read_bytes(), CliError, args.config))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
@@ -626,9 +637,10 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
         cohort_path = Path(cfg.cohort_csv)
     else:
         cohort_path = out_dir / "cohort.csv"
-        # Only the records parsed back from the CSV stay alive for the run.
-        cohort_path.write_bytes(serialize_cohort(
-            generate_synthetic(cfg.synthetic["n"], seed, GeneratorConfig()), schema))
+        # The generated records are dropped once they are columns, before the
+        # CSV is rendered; a run that renders them from records peaks higher.
+        cohort_path.write_bytes(serialize_cohort(CohortTable.from_records(
+            generate_synthetic(cfg.synthetic["n"], seed, GeneratorConfig())), schema))
 
     cohort = _prepare_cohort(cohort_path, schema, cfg.test_fraction, seed)
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
@@ -669,7 +681,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
         "schema_version": schema.version,
         "schema_checksum": schema.checksum,
         "scaler_state_id": cohort.scaler.state_id,
-        "n_records": len(cohort.records),
+        "n_records": cohort.n_records,
         "rejections": cohort.rejection.rejected,
         "split": {
             "train": len(split.train_ids),
@@ -766,9 +778,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for key in ("seed", "threshold", "test_fraction", "k"):  # flags named after config keys
+        for key, (rule, what) in _FLAG_RULES.items():
             if key in vars(args):
-                _check("--" + key.replace("_", "-"), key, vars(args)[key])
+                _check("--" + key.replace("_", "-"), rule, what, vars(args)[key])
         return args.func(args)
     except LeakageError as exc:
         print(f"leakage violation: {exc}", file=sys.stderr)
@@ -780,7 +792,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliError, CohortError, SchemaError, ModelError, ProtocolError, RagError,
-            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,8 +1,12 @@
 """Cohort ingestion: parsing, validation, labeling, encoding, and splitting.
 
-Everything here is value-oriented: records, splits, and scalers are immutable
-once built, and every entry point that produces model-ready features runs the
-post-operative leakage guard, once per encode call rather than per row.
+A parsed cohort is a ``CohortTable``: one column per record field. Labeling,
+splitting, scaling and encoding work on its columns, and ``PatientRecord``
+objects are built only for the rows that need one (the held-out cases). A
+record list passed to these functions is turned into a table first, so there
+is one code path. Records, splits, and scalers are immutable once built, and
+every entry point that produces model-ready features runs the post-operative
+leakage guard, once per encode call rather than per row.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import io
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +75,30 @@ class PatientRecord:
     snot22_6mo: int | None = None
 
     def __post_init__(self):
-        if not (0 <= self.snot22_baseline <= 110):
-            raise CohortError(f"snot22_baseline out of [0,110]: {self.snot22_baseline}")
-        if self.snot22_6mo is not None and not (0 <= self.snot22_6mo <= 110):
-            raise CohortError(f"snot22_6mo out of [0,110]: {self.snot22_6mo}")
-        if self.age < 18:
-            raise CohortError(f"age below 18: {self.age}")
-        if not (0 <= self.ct_total <= 24):
-            raise CohortError(f"ct_total out of [0,24]: {self.ct_total}")
-        if not (0 <= self.endoscopy_total <= 20):
-            raise CohortError(f"endoscopy_total out of [0,20]: {self.endoscopy_total}")
+        for name, lo, hi, reason in _RECORD_BOUNDS:
+            value = getattr(self, name)
+            if value is None and name == "snot22_6mo":  # no outcome yet
+                continue
+            if not lo <= value <= hi:
+                raise CohortError(f"{reason}: {value}")
+
+
+# PatientRecord's invariants in the order it checks them: a field, its bounds
+# and the reason a value outside them gives. ``parse_cohort`` checks the same
+# bounds column by column.
+_RECORD_BOUNDS = (
+    ("snot22_baseline", 0, 110, "snot22_baseline out of [0,110]"),
+    ("snot22_6mo", 0, 110, "snot22_6mo out of [0,110]"),
+    ("age", 18, math.inf, "age below 18"),
+    ("ct_total", 0, 24, "ct_total out of [0,24]"),
+    ("endoscopy_total", 0, 20, "endoscopy_total out of [0,20]"),
+)
+_FIELDS = dataclasses.fields(PatientRecord)
+_FIELD_NAMES = tuple(f.name for f in _FIELDS)
+# A field's value kind: "int", "bool" or "str" (an id or an enum category).
+_FIELD_KINDS = {f.name: f.type.removesuffix(" | None") for f in _FIELDS}
+_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING}
+_OUTCOME = _FIELD_NAMES.index("snot22_6mo")
 
 
 # Canonical CSV column -> dataclass field.
@@ -122,6 +139,79 @@ class RejectionReport:
     @property
     def rejected(self) -> int:
         return len(self.rejections)
+
+
+def _column(values: list, kind: str) -> np.ndarray:
+    """One field's values as a column: int64 for ints (object when one does
+    not fit), bool for bools, object for strings."""
+    if kind == "int":
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+    return np.array(values, dtype=bool if kind == "bool" else object)
+
+
+def _outcome_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ``snot22_6mo`` column, 0 where the value is None, and where it is."""
+    missing = [v is None for v in values]
+    return (_column([0 if m else v for v, m in zip(values, missing)], "int"),
+            np.array(missing, dtype=bool))
+
+
+class CohortTable:
+    """A cohort as columns: ``columns[name]`` holds record field ``name`` of
+    every row, as ``_column`` makes it.
+
+    ``snot22_6mo`` holds 0 where ``outcome_missing`` is set. Every row meets
+    the record invariants; ``records`` builds the records of the rows asked
+    for, and only those.
+    """
+
+    __slots__ = ("columns", "outcome_missing")
+
+    def __init__(self, columns: dict[str, np.ndarray], outcome_missing: np.ndarray):
+        self.columns = columns
+        self.outcome_missing = outcome_missing
+
+    def __len__(self) -> int:
+        return len(self.outcome_missing)
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self.columns["patient_id"]
+
+    def take(self, rows) -> CohortTable:
+        """The table of ``rows`` (indices or a mask), in that order."""
+        return CohortTable({name: col[rows] for name, col in self.columns.items()},
+                           self.outcome_missing[rows])
+
+    def labels(self) -> np.ndarray:
+        """Each row's label, as ``derive_label`` gives it."""
+        if self.outcome_missing.any():
+            raise CohortError(f"{int(self.outcome_missing.sum())} records lack a 6-month outcome")
+        reduction = self.columns["snot22_baseline"] - self.columns["snot22_6mo"]
+        return (reduction >= MCID_REDUCTION).astype(np.int64)
+
+    def records(self, rows=None) -> list[PatientRecord]:
+        """The records of ``rows`` (every row when omitted), in that order."""
+        table = self if rows is None else self.take(rows)
+        values = [table.columns[name].tolist() for name in _FIELD_NAMES]
+        values[_OUTCOME] = [None if missing else v for v, missing
+                            in zip(values[_OUTCOME], table.outcome_missing.tolist())]
+        return list(itertools.starmap(PatientRecord, zip(*values)))
+
+    @classmethod
+    def from_records(cls, records) -> CohortTable:
+        columns = {name: _column([getattr(r, name) for r in records], _FIELD_KINDS[name])
+                   for name in _FIELD_NAMES if name != "snot22_6mo"}
+        columns["snot22_6mo"], missing = _outcome_column([r.snot22_6mo for r in records])
+        return cls(columns, missing)
+
+
+def _as_table(cohort) -> CohortTable:
+    """``cohort``, a table or a record list, as a table."""
+    return cohort if isinstance(cohort, CohortTable) else CohortTable.from_records(cohort)
 
 
 def _is_placeholder(value: str) -> bool:
@@ -200,23 +290,51 @@ def _lines(text: str):
         yield text[start:]
 
 
-# Non-empty rows parsed per block. A block is transposed and converted column
-# by column; transposing the whole file at once would hold every cell of it
-# in memory.
+def _record_columns(schema: Schema, position: dict[str, int]) -> list:
+    """(spec, header position or None, record field, cell cache or None) for
+    each schema column. A schema whose columns cannot fill every record field
+    with values of its kind is an error."""
+    named = {COLUMN_TO_FIELD.get(spec.name) for spec in schema.columns}
+    for f in _FIELDS:
+        if f.name not in named and f.default is dataclasses.MISSING:
+            raise SchemaError(f"schema has no column for record field {f.name}")
+    columns = []
+    for spec in schema.columns:
+        name = COLUMN_TO_FIELD.get(spec.name)
+        if name is None:
+            raise SchemaError(f"schema column {spec.name} has no record field")
+        kind = _FIELD_KINDS[name]
+        if spec.kind not in (("id", "enum") if kind == "str" else (kind,)):
+            raise SchemaError(f"schema column {spec.name} is {spec.kind}; record field {name} "
+                              f"holds {kind} values")
+        if not (spec.required or name == "patient_id" or name in _DEFAULTS):
+            raise SchemaError(f"schema column {spec.name} must be required: record field "
+                              f"{name} has no default")
+        # the id column has no cache: ids are distinct, so nothing would be shared
+        cells = None if spec.name == "PATIENT_ID" else _ColumnCells(spec, schema)
+        columns.append((spec, position.get(spec.name), name, cells))
+    return columns
+
+
+# Non-empty rows parsed, or rows serialized, per block. A block is converted
+# column by column; converting the whole file at once would hold every cell
+# of it in memory.
 PARSE_BLOCK_ROWS = 256
 
 
-def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[list[PatientRecord], RejectionReport]:
-    """Parse a canonical cohort CSV into validated records.
+def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[CohortTable, RejectionReport]:
+    """Parse a canonical cohort CSV into a table of validated rows.
 
-    Rows with placeholders or malformed values in required fields are dropped
-    and counted, with the first failing column in schema order as the reason;
-    so is a row whose PATIENT_ID, given or generated, repeats an earlier
-    accepted row's. A missing required column is a hard error naming the
-    column. One leading UTF-8 byte-order mark is ignored. Rows are read as
-    ``csv.DictReader`` reads them: empty lines are skipped and not counted, a
-    duplicated header name reads its last column, a short row's missing cells
-    are missing values and extra cells are ignored.
+    A row is dropped and counted, with the first reason that applies:
+    - a placeholder or malformed value in a required field; the first failing
+      column in schema order is named;
+    - a value that breaks a record invariant, the first in ``_RECORD_BOUNDS``;
+    - a PATIENT_ID, given or generated, that repeats an earlier accepted row's.
+    A missing required column is a hard error naming the column. One leading
+    UTF-8 byte-order mark is ignored. Rows are read as ``csv.DictReader``
+    reads them: empty lines are skipped and not counted, a duplicated header
+    name reads its last column, a short row's missing cells are missing
+    values and extra cells are ignored.
     """
     reader = csv.reader(_lines(csv_bytes.decode("utf-8").removeprefix("\ufeff")))
     header = next(reader, None)
@@ -226,25 +344,11 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[list[PatientRecord],
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
 
-    position = {name: j for j, name in enumerate(header)}  # the last column of a name
-    fields = dataclasses.fields(PatientRecord)
-    slot = {f.name: k for k, f in enumerate(fields)}
-    named = {COLUMN_TO_FIELD.get(spec.name) for spec in schema.columns}
-    for f in fields:
-        if f.name not in named and f.default is dataclasses.MISSING:
-            raise SchemaError(f"schema has no column for record field {f.name}")
-    # a block's values per record field; a field the schema leaves out keeps its default
-    defaults = [itertools.repeat(f.default) for f in fields]
-    columns = []  # (spec, header position or None, record slot, cell cache or None)
-    for spec in schema.columns:
-        if spec.name not in COLUMN_TO_FIELD:
-            raise SchemaError(f"schema column {spec.name} has no record field")
-        # the id column has no cache: ids are distinct, so nothing would be shared
-        cells = None if spec.name == "PATIENT_ID" else _ColumnCells(spec, schema)
-        columns.append((spec, position.get(spec.name), slot[COLUMN_TO_FIELD[spec.name]], cells))
+    # a name found twice in the header reads its last column
+    columns = _record_columns(schema, {name: j for j, name in enumerate(header)})
     width = 1 + max((j for _, j, _, _ in columns if j is not None), default=-1)
 
-    records: list[PatientRecord] = []
+    blocks: list[dict[str, np.ndarray]] = []  # each block's accepted rows and outcome_missing
     rejections: list[tuple[int, str]] = []
     first_at: dict[str, int] = {}  # accepted patient id -> its row
     rows = filter(None, reader)  # drops empty lines
@@ -254,59 +358,85 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[list[PatientRecord],
         if min(map(len, block)) < width:
             block = [row + [None] * (width - len(row)) for row in block]
         by_position = list(zip(*block))
-        args = list(defaults)
-        reasons: dict[int, str] = {}  # row in block -> first failing column's reason
-        for spec, j, k, cells in columns:
+        values = {name: [default] * n for name, default in _DEFAULTS.items()}
+        reasons: dict[int, str] = {}  # row in block -> why it is rejected
+        for spec, j, name, cells in columns:
             raw = by_position[j] if j is not None else (None,) * n
             if cells is None:
-                values = [_cell_value(cell, spec, schema) for cell in raw]
-                if None in values:
-                    values = [f"case_{base + i:04d}" if v is None else v
-                              for i, v in enumerate(values)]
+                column = [_cell_value(cell, spec, schema) for cell in raw]
+                if None in column:
+                    column = [f"case_{base + i:04d}" if v is None else v
+                              for i, v in enumerate(column)]
                 failing = True
             else:
-                values = list(map(cells.__getitem__, raw))
+                column = list(map(cells.__getitem__, raw))
                 failing = cells.rejected and not cells.rejected.isdisjoint(raw)
             if failing:
-                for i, v in enumerate(values):
+                for i, v in enumerate(column):
                     if v.__class__ is _Rejected:
                         reasons.setdefault(i, str(v))
-            args[k] = values
-        for i, row in enumerate(zip(*args)):
-            idx = base + i
-            reason = reasons.get(i)
-            if reason is None:
-                try:
-                    record = PatientRecord(*row)
-                except CohortError as exc:
-                    reason = str(exc)
-                else:
-                    first = first_at.setdefault(record.patient_id, idx)
-                    if first == idx:
-                        records.append(record)
-                        continue
-                    reason = f"duplicate PATIENT_ID {record.patient_id} (first at row {first})"
-            rejections.append((idx, reason))
+            values[name] = column
+
+        keep = [i for i in range(n) if i not in reasons]  # the rows whose every cell parsed
+        if reasons:
+            values = {name: [column[i] for i in keep] for name, column in values.items()}
+        table = {name: _column(values[name], _FIELD_KINDS[name])
+                 for name in _FIELD_NAMES if name != "snot22_6mo"}
+        table["snot22_6mo"], missing = _outcome_column(values["snot22_6mo"])
+        for name, lo, hi, reason in _RECORD_BOUNDS:
+            col = table[name]
+            bad = (col < lo) | (col > hi)
+            if name == "snot22_6mo":
+                bad &= ~missing
+            for k in np.flatnonzero(bad).tolist():
+                reasons.setdefault(keep[k], f"{reason}: {values[name][k]}")
+        ids = values["patient_id"]
+        for k, i in enumerate(keep):
+            if i not in reasons:
+                first = first_at.setdefault(ids[k], base + i)
+                if first != base + i:
+                    reasons[i] = f"duplicate PATIENT_ID {ids[k]} (first at row {first})"
+
+        if len(reasons) > n - len(keep):  # a row whose cells parsed is rejected
+            accepted = [k for k, i in enumerate(keep) if i not in reasons]
+            table = {name: col[accepted] for name, col in table.items()}
+            missing = missing[accepted]
+        table["outcome_missing"] = missing
+        blocks.append(table)
+        rejections.extend((base + i, reasons[i]) for i in sorted(reasons))
         base += n
-    return records, RejectionReport(base, len(records), tuple(rejections))
+
+    def joined(name, kind):  # drops the blocks' parts as it joins them
+        return np.concatenate([b.pop(name) for b in blocks]) if blocks else _column([], kind)
+
+    table = CohortTable({name: joined(name, _FIELD_KINDS[name]) for name in _FIELD_NAMES},
+                        joined("outcome_missing", "bool"))
+    return table, RejectionReport(base, len(table), tuple(rejections))
 
 
-def serialize_cohort(records: list[PatientRecord], schema: Schema) -> bytes:
-    """Render records as canonical CSV; inverse of parse_cohort on valid data."""
+def _cell_texts(table: CohortTable, name: str) -> list[str]:
+    """Record field ``name`` of every row as its CSV cell."""
+    col = table.columns[name]
+    texts = np.where(col, "1", "0").tolist() if col.dtype == bool else list(map(str, col.tolist()))
+    if name == "snot22_6mo":
+        texts = ["" if missing else t for t, missing in zip(texts, table.outcome_missing.tolist())]
+    return texts
+
+
+def serialize_cohort(cohort, schema: Schema) -> bytes:
+    """Render a table or record list as canonical CSV; inverse of parse_cohort on valid data.
+
+    Rows are rendered a block at a time, so only one block is held as
+    columns and as cell strings.
+    """
+    names = [COLUMN_TO_FIELD[column] for column in schema.column_names]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(schema.column_names)
-    for rec in records:
-        row = []
-        for name in schema.column_names:
-            value = getattr(rec, COLUMN_TO_FIELD[name])
-            if value is None:
-                row.append("")
-            elif isinstance(value, bool):
-                row.append("1" if value else "0")
-            else:
-                row.append(str(value))
-        writer.writerow(row)
+    for start in range(0, len(cohort), PARSE_BLOCK_ROWS):
+        rows = slice(start, start + PARSE_BLOCK_ROWS)
+        block = cohort.take(rows) if isinstance(cohort, CohortTable) else _as_table(cohort[rows])
+        writer.writerows(zip(*(_cell_texts(block, name) for name in names)))
     return buf.getvalue().encode("utf-8")
 
 
@@ -318,15 +448,11 @@ def derive_label(snot22_baseline: int, snot22_6mo: int) -> int:
 
 
 def label_records(records: list[PatientRecord]) -> tuple[list[PatientRecord], dict[str, int], list[str]]:
-    """Split a cohort into labeled records (with labels) and unlabeled ids."""
-    labeled, labels, unlabeled = [], {}, []
-    for rec in records:
-        if rec.snot22_6mo is None:
-            unlabeled.append(rec.patient_id)
-        else:
-            labeled.append(rec)
-            labels[rec.patient_id] = derive_label(rec.snot22_baseline, rec.snot22_6mo)
-    return labeled, labels, unlabeled
+    """Split a record list into the labeled records, their labels by id, and the unlabeled ids."""
+    table = CohortTable.from_records(records)
+    rows = np.flatnonzero(~table.outcome_missing)
+    labels = dict(zip(table.ids[rows].tolist(), table.take(rows).labels().tolist()))
+    return [records[i] for i in rows.tolist()], labels, table.ids[table.outcome_missing].tolist()
 
 
 def leakage_guard(feature_names: list[str], blocklist: tuple[str, ...]) -> None:
@@ -367,14 +493,14 @@ class Scaler:
         return (value - self.means[i]) / self.sds[i]
 
 
-def fit_scaler(train_records: list[PatientRecord], schema: Schema) -> Scaler:
-    if not train_records:
+def fit_scaler(train, schema: Schema) -> Scaler:
+    """Fit on the training rows, a table or a record list."""
+    table = _as_table(train)
+    if not len(table):
         raise CohortError("cannot fit scaler on empty training set")
     means, sds = [], []
     for name in schema.continuous:
-        values = np.array(
-            [getattr(r, COLUMN_TO_FIELD[name]) for r in train_records], dtype=float
-        )
+        values = table.columns[COLUMN_TO_FIELD[name]].astype(float)
         mean = float(values.mean())
         sd = float(values.std())
         means.append(mean)
@@ -382,38 +508,33 @@ def fit_scaler(train_records: list[PatientRecord], schema: Schema) -> Scaler:
     return Scaler(tuple(schema.continuous), tuple(means), tuple(sds))
 
 
-def encode_matrix(records: list[PatientRecord], schema: Schema, scaler: Scaler) -> np.ndarray:
-    """Encode a record list into an (n, d) float matrix in schema order.
+def encode_matrix(cohort, schema: Schema, scaler: Scaler) -> np.ndarray:
+    """Encode a table or record list into an (n, d) float matrix in schema order.
 
     Ints and booleans become floats ({0,1} for booleans), enums their fixed
     codes, and continuous fields are standardized by the fitted scaler with
     the same two IEEE operations as ``Scaler.transform``. Unknown enum values
-    are hard errors. The leakage guard runs once per call, before any record
-    is read.
+    are hard errors. The leakage guard runs once per call, before any row is
+    read.
     """
     order = schema.feature_order
     leakage_guard(list(order), schema.blocklist)
-    kinds = [schema.column(name).kind for name in order]
-    n = len(records)
-    X = np.empty((n, len(order)))
-    numeric = [j for j, kind in enumerate(kinds) if kind != "enum"]
-    if numeric:
-        # Each record's tuple is consumed as it is made: a list of n live
-        # tuples costs memory and garbage-collector passes that grow with
-        # the heap.
-        get = operator.attrgetter(*(COLUMN_TO_FIELD[order[j]] for j in numeric))
-        cells = itertools.chain.from_iterable(map(get, records))
-        X[:, numeric] = np.fromiter(cells, float, n * len(numeric)).reshape(n, len(numeric))
+    table = _as_table(cohort)
+    X = np.empty((len(table), len(order)))
     for j, name in enumerate(order):
-        if kinds[j] == "enum":
-            values = map(operator.attrgetter(COLUMN_TO_FIELD[name]), records)
+        col = table.columns[COLUMN_TO_FIELD[name]]
+        kind = schema.column(name).kind
+        if kind == "enum":
             try:
-                X[:, j] = np.fromiter(map(schema.encodings[name].__getitem__, values), float, n)
+                X[:, j] = np.fromiter(map(schema.encodings[name].__getitem__, col.tolist()),
+                                      float, len(col))
             except KeyError as exc:
                 raise CohortError(
                     f"{name}: value {exc.args[0]!r} not in encoding dictionary"
                 ) from None
-        elif kinds[j] != "bool" and name in schema.continuous:
+            continue
+        X[:, j] = col
+        if kind != "bool" and name in schema.continuous:
             i = scaler.columns.index(name)
             X[:, j] -= scaler.means[i]
             X[:, j] /= scaler.sds[i]
@@ -427,57 +548,52 @@ class CohortSplit:
     seed: int
     label_prevalence_train: float
     label_prevalence_test: float
+    # the rows of each side in the cohort that was split, in case-id order
+    train_rows: np.ndarray = dataclasses.field(compare=False, repr=False)
+    test_rows: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
-def stratified_split(
-    records: list[PatientRecord], test_fraction: float = 0.2, seed: int = 0
-) -> CohortSplit:
-    """Deterministic stratified split preserving class prevalence.
+def stratified_split(cohort, test_fraction: float = 0.2, seed: int = 0) -> CohortSplit:
+    """Deterministic stratified split of a labeled table or record list,
+    preserving class prevalence.
 
     Per-class test quotas use largest-remainder rounding so the total test
     size is round(n * test_fraction) and per-class counts are within one case
-    of perfect proportionality.
+    of perfect proportionality. Each class's cases are drawn in case-id order.
     """
     if not (0.0 < test_fraction < 1.0):
         raise CohortError(f"test_fraction must lie in (0,1), got {test_fraction}")
-    labeled, labels, unlabeled = label_records(records)
-    if unlabeled:
-        raise CohortError(f"{len(unlabeled)} records lack a 6-month outcome; cannot split")
-    by_class: dict[int, list[str]] = {0: [], 1: []}
-    for rec in labeled:
-        by_class[labels[rec.patient_id]].append(rec.patient_id)
-    for cls, ids in by_class.items():
-        if len(ids) < 2:
-            raise CohortError(f"class {cls} has {len(ids)} members; cannot stratify")
+    table = _as_table(cohort)
+    labels = table.labels()
+    ids = table.ids.tolist()
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    by_class = {cls: order[labels[order] == cls] for cls in (0, 1)}  # rows in case-id order
+    for cls, rows in by_class.items():
+        if len(rows) < 2:
+            raise CohortError(f"class {cls} has {len(rows)} members; cannot stratify")
 
-    n = len(labeled)
+    n = len(table)
     n_test = int(round(n * test_fraction))
     if not 0 < n_test < n:
         raise CohortError(f"test_fraction {test_fraction} leaves {n_test} of {n} records to test")
-    quotas = {cls: len(ids) * test_fraction for cls, ids in by_class.items()}
+    quotas = {cls: len(rows) * test_fraction for cls, rows in by_class.items()}
     base = {cls: math.floor(q) for cls, q in quotas.items()}
     leftover = n_test - sum(base.values())
-    order = sorted(by_class, key=lambda c: quotas[c] - base[c], reverse=True)
-    for cls in order[:leftover]:
+    for cls in sorted(by_class, key=lambda c: quotas[c] - base[c], reverse=True)[:leftover]:
         base[cls] += 1
 
     rng = np.random.default_rng(seed)
-    test_ids: set[str] = set()
-    train_ids: set[str] = set()
-    for cls, ids in sorted(by_class.items()):
-        ids_sorted = sorted(ids)
-        perm = rng.permutation(len(ids_sorted))
-        picked = [ids_sorted[i] for i in perm[: base[cls]]]
-        test_ids.update(picked)
-        train_ids.update(set(ids_sorted) - set(picked))
+    in_test = np.zeros(n, dtype=bool)
+    for cls, rows in by_class.items():
+        in_test[rows[rng.permutation(len(rows))[: base[cls]]]] = True
+    test_rows, train_rows = order[in_test[order]], order[~in_test[order]]
+    test_ids = frozenset(table.ids[test_rows].tolist())
+    train_ids = frozenset(table.ids[train_rows].tolist())
+    if len(test_ids) + len(train_ids) != n:
+        raise CohortError("patient ids repeat; cannot split")
 
-    def prevalence(id_set):
-        return sum(labels[i] for i in id_set) / len(id_set)
+    def prevalence(rows):
+        return int(labels[rows].sum()) / len(rows)
 
-    return CohortSplit(
-        train_ids=frozenset(train_ids),
-        test_ids=frozenset(test_ids),
-        seed=seed,
-        label_prevalence_train=prevalence(train_ids),
-        label_prevalence_test=prevalence(test_ids),
-    )
+    return CohortSplit(train_ids, test_ids, seed, prevalence(train_rows), prevalence(test_rows),
+                       train_rows, test_rows)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import leakage_guard
+from .jsondoc import load_json
 from .schema import Schema, load_schema
 
 EPS = 1e-7
@@ -533,7 +534,7 @@ def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
     are a ``ModelError``.
     """
     schema = schema or load_schema()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = load_json(Path(path).read_bytes(), ModelError, path)
     if not isinstance(doc, dict):
         raise ModelError(f"{path}: a model file must be a JSON object")
     missing = [key for key in _MODEL_KEYS if key not in doc]

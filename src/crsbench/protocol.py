@@ -21,6 +21,7 @@ from enum import Enum
 from pathlib import Path
 
 from .cohort import COLUMN_TO_FIELD, PatientRecord
+from .jsondoc import load_json
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
 
@@ -325,10 +326,7 @@ class ReplayClient(ModelClient):
             raise ReplayMissError(prompt_hash) from None
         except OSError as exc:
             raise ReplayMissError(prompt_hash, f"unreadable ({exc.strerror})") from None
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise ReplayMissError(prompt_hash, f"not UTF-8 JSON: {exc}") from None
+        doc = load_json(raw, functools.partial(ReplayMissError, prompt_hash))
         responses = doc.get("responses") if isinstance(doc, dict) else None
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise ReplayMissError(prompt_hash, "'responses' must be a list of strings")

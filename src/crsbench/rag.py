@@ -7,12 +7,13 @@ the retrieval-augmented condition.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+from .jsondoc import load_json
 
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
@@ -48,10 +49,10 @@ def render_passage(passage: Passage) -> str:
 def load_corpus(path: str | Path | None = None) -> list[Passage]:
     """Load passages from a JSON corpus file (packaged default if omitted)."""
     if path is None:
-        raw = resources.files("crsbench.data").joinpath("corpus.json").read_text(encoding="utf-8")
+        raw = resources.files("crsbench.data").joinpath("corpus.json").read_bytes()
     else:
-        raw = Path(path).read_text(encoding="utf-8")
-    entries = json.loads(raw)
+        raw = Path(path).read_bytes()
+    entries = load_json(raw, RagError, f"corpus {path or '(packaged)'}")
     keys = ("passage_id", "source_tag", "text")
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and all(isinstance(e.get(key), str) for key in keys) for e in entries):

@@ -9,10 +9,11 @@ to the exact dictionary version it was produced with.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+from .jsondoc import load_json
 
 
 class SchemaError(ValueError):
@@ -62,7 +63,7 @@ class Schema:
 
 
 def _parse_schema(raw: bytes) -> Schema:
-    doc = json.loads(raw.decode("utf-8"))
+    doc = load_json(raw, SchemaError, "the schema file")
     try:
         columns = tuple(
             ColumnSpec(

@@ -30,8 +30,15 @@ from crsbench.cli import (
     _write_predictions,
     main,
 )
-from crsbench.cohort import label_records, parse_cohort, serialize_cohort, stratified_split
+from crsbench.cohort import (
+    PatientRecord,
+    label_records,
+    parse_cohort,
+    serialize_cohort,
+    stratified_split,
+)
 from crsbench.protocol import build_prompt, load_prompt_template, serialize_case, store_replay_responses
+from crsbench.schema import load_schema
 from crsbench.synthetic import generate_synthetic
 from conftest import time_bound
 from oracles import prepare_cohort_reference
@@ -333,8 +340,8 @@ def test_genai_replay_miss_exit_code(tmp_path, cohort_csv):
 
 def test_genai_replay_flow(tmp_path, cohort_csv, schema):
     # seed the store with canned responses for every test-split prompt
-    records, _ = parse_cohort(cohort_csv.read_bytes(), schema)
-    labeled, labels, _ = label_records(records)
+    table, _ = parse_cohort(cohort_csv.read_bytes(), schema)
+    labeled, labels, _ = label_records(table.records())
     split = stratified_split(labeled, 0.2, seed=0)
     template = load_prompt_template()
     store = tmp_path / "store"
@@ -518,10 +525,10 @@ def test_stale_run_lock_is_replaced_and_live_one_is_not(tmp_path):
 
 def _test_split_prompt_hashes(cohort_csv, schema):
     """Prompt hash of each test-split case of ``cohort_csv`` (seed 0), in case-id order."""
-    records, _ = parse_cohort(cohort_csv.read_bytes(), schema)
-    split = stratified_split(records, 0.2, seed=0)
+    table, _ = parse_cohort(cohort_csv.read_bytes(), schema)
+    split = stratified_split(table, 0.2, seed=0)
     template = load_prompt_template()
-    by_id = {r.patient_id: r for r in records}
+    by_id = {r.patient_id: r for r in table.records()}
     return [build_prompt([serialize_case(by_id[i], schema)], template)[1]
             for i in sorted(split.test_ids)]
 
@@ -579,7 +586,7 @@ def _assert_same_prepared_cohort(path, schema, seed):
     got = _prepare_cohort(path, schema, 0.2, seed)
     want = prepare_cohort_reference(path, schema, 0.2, seed)
     assert got.checksum == want.checksum
-    assert got.records == want.records
+    assert got.n_records == len(want.records)
     assert got.rejection == want.rejection
     assert got.unlabeled == want.unlabeled
     assert got.split == want.split
@@ -615,6 +622,52 @@ def test_prepare_cohort_matches_per_command_chain_on_a_csv_with_rejected_rows(tm
     path.write_text("\n".join(lines) + "\n")
     assert _prepare_cohort(path, schema, 0.2, 7).rejection.rejected == 6
     _assert_same_prepared_cohort(path, schema, 7)
+
+
+@pytest.mark.parametrize("age_min", [18, 0])
+def test_prepare_cohort_matches_per_command_chain_on_unlabeled_and_repeated_rows(tmp_path, age_min):
+    """Rows rejected by a cell, by a record invariant (an age of 17 passes a
+    schema minimum of 0) and by a repeated id, and rows without a 6-month
+    outcome, in the same file."""
+    doc = json.loads(resources.files("crsbench.data").joinpath("schema.json").read_bytes())
+    next(c for c in doc["columns"] if c["name"] == "Age")["min"] = age_min
+    schema = load_schema(_write(tmp_path / "schema.json", json.dumps(doc).encode()))
+    rng = np.random.default_rng(11)
+    lines = serialize_cohort(generate_synthetic(3000, seed=11), schema).decode().splitlines()
+    col = {name: i for i, name in enumerate(lines[0].split(","))}
+    for i in rng.choice(np.arange(1, len(lines)), size=120, replace=False).tolist():
+        row = lines[i].split(",")
+        row[col["SNOT22_6MO_TOTAL"]] = ["", "NA", "null"][i % 3]
+        lines[i] = ",".join(row)
+    for j, (name, value) in enumerate([("SEX", "x"), ("Age", "17"), ("PATIENT_ID", None)] * 4):
+        row = lines[int(rng.integers(1, len(lines)))].split(",")
+        if value is not None:  # a repeated id otherwise
+            row[col["PATIENT_ID"]], row[col[name]] = f"reject_{j:05d}", value
+        lines.insert(int(rng.integers(1, len(lines))), ",".join(row))
+    path = tmp_path / "cohort.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = _prepare_cohort(path, schema, 0.2, 11)
+    reasons = [why for _, why in got.rejection.rejections]
+    assert len(reasons) == 12 and len(got.unlabeled) == 120
+    assert sum(why.startswith("duplicate PATIENT_ID") for why in reasons) == 4
+    assert ("age below 18: 17" in reasons) == (age_min == 0)
+    _assert_same_prepared_cohort(path, schema, 11)
+
+
+def test_run_builds_records_only_for_the_test_split(tmp_path, schema, monkeypatch, capsys):
+    """The cohort stays a table up to the test split: a run on 2,000 rows
+    constructs one PatientRecord per test case and no more."""
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_bytes(serialize_cohort(generate_synthetic(2000, seed=3), schema))
+    built = []
+    original = PatientRecord.__post_init__
+    monkeypatch.setattr(PatientRecord, "__post_init__", lambda rec: (built.append(1), original(rec)))
+    cfg = _write(tmp_path / "c.json", json.dumps({
+        "seed": 3, "out_dir": str(tmp_path / "run"), "cohort_csv": str(cohort),
+        "models": ["logreg", "gnb", "heuristic"]}).encode())
+    assert _main_in_process(capsys, "run", "--config", cfg).returncode == EXIT_OK
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert len(built) == manifest["split"]["test"] == 400
 
 
 REPLAY_VARIANTS = [
@@ -900,6 +953,9 @@ def gnb_model(tmp_path, cohort_csv):
         pytest.param(["predict", "--threshold", "nan"], "--threshold", id="threshold-nan"),
         pytest.param(["preprocess", "--test-fraction", "1"], "--test-fraction", id="test-fraction-one"),
         pytest.param(["genai", "--model-id", "m", "--k", "-2"], "--k", id="k-negative"),
+        pytest.param(["genai", "--model-id", "m", "--temperature", "nan"], "--temperature",
+                     id="temperature-nan"),
+        pytest.param(["genai", "--model-id", "m", "--top-p", "1.5"], "--top-p", id="top-p-above-one"),
         pytest.param(["importance", "--repeats", "0"], "--repeats", id="repeats-zero"),
         pytest.param(["importance", "--repeats", "-1"], "--repeats", id="repeats-negative"),
     ],
@@ -970,6 +1026,48 @@ def test_readme_run_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | default | rule |", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", table, re.M) == list(RunConfig._fields)
+
+
+# Documents that json.loads cannot read although they are UTF-8: an integer
+# past the interpreter's 4,300-digit limit, and nesting past its recursion limit.
+UNREADABLE_JSON = {
+    "long-integer": b'{"seed": ' + b"9" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def _json_boundary_argv(boundary, tmp, cohort, schema, doc: bytes):
+    """The argv whose ``boundary`` document is ``doc``; every other input is valid."""
+    path = _write(tmp / "doc.json", doc)
+    cohort = str(cohort)
+    if boundary == "report":
+        (tmp / "reports").mkdir()
+        _write(tmp / "reports" / "m_report.json", doc)
+        return ["report", "--run-dir", str(tmp / "reports")]
+    if boundary == "replay-entry":
+        _plant_replay_store(tmp / "store", Path(cohort), schema, doc)
+        return ["genai", "--replay-store", str(tmp / "store"), "--cohort", cohort,
+                "--model-id", "m", "--out", str(tmp / "p.json")]
+    return {
+        "run-config": ["run", "--config", path],
+        "predictions": ["evaluate", "--predictions", path, "--out-dir", str(tmp / "ev")],
+        "model": ["predict", "--model-file", path, "--cohort", cohort, "--out", str(tmp / "p.json")],
+        "corpus": ["rag-build", "--corpus", path],
+        "schema": ["preprocess", "--schema", path, "--cohort", cohort, "--out-dir", str(tmp / "pre")],
+    }[boundary]
+
+
+@pytest.mark.parametrize("defect", list(UNREADABLE_JSON))
+@pytest.mark.parametrize("boundary, code", [
+    ("run-config", EXIT_VALIDATION), ("predictions", EXIT_VALIDATION), ("model", EXIT_VALIDATION),
+    ("corpus", EXIT_VALIDATION), ("report", EXIT_VALIDATION), ("schema", EXIT_VALIDATION),
+    ("replay-entry", EXIT_REPLAY_MISS),
+])
+def test_unreadable_json_at_each_boundary_is_one_line_error(tmp_path, cohort_csv, schema, capsys,
+                                                            boundary, code, defect):
+    argv = _json_boundary_argv(boundary, tmp_path, cohort_csv, schema, UNREADABLE_JSON[defect])
+    line = _one_error_line(_main_in_process(capsys, *argv), code)
+    assert "not UTF-8 JSON" in line
 
 
 # -- fuzz of the run config ---------------------------------------------------

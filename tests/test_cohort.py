@@ -52,7 +52,7 @@ def test_serialize_parse_round_trip(schema):
     parsed, report = parse_cohort(blob, schema)
     assert report.rows_total == 50
     assert report.rejected == 0
-    assert parsed == records
+    assert parsed.records() == records
 
 
 def test_parse_rejects_bad_rows_and_counts_them(schema):
@@ -100,8 +100,9 @@ def test_parse_missing_optional_fields(schema):
     blob = "\n".join([lines[0], ",".join(row)] + lines[2:])
     parsed, report = parse_cohort(blob.encode(), schema)
     assert report.rejected == 0
-    assert parsed[0].patient_id == "case_0000"  # synthesized fallback id
-    assert parsed[0].snot22_6mo is None
+    first = parsed.records([0])[0]
+    assert first.patient_id == "case_0000"  # synthesized fallback id
+    assert first.snot22_6mo is None
 
 
 def test_label_records_separates_unlabeled():

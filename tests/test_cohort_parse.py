@@ -3,6 +3,8 @@
 import csv
 import functools
 import io
+import json
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
 from crsbench.cohort import PARSE_BLOCK_ROWS, _lines, parse_cohort, serialize_cohort
-from crsbench.schema import SchemaError, load_schema
+from crsbench.schema import SchemaError, _parse_schema, load_schema
 from crsbench.synthetic import generate_synthetic
 from oracles import dedupe_reference, parse_cohort_reference
 
@@ -32,6 +34,31 @@ CELLS = (
 
 
 SCHEMA = load_schema()
+
+
+def _loosened(**bounds) -> object:
+    """The packaged schema with some int columns' bounds replaced."""
+    doc = json.loads(resources.files("crsbench.data").joinpath("schema.json").read_bytes())
+    for column in doc["columns"]:
+        if column["name"] in bounds:
+            column.pop("min", None)
+            column.pop("max", None)
+            column.update(bounds[column["name"]])
+    return _parse_schema(json.dumps(doc).encode())
+
+
+# Cell bounds looser than the record invariants, so that rows reach them: an
+# age of 17, a CT total of 25 or an unbounded age of 30 digits parses.
+LOOSE_SCHEMA = _loosened(
+    SNOT22_BLN_TOTAL={"min": -5, "max": 200}, SNOT22_6MO_TOTAL={"min": -5, "max": 200},
+    Age={"min": 0}, BLN_CT_TOTAL={"min": 0, "max": 40}, BLN_ENDO_TOTAL={"min": -5, "max": 30},
+)
+
+
+def _parsed_records(blob, schema=SCHEMA):
+    """``parse_cohort``'s table as records, with its report."""
+    table, report = parse_cohort(blob, schema)
+    return table.records(), report
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,21 +117,53 @@ def mutated_csvs(draw):
     return text.encode("utf-8")
 
 
-def _outcome(parse, blob):
+def _outcome(parse, blob, schema):
     try:
-        return parse(blob, SCHEMA)
+        return parse(blob, schema)
     except (SchemaError, csv.Error) as exc:
         return type(exc), str(exc)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(blob=mutated_csvs())
-def test_block_parser_matches_row_oracle(blob):
-    got = _outcome(parse_cohort, blob)
-    want = _outcome(parse_cohort_reference, blob)
+@given(blob=mutated_csvs(), schema=st.sampled_from([SCHEMA, LOOSE_SCHEMA]))
+def test_block_parser_matches_row_oracle(blob, schema):
+    """The table's records and the report are the oracle's; under the loose
+    schema, rows also fail the record invariants, with the oracle's reasons."""
+    got = _outcome(_parsed_records, blob, schema)
+    want = _outcome(parse_cohort_reference, blob, schema)
     if isinstance(want[0], list):  # parsed: the oracle's rows, less repeated ids
         want = dedupe_reference(*want)
     assert got == want
+
+
+def test_record_invariants_reject_rows_in_their_order():
+    """A row that breaks several invariants is rejected for the first that
+    ``PatientRecord`` checks; a 30-digit age is kept exactly."""
+    rows = [list(r) for r in _base_rows(6, 0)]
+    col = {name: j for j, name in enumerate(rows[0])}
+    edits = [
+        {"Age": "17", "BLN_CT_TOTAL": "25"},
+        {"BLN_CT_TOTAL": "25", "BLN_ENDO_TOTAL": "21"},
+        {"SNOT22_6MO_TOTAL": "111", "Age": "17", "SNOT22_BLN_TOTAL": "-1"},
+        {"SNOT22_6MO_TOTAL": "", "BLN_ENDO_TOTAL": "-1"},
+        {"Age": "9" * 30},
+        {},
+    ]
+    for row, edit in zip(rows[1:], edits):
+        for name, value in edit.items():
+            row[col[name]] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    blob = buf.getvalue().encode()
+    records, report = _parsed_records(blob, LOOSE_SCHEMA)
+    assert (records, report) == dedupe_reference(*parse_cohort_reference(blob, LOOSE_SCHEMA))
+    assert [why for _, why in report.rejections] == [
+        "age below 18: 17",
+        "ct_total out of [0,24]: 25",
+        "snot22_baseline out of [0,110]: -1",
+        "endoscopy_total out of [0,20]: -1",
+    ]
+    assert records[0].age == int("9" * 30)
 
 
 @pytest.mark.parametrize("n", [PARSE_BLOCK_ROWS - 1, PARSE_BLOCK_ROWS, PARSE_BLOCK_ROWS + 1,
@@ -119,7 +178,7 @@ def test_block_boundaries_keep_row_indices(schema, n):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     blob = buf.getvalue().encode()
-    got = parse_cohort(blob, schema)
+    got = _parsed_records(blob, schema)
     assert got == dedupe_reference(*parse_cohort_reference(blob, schema))
     assert got[1].rows_total == n
 
@@ -127,7 +186,7 @@ def test_block_boundaries_keep_row_indices(schema, n):
 def test_leading_byte_order_mark_is_ignored(schema):
     records = generate_synthetic(20, seed=3)
     blob = serialize_cohort(records, schema)
-    parsed, report = parse_cohort(b"\xef\xbb\xbf" + blob, schema)
+    parsed, report = _parsed_records(b"\xef\xbb\xbf" + blob, schema)
     assert parsed == records
     assert report.rejected == 0
 
@@ -139,7 +198,7 @@ def test_duplicate_patient_id_rejects_the_later_row(schema):
     lines[4] = "," + lines[4].split(",", 1)[1]  # row 3 gets the generated id case_0003
     lines[5] = "case_0003," + lines[5].split(",", 1)[1]  # row 4 then collides with it
     parsed, report = parse_cohort("\n".join(lines).encode(), schema)
-    assert [r.patient_id for r in parsed] == [records[0].patient_id, records[1].patient_id,
+    assert parsed.ids.tolist() == [records[0].patient_id, records[1].patient_id,
                                               records[2].patient_id, "case_0003",
                                               records[5].patient_id]
     assert report.rows_total == 7 and report.accepted == 5
@@ -156,7 +215,7 @@ def test_rejected_row_does_not_claim_its_id(schema):
     bad = lines[1].split(",")
     bad[1] = "NA"  # SNOT22_BLN_TOTAL, required
     lines.insert(1, ",".join(bad))  # row 0 is rejected, row 1 holds the same id
-    parsed, report = parse_cohort("\n".join(lines).encode(), schema)
+    parsed, report = _parsed_records("\n".join(lines).encode(), schema)
     assert parsed == records
     assert report.rejections == ((0, "missing required field SNOT22_BLN_TOTAL"),)
 
@@ -178,7 +237,10 @@ def test_undecodable_byte_is_reported_at_its_file_offset(schema):
 
 def test_parse_memory_is_bounded_by_the_csv_size(schema):
     """The parse holds the decoded text once (1 byte per ASCII character),
-    plus one block of rows, besides the records it returns."""
+    plus one block of rows, besides the table it returns; and the table is
+    smaller than the records the row-at-a-time parser returns."""
     blob = serialize_cohort(generate_synthetic(20000, seed=1), schema)
     peak, retained = peak_traced_bytes(lambda: parse_cohort(blob, schema))
     assert peak - retained < 2.5 * len(blob)
+    _, records_retained = peak_traced_bytes(lambda: parse_cohort_reference(blob, schema))
+    assert retained < records_retained
