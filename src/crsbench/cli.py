@@ -12,10 +12,8 @@ import csv as csv_mod
 import functools
 import hashlib
 import json
-import os
 import re
 import sys
-import tempfile
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +30,6 @@ from .cohort import (
     Scaler,
     encode_matrix,
     fit_scaler,
-    leakage_guard,
     parse_cohort,
     serialize_cohort,
     stratified_split,
@@ -89,13 +86,11 @@ class CliError(ValueError):
 
 
 def _read_cohort(cohort_path: Path, schema):
-    """Read a cohort CSV once, guard its header and parse it.
+    """Read a cohort CSV once and parse it; ``parse_cohort`` guards its header.
 
-    The leakage guard runs over the raw header columns before any row is
-    parsed; the sanctioned label column and the id column are exempt, and any
-    other blocklisted column halts the run. Returns the SHA-256 of the
-    file's bytes, the parsed table and the rejection report. A missing or unreadable path and an
-    empty, non-UTF-8, malformed or record-less CSV file are validation errors.
+    Returns the SHA-256 of the file's bytes, the parsed table and the
+    rejection report. A missing or unreadable path and an empty, non-UTF-8,
+    malformed or record-less CSV file are validation errors.
     """
     try:
         data = cohort_path.read_bytes()
@@ -104,13 +99,6 @@ def _read_cohort(cohort_path: Path, schema):
     if not data or data.isspace():
         raise CliError(f"{cohort_path} is empty")
     try:
-        header_end = data.find(b"\n")
-        header_line = (data[:header_end] if header_end >= 0 else data).decode("utf-8")
-        header_line = header_line.removeprefix("\ufeff")  # as parse_cohort reads it
-        columns = next(csv_mod.reader([header_line]))
-        leakage_guard(
-            [c for c in columns if c not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")], schema.blocklist
-        )
         table, report = parse_cohort(data, schema)
     except UnicodeDecodeError as exc:
         raise CliError(f"{cohort_path} is not UTF-8 text (byte {exc.start})") from None
@@ -573,58 +561,20 @@ def _parse_run_config(config) -> RunConfig:
 
 
 def cmd_run(args) -> int:
+    import fcntl
+
     cfg = _parse_run_config(load_json(Path(args.config).read_bytes(), CliError, args.config))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    _acquire_run_lock(lock)
-    try:
-        return _run_pipeline(cfg, out_dir)
-    finally:
-        lock.unlink(missing_ok=True)
-
-
-def _acquire_run_lock(lock: Path) -> None:
-    """Create ``lock`` holding this process's pid, or fail if a live process
-    holds it. The pid is written to a temporary file that is then hard-linked
-    as ``lock``, so no other run can find the lock without its pid. A lock
-    that is empty, unreadable or names a dead pid was left by a crashed run
-    and is replaced once."""
-    fd, tmp = tempfile.mkstemp(prefix=f"{lock.name}.", dir=lock.parent)
-    try:
-        os.fchmod(fd, 0o644)  # mkstemp makes it 0600; other users' runs must read the pid
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(str(os.getpid()))
+    # The kernel drops the flock when the run ends, however it ends. The file
+    # stays: unlinking it would let one run lock the orphaned inode while
+    # another creates and locks a fresh file under the same name.
+    with open(out_dir / ".lock", "ab") as lock:
         try:
-            os.link(tmp, lock)
-        except FileExistsError:
-            holder = _lock_holder(lock)
-            if holder is not None:
-                raise CliError(f"run directory {lock.parent} is locked by process {holder}") from None
-            lock.unlink(missing_ok=True)
-            try:
-                os.link(tmp, lock)
-            except FileExistsError:
-                raise CliError(f"run directory {lock.parent} is locked by another process") from None
-    finally:
-        os.unlink(tmp)
-
-
-def _lock_holder(lock: Path) -> int | None:
-    """The live pid recorded in ``lock``, or None when the lock is stale."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return None
-    if pid <= 0:
-        return None
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return None
-    except PermissionError:  # alive, owned by another user
-        pass
-    return pid
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CliError(f"run directory {out_dir} is locked by another run") from None
+        return _run_pipeline(cfg, out_dir)
 
 
 def _run_pipeline(cfg: RunConfig, out_dir) -> int:

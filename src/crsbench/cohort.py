@@ -127,7 +127,9 @@ COLUMN_TO_FIELD = {
     "INCOME": "income_bracket",
     "RACE": "race",
 }
-FIELD_TO_COLUMN = {v: k for k, v in COLUMN_TO_FIELD.items()}
+# The id and the outcome: neither is a feature nor part of a serialized case's
+# columns, and the leakage guard exempts both from a cohort header.
+ID_AND_OUTCOME_COLUMNS = ("PATIENT_ID", "SNOT22_6MO_TOTAL")
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ class CohortTable:
                            self.outcome_missing[rows])
 
     def labels(self) -> np.ndarray:
-        """Each row's label, as ``derive_label`` gives it."""
+        """Each row's label: 1 iff its 6-month reduction reaches the MCID."""
         if self.outcome_missing.any():
             raise CohortError(f"{int(self.outcome_missing.sum())} records lack a 6-month outcome")
         reduction = self.columns["snot22_baseline"] - self.columns["snot22_6mo"]
@@ -330,7 +332,9 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[CohortTable, Rejecti
       column in schema order is named;
     - a value that breaks a record invariant, the first in ``_RECORD_BOUNDS``;
     - a PATIENT_ID, given or generated, that repeats an earlier accepted row's.
-    A missing required column is a hard error naming the column. One leading
+    A header column that matches the leakage blocklist, other than the id and
+    the outcome, raises ``LeakageError`` before any row is read. A missing
+    required column is a hard error naming the column. One leading
     UTF-8 byte-order mark is ignored. Rows are read as ``csv.DictReader``
     reads them: empty lines are skipped and not counted, a duplicated header
     name reads its last column, a short row's missing cells are missing
@@ -340,6 +344,7 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[CohortTable, Rejecti
     header = next(reader, None)
     if header is None:
         raise SchemaError("csv has no header row")
+    leakage_guard([c for c in header if c not in ID_AND_OUTCOME_COLUMNS], schema.blocklist)
     for required in schema.required_columns:
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
@@ -438,13 +443,6 @@ def serialize_cohort(cohort, schema: Schema) -> bytes:
         block = cohort.take(rows) if isinstance(cohort, CohortTable) else _as_table(cohort[rows])
         writer.writerows(zip(*(_cell_texts(block, name) for name in names)))
     return buf.getvalue().encode("utf-8")
-
-
-def derive_label(snot22_baseline: int, snot22_6mo: int) -> int:
-    """1 iff the 6-month reduction reaches the MCID (>= 8.9 points)."""
-    if not (0 <= snot22_baseline <= 110 and 0 <= snot22_6mo <= 110):
-        raise CohortError("SNOT-22 totals must lie in [0,110]")
-    return int((snot22_baseline - snot22_6mo) >= MCID_REDUCTION)
 
 
 def label_records(records: list[PatientRecord]) -> tuple[list[PatientRecord], dict[str, int], list[str]]:

@@ -416,7 +416,6 @@ def bootstrap_ci(
     pred_set: PredictionSet,
     n_resamples: int = 2000,
     seed: int = 0,
-    require_both_classes: bool = True,
 ) -> dict:
     """Case-level percentile bootstrap for any metric of a PredictionSet.
 
@@ -435,7 +434,7 @@ def bootstrap_ci(
     for r in range(n_resamples):
         while True:
             idx = rng.integers(0, n, size=n)
-            if not require_both_classes or 0 < positive[idx].sum() < n:
+            if 0 < positive[idx].sum() < n:
                 break
             redraws += 1
             if redraws > cap:

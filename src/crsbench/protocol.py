@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .cohort import COLUMN_TO_FIELD, PatientRecord
+from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, PatientRecord
 from .jsondoc import load_json
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
@@ -210,7 +210,7 @@ def _case_columns(column_names: tuple[str, ...]) -> tuple:
     """(column name, attrgetter) for each serialized column of a schema."""
     return tuple(
         (name, operator.attrgetter(COLUMN_TO_FIELD[name]))
-        for name in column_names if name not in ("PATIENT_ID", "SNOT22_6MO_TOTAL")
+        for name in column_names if name not in ID_AND_OUTCOME_COLUMNS
     )
 
 

@@ -352,6 +352,20 @@ def train_logreg_reference(X, y, class_weights, l2=0.0, learning_rate=0.5, momen
     return {"w": w, "b": np.array([b])}, {"final_train_loss": final_loss, "grad_norm": grad_norm, "l2": l2}
 
 
+# --- scalar label oracle ------------------------------------------------------
+# One case's label as ``crsbench.cohort.CohortTable.labels`` gives it for a
+# whole column.
+
+
+def derive_label(snot22_baseline: int, snot22_6mo: int) -> int:
+    """1 iff the 6-month reduction reaches the MCID (>= 8.9 points)."""
+    from crsbench.cohort import MCID_REDUCTION, CohortError
+
+    if not (0 <= snot22_baseline <= 110 and 0 <= snot22_6mo <= 110):
+        raise CohortError("SNOT-22 totals must lie in [0,110]")
+    return int((snot22_baseline - snot22_6mo) >= MCID_REDUCTION)
+
+
 # --- per-row encoder oracle -------------------------------------------------
 # The record-at-a-time form of ``crsbench.cohort.encode_matrix``: the leakage
 # guard per row, a ``tuple.index`` lookup per cell and ``Scaler.transform`` per

@@ -14,7 +14,6 @@ import pytest
 
 from crsbench.cli import EXIT_LEAKAGE, main
 from crsbench.cohort import (
-    derive_label,
     encode_matrix,
     fit_scaler,
     label_records,
@@ -56,7 +55,13 @@ from crsbench.protocol import (
     store_replay_responses,
 )
 from crsbench.synthetic import generate_synthetic
-from oracles import ap_step_sum, auc_pair_count, oracle_rule, paired_bootstrap_auc_diff_ci
+from oracles import (
+    ap_step_sum,
+    auc_pair_count,
+    derive_label,
+    oracle_rule,
+    paired_bootstrap_auc_diff_ci,
+)
 
 # Published test-set confusion matrices as (tn, fp, fn, tp) plus the printed
 # metric values. Fractions are used where the source prints the fraction

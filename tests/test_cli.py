@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import gc
 import json
 import os
@@ -17,15 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import crsbench
+from crsbench import cli
 from crsbench.cli import (
     EXIT_LEAKAGE,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_REPLAY_MISS,
     EXIT_VALIDATION,
-    CliError,
     RunConfig,
-    _acquire_run_lock,
     _prepare_cohort,
     _write_predictions,
     main,
@@ -391,7 +392,8 @@ def test_run_pipeline_and_report(tmp_path):
     assert manifest["seed"] == 2
     assert manifest["split"]["test"] == 16
     assert (run_dir / "heuristic_traces.jsonl").exists()
-    assert not (run_dir / ".lock").exists()  # released after the run
+    with open(run_dir / ".lock", "ab") as lock:  # released after the run
+        fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
     assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
     summary = (run_dir / "summary.md").read_text()
     assert "logreg" in summary and "heuristic" in summary
@@ -403,39 +405,68 @@ def test_run_requires_seed(tmp_path):
     assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
 
 
-def test_run_lock_conflict(tmp_path):
+def _lock_run_config(tmp_path):
+    """A quick run config and its run directory, created empty."""
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text(str(os.getpid()))  # held by a live process
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"seed": 1, "out_dir": str(out_dir), "synthetic": {"n": 40}}))
-    assert main(["run", "--config", str(cfg)]) == EXIT_VALIDATION
-    assert (out_dir / ".lock").exists()  # a foreign lock is left in place
+    cfg.write_text(json.dumps({"seed": 1, "out_dir": str(out_dir), "synthetic": {"n": 40},
+                               "models": ["heuristic"]}))
+    return cfg, out_dir
 
 
-def test_a_second_run_cannot_take_a_lock_that_is_being_written(tmp_path, monkeypatch):
-    # A second run that looks for the lock while the first is writing its pid
-    # must find either no lock or a lock with the pid, never an empty one.
-    lock = tmp_path / ".lock"
-    real_getpid, outcomes = os.getpid, []
-
-    def acquire():
+@contextlib.contextmanager
+def _lock_holder(lock):
+    """A child process that holds the flock on ``lock``; SIGKILLed on exit."""
+    with subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, sys, time\n"
+         "f = open(sys.argv[1], 'ab')\n"
+         "fcntl.flock(f.fileno(), fcntl.LOCK_EX)\n"
+         "print('held', flush=True)\n"
+         "time.sleep(120)\n",
+         str(lock)],
+        stdout=subprocess.PIPE, text=True,
+    ) as holder:
         try:
-            _acquire_run_lock(lock)
-            outcomes.append("held")
-        except CliError:
-            outcomes.append("refused")
+            assert holder.stdout.readline() == "held\n"
+            yield
+        finally:
+            holder.kill()
 
-    def getpid_with_a_second_run():
-        monkeypatch.setattr(os, "getpid", real_getpid)
-        acquire()
-        return real_getpid()
 
-    monkeypatch.setattr(os, "getpid", getpid_with_a_second_run)
-    acquire()
-    assert sorted(outcomes) == ["held", "refused"]
-    assert lock.read_text() == str(real_getpid())
-    assert [p.name for p in tmp_path.iterdir()] == [".lock"]  # no temp file is left
+def test_run_lock_conflict(tmp_path, capsys):
+    cfg, out_dir = _lock_run_config(tmp_path)
+    with open(out_dir / ".lock", "ab") as lock:
+        fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        proc = _main_in_process(capsys, "run", "--config", str(cfg))
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == f"error: run directory {out_dir} is locked by another run\n"
+    assert [p.name for p in out_dir.iterdir()] == [".lock"]  # the refused run wrote nothing
+
+
+def test_a_second_run_is_refused_while_the_first_holds_the_lock(tmp_path, monkeypatch, capsys):
+    cfg, out_dir = _lock_run_config(tmp_path)
+    inner = []
+
+    def pipeline_with_a_second_run(run_cfg, run_dir):
+        inner.append(main(["run", "--config", str(cfg)]))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "_run_pipeline", pipeline_with_a_second_run)
+    assert _main_in_process(capsys, "run", "--config", str(cfg)).returncode == EXIT_OK
+    assert inner == [EXIT_VALIDATION]
+
+
+def test_a_live_unrelated_pid_in_the_lock_file_does_not_block_a_run(tmp_path, capsys):
+    cfg, out_dir = _lock_run_config(tmp_path)
+    with subprocess.Popen(["sleep", "60"]) as sleeper:
+        try:
+            (out_dir / ".lock").write_text(str(sleeper.pid))  # what the pid-file lock wrote
+            proc = _main_in_process(capsys, "run", "--config", str(cfg))
+        finally:
+            sleeper.kill()
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_bad_json_config_is_validation_error(tmp_path):
@@ -501,26 +532,26 @@ def test_unreadable_cohort_csv_is_validation_error(tmp_path, cohort_csv, make):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_stale_run_lock_is_replaced_and_live_one_is_not(tmp_path):
+def test_stale_run_lock_is_replaced_and_live_one_is_not(tmp_path, capsys):
     dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                           capture_output=True, text=True, timeout=30)
-    out_dir = tmp_path / "run"
-    out_dir.mkdir()
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"seed": 1, "out_dir": str(out_dir), "synthetic": {"n": 40},
-                               "models": ["heuristic"]}))
+    cfg, out_dir = _lock_run_config(tmp_path)
     lock = out_dir / ".lock"
 
     lock.write_text(dead.stdout.strip())
-    proc = _run_cli("run", "--config", str(cfg))
+    proc = _main_in_process(capsys, "run", "--config", str(cfg))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert not lock.exists()
 
-    lock.write_text(str(os.getpid()))
-    proc = _run_cli("run", "--config", str(cfg))
-    assert proc.returncode == EXIT_VALIDATION, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert lock.read_text() == str(os.getpid())
+    with _lock_holder(lock):
+        pass  # the holder is SIGKILLed: it gets no chance to clean up
+    proc = _main_in_process(capsys, "run", "--config", str(cfg))
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+    with _lock_holder(lock):
+        proc = _main_in_process(capsys, "run", "--config", str(cfg))
+    assert proc.returncode == EXIT_VALIDATION
+    assert "locked by another run" in proc.stderr
+    assert lock.exists()
 
 
 def _test_split_prompt_hashes(cohort_csv, schema):

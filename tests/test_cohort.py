@@ -10,7 +10,6 @@ from crsbench.cohort import (
     MCID_REDUCTION,
     CohortError,
     LeakageError,
-    derive_label,
     encode_matrix,
     fit_scaler,
     label_records,
@@ -21,7 +20,7 @@ from crsbench.cohort import (
 )
 from crsbench.schema import SchemaError
 from crsbench.synthetic import generate_synthetic
-from oracles import encode_matrix_reference
+from oracles import derive_label, encode_matrix_reference
 
 
 def test_record_range_validation():
@@ -125,6 +124,17 @@ def test_leakage_guard_is_case_insensitive(schema):
     with pytest.raises(LeakageError):
         leakage_guard(["PostOp_Endo"], schema.blocklist)
     leakage_guard(["Age", "SEX", "BLN_CT_TOTAL"], schema.blocklist)  # clean passes
+
+
+def test_parse_cohort_guards_its_header(schema):
+    header, *rows = serialize_cohort(generate_synthetic(5, seed=1), schema).split(b"\n")
+    rows = [row + b"," for row in rows if row]  # an empty cell under the tainted column
+    tainted = b"\n".join([header + b",POSTOP_ENDO_SCORE", *rows]) + b"\n"
+    with pytest.raises(LeakageError) as exc_info:
+        parse_cohort(tainted, schema)
+    assert [n for n, _ in exc_info.value.violations] == ["POSTOP_ENDO_SCORE"]
+    table, _ = parse_cohort(b"\n".join([header, *rows]), schema)
+    assert len(table) == 5  # the id and the outcome columns are exempt
 
 
 def test_feature_order_itself_is_clean(schema):

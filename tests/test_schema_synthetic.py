@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from crsbench.cohort import CohortError, derive_label
+from crsbench.cohort import CohortError
 from crsbench.schema import SchemaError, load_schema
 from crsbench.synthetic import GeneratorConfig, generate_synthetic
 from crsbench.vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
+from oracles import derive_label
 
 
 def test_schema_structure(schema):
