@@ -7,7 +7,7 @@ MLP, and prints held-out threshold metrics for each.
 Run:  python3 demos/01_cohort_and_models.py
 """
 
-from crsbench.cohort import CohortTable, encode_matrix, fit_scaler, stratified_split
+from crsbench.cohort import encode_matrix, fit_scaler, stratified_split
 from crsbench.metrics import confusion, threshold_metrics
 from crsbench.models import (
     inverse_prevalence_weights,
@@ -17,14 +17,14 @@ from crsbench.models import (
     train_mlp,
 )
 from crsbench.schema import load_schema
-from crsbench.synthetic import generate_synthetic
+from crsbench.synthetic import synthetic_table
 
 SEED = 7
 
 
 def main():
     schema = load_schema()
-    cohort = CohortTable.from_records(generate_synthetic(524, seed=SEED))
+    cohort = synthetic_table(524, seed=SEED)
     split = stratified_split(cohort, test_fraction=0.2, seed=SEED)
     print(f"cohort: {len(cohort)} cases, "
           f"train prevalence {split.label_prevalence_train:.3f}, "

@@ -16,14 +16,14 @@ from crsbench.protocol import (
     ModelIdentity,
     ReplayClient,
     build_prompt,
+    case_blocks,
     load_prompt_template,
     run_trial,
-    serialize_case,
     store_replay_responses,
 )
 from crsbench.rag import Bm25Index, load_corpus
 from crsbench.schema import load_schema
-from crsbench.synthetic import generate_synthetic
+from crsbench.synthetic import synthetic_table
 
 CANNED = [
     # clean majority for 1
@@ -43,7 +43,8 @@ CANNED = [
 
 def main():
     schema = load_schema()
-    records = generate_synthetic(3, seed=21)
+    cases = synthetic_table(3, seed=21)
+    case_ids, blocks = cases.ids.tolist(), case_blocks(cases, schema)
     template = load_prompt_template()
     index = Bm25Index(load_corpus())
 
@@ -53,15 +54,14 @@ def main():
         identity = ModelIdentity("demo-vendor", "demo-model", "2025-06-01")
         decoding = DecodingParams(temperature=0.2, top_p=0.9)
 
-        passages_per_case = [None, None,
-                             index.retrieve(serialize_case(records[2], schema), k=2)[0]]
-        for rec, responses, passages in zip(records, CANNED, passages_per_case):
-            _, prompt_hash = build_prompt([serialize_case(rec, schema)], template, passages)
+        passages_per_case = [None, None, index.retrieve(blocks[2], k=2)[0]]
+        for block, responses, passages in zip(blocks, CANNED, passages_per_case):
+            _, prompt_hash = build_prompt([block], template, passages)
             store_replay_responses(store, prompt_hash, responses)
 
         client = ReplayClient(store)
-        for rec, passages in zip(records, passages_per_case):
-            t = run_trial(client, rec, schema, identity, decoding, k=5,
+        for case_id, block, passages in zip(case_ids, blocks, passages_per_case):
+            t = run_trial(client, case_id, block, identity, decoding, k=5,
                           template=template, rag_passages=passages, audit_log=audit)
             agg = t.aggregate
             print(f"\ncase {t.case_id}  prompt {t.prompt_hash[:12]}..."

@@ -7,22 +7,19 @@ and paired DeLong/McNemar/bootstrap tests.
 Run:  python3 demos/04_evaluation_and_comparison.py
 """
 
-import numpy as np
-
-from crsbench.cohort import CohortTable, encode_matrix, fit_scaler, stratified_split
-from crsbench.heuristic import predict_heuristic
+from crsbench.cohort import encode_matrix, fit_scaler, stratified_split
+from crsbench.heuristic import rule_chain
 from crsbench.metrics import PredictionSet, compare, evaluate
 from crsbench.models import inverse_prevalence_weights, predict_proba, train_mlp
-from crsbench.protocol import proxy_score
 from crsbench.schema import load_schema
-from crsbench.synthetic import generate_synthetic
+from crsbench.synthetic import synthetic_table
 
 SEED = 7
 
 
 def main():
     schema = load_schema()
-    cohort = CohortTable.from_records(generate_synthetic(524, seed=SEED))
+    cohort = synthetic_table(524, seed=SEED)
     split = stratified_split(cohort, test_fraction=0.2, seed=SEED)
     train, test = cohort.take(split.train_rows), cohort.take(split.test_rows)
     scaler = fit_scaler(train, schema)
@@ -37,10 +34,8 @@ def main():
     mlp_scores = predict_proba(model, encode_matrix(test, schema, scaler))
     mlp_set = PredictionSet(case_ids, y_test, mlp_scores, (mlp_scores >= 0.5).astype(int))
 
-    rule_preds = [predict_heuristic(r) for r in test.records()]  # the rule engine reads records
-    rule_scores = np.array([proxy_score(p.label, p.confidence) for p in rule_preds])
-    rule_set = PredictionSet(case_ids, y_test, rule_scores,
-                             np.array([p.label for p in rule_preds]))
+    rules = rule_chain(test.columns)
+    rule_set = PredictionSet(case_ids, y_test, rules.proxy_scores(), rules.label)
 
     for name, pred_set in [("mlp", mlp_set), ("rule engine", rule_set)]:
         r = evaluate(pred_set, model_name=name)

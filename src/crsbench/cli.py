@@ -34,7 +34,7 @@ from .cohort import (
     serialize_cohort,
     stratified_split,
 )
-from .heuristic import predict_heuristic
+from .heuristic import rule_chain
 from .jsondoc import load_json
 from .metrics import (
     MetricError,
@@ -65,14 +65,13 @@ from .protocol import (
     ProtocolError,
     ReplayClient,
     ReplayMissError,
+    case_blocks,
     load_prompt_template,
-    proxy_score,
     run_trial,
-    serialize_case,
 )
 from .rag import Bm25Index, RagError, load_corpus
 from .schema import SchemaError, load_schema
-from .synthetic import GeneratorConfig, generate_synthetic
+from .synthetic import synthetic_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -119,7 +118,7 @@ class _Cohort:
     unlabeled: list[str]
     split: CohortSplit
     scaler: Scaler
-    test: list
+    test: CohortTable
     X_train: np.ndarray
     X_test: np.ndarray
     y_train: np.ndarray
@@ -129,8 +128,7 @@ class _Cohort:
 
 def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Cohort:
     """The one data path every subcommand uses: the scaler is fit on the
-    training rows only, and both splits are encoded with it. Records are
-    built only for the test rows."""
+    training rows only, and both splits are encoded with it."""
     checksum, table, rejection = _read_cohort(path, schema)
     unlabeled = table.outcome_missing
     labeled = table.take(~unlabeled) if unlabeled.any() else table
@@ -139,8 +137,7 @@ def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Coh
     train, test = labeled.take(split.train_rows), labeled.take(split.test_rows)
     scaler = fit_scaler(train, schema)
     return _Cohort(
-        checksum, len(table), rejection, table.ids[unlabeled].tolist(), split, scaler,
-        test.records(),
+        checksum, len(table), rejection, table.ids[unlabeled].tolist(), split, scaler, test,
         X_train=encode_matrix(train, schema, scaler),
         X_test=encode_matrix(test, schema, scaler),
         y_train=labels[split.train_rows],
@@ -151,7 +148,7 @@ def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Coh
 
 def _replay_trials(test, schema, store, identity, params: DecodingParams, k, template, audit,
                    rag_index=None, rag_k=5):
-    """Run one replayed trial per test record; returns (scores, hard labels).
+    """Run one replayed trial per row of the test table; returns (scores, hard labels).
 
     ``store``, ``params`` and ``k`` were checked where they were read: by
     ``_parse_run_config`` for ``run``, by the parser and ``main`` for
@@ -162,12 +159,12 @@ def _replay_trials(test, schema, store, identity, params: DecodingParams, k, tem
     client = ReplayClient(store)
     scores, hard = [], []
     try:
-        for rec in test:
+        for case_id, block in zip(test.ids.tolist(), case_blocks(test, schema)):
             passages = None
             if rag_index is not None:
-                passages, _ = rag_index.retrieve(serialize_case(rec, schema), k=rag_k)
+                passages, _ = rag_index.retrieve(block, k=rag_k)
             agg = run_trial(
-                client, rec, schema, identity, params, k=k,
+                client, case_id, block, identity, params, k=k,
                 template=template, rag_passages=passages, audit_log=audit,
             ).aggregate
             scores.append(agg.mean_proxy if agg.mean_proxy is not None else 0.0)
@@ -283,7 +280,7 @@ def cmd_synth(args) -> int:
     if args.n < 1:
         raise CliError("--n must be >= 1")
     schema = load_schema(args.schema)
-    table = CohortTable.from_records(generate_synthetic(args.n, args.seed, GeneratorConfig()))
+    table = synthetic_table(args.n, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(serialize_cohort(table, schema))
     labels = table.labels()
@@ -587,10 +584,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
         cohort_path = Path(cfg.cohort_csv)
     else:
         cohort_path = out_dir / "cohort.csv"
-        # The generated records are dropped once they are columns, before the
-        # CSV is rendered; a run that renders them from records peaks higher.
-        cohort_path.write_bytes(serialize_cohort(CohortTable.from_records(
-            generate_synthetic(cfg.synthetic["n"], seed, GeneratorConfig())), schema))
+        cohort_path.write_bytes(serialize_cohort(synthetic_table(cfg.synthetic["n"], seed), schema))
 
     cohort = _prepare_cohort(cohort_path, schema, cfg.test_fraction, seed)
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
@@ -604,12 +598,11 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
             scores = predict_proba(model, cohort.X_test)
             hard = (scores >= cfg.threshold).astype(int)
         elif spec == "heuristic":
-            preds = [predict_heuristic(r) for r in test]
-            scores = np.array([proxy_score(p.label, p.confidence) for p in preds])
-            hard = np.array([p.label for p in preds])
+            chain = rule_chain(test.columns)
+            scores, hard = chain.proxy_scores(), chain.label
             with (out_dir / "heuristic_traces.jsonl").open("w", encoding="utf-8") as fh:
-                for r, p in zip(test, preds):
-                    fh.write(json.dumps({"case_id": r.patient_id, **p.to_dict()}) + "\n")
+                for case_id, p in zip(case_ids, chain.predictions()):
+                    fh.write(json.dumps({"case_id": case_id, **p.to_dict()}) + "\n")
         else:  # replay:<id>
             identity = ModelIdentity(cfg.replay["vendor"], name, cfg.replay["access_date"])
             scores, hard = _replay_trials(

@@ -1,10 +1,10 @@
 """Cohort ingestion: parsing, validation, labeling, encoding, and splitting.
 
 A parsed cohort is a ``CohortTable``: one column per record field. Labeling,
-splitting, scaling and encoding work on its columns, and ``PatientRecord``
-objects are built only for the rows that need one (the held-out cases). A
-record list passed to these functions is turned into a table first, so there
-is one code path. Records, splits, and scalers are immutable once built, and
+splitting, scaling and encoding work on its columns, as do the rule engine
+and the case renderer, so the pipeline builds no ``PatientRecord``. A record
+list passed to these functions is turned into a table first, so there is one
+code path. Records, splits, and scalers are immutable once built, and
 every entry point that produces model-ready features runs the post-operative
 leakage guard, once per encode call rather than per row.
 """
@@ -419,7 +419,7 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[CohortTable, Rejecti
     return table, RejectionReport(base, len(table), tuple(rejections))
 
 
-def _cell_texts(table: CohortTable, name: str) -> list[str]:
+def cell_texts(table: CohortTable, name: str) -> list[str]:
     """Record field ``name`` of every row as its CSV cell."""
     col = table.columns[name]
     texts = np.where(col, "1", "0").tolist() if col.dtype == bool else list(map(str, col.tolist()))
@@ -441,7 +441,7 @@ def serialize_cohort(cohort, schema: Schema) -> bytes:
     for start in range(0, len(cohort), PARSE_BLOCK_ROWS):
         rows = slice(start, start + PARSE_BLOCK_ROWS)
         block = cohort.take(rows) if isinstance(cohort, CohortTable) else _as_table(cohort[rows])
-        writer.writerows(zip(*(_cell_texts(block, name) for name in names)))
+        writer.writerows(zip(*(cell_texts(block, name) for name in names)))
     return buf.getvalue().encode("utf-8")
 
 

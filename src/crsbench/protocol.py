@@ -1,7 +1,8 @@
 """Tabular-to-LLM trial protocol.
 
-Serializes a case into the canonical prompt, runs k replicates against a
-model client (live or replay, behind one interface), parses the constrained
+Renders a table's cases as prompt blocks (``case_blocks``, column by
+column; ``serialize_case`` is its one-row call), assembles the canonical
+prompt, runs k replicates against the replay store, parses the constrained
 outputs, aggregates by majority vote with a proxy-score tie-break, and leaves
 an auditable transcript for every trial.
 """
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
-import operator
 import os
 import re
 import time
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, PatientRecord
+from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
 from .jsondoc import load_json
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
@@ -35,10 +36,6 @@ _SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 TEMPERATURE_RANGE = (0.1, 0.5)
 TOP_P_RANGE = (0.7, 0.95)
-
-
-class TransportError(RuntimeError):
-    """A live client failed to produce a response (network, quota, etc.)."""
 
 
 class ReplayMissError(Exception):
@@ -205,25 +202,23 @@ def aggregate_replicates(outputs: list[ParsedOutput], k: int) -> Aggregate:
     return Aggregate(label, mean_proxy, (votes0, votes1), len(valid), flag=flag)
 
 
-@functools.cache
-def _case_columns(column_names: tuple[str, ...]) -> tuple:
-    """(column name, attrgetter) for each serialized column of a schema."""
-    return tuple(
-        (name, operator.attrgetter(COLUMN_TO_FIELD[name]))
-        for name in column_names if name not in ID_AND_OUTCOME_COLUMNS
-    )
-
-
-def serialize_case(record: PatientRecord, schema: Schema) -> str:
-    """Render one case as deterministic NAME: value lines in schema order.
+def case_blocks(table: CohortTable, schema: Schema) -> list[str]:
+    """Render each row of ``table`` as deterministic NAME: value lines: the
+    id first, then the schema's columns in order, each value as its CSV cell
+    (a boolean as 0 or 1).
 
     The 6-month outcome column is excluded unconditionally.
     """
-    lines = [f"PATIENT_ID: {record.patient_id}"]
-    for name, get in _case_columns(tuple(schema.column_names)):
-        value = get(record)
-        lines.append(f"{name}: {int(value) if isinstance(value, bool) else value}")
-    return "\n".join(lines)
+    names = [name for name in schema.column_names if name not in ID_AND_OUTCOME_COLUMNS]
+    # every name is a COLUMN_TO_FIELD key, so none holds a brace
+    layout = "\n".join(f"{name}: {{}}" for name in ("PATIENT_ID", *names))
+    texts = [cell_texts(table, COLUMN_TO_FIELD[name]) for name in names]
+    return list(itertools.starmap(layout.format, zip(table.ids.tolist(), *texts)))
+
+
+def serialize_case(record: PatientRecord, schema: Schema) -> str:
+    """Render one case as ``case_blocks`` renders a row."""
+    return case_blocks(CohortTable.from_records([record]), schema)[0]
 
 
 def load_prompt_template(path: str | Path | None = None) -> str:
@@ -296,19 +291,12 @@ class TrialTranscript:
         return _SORTED_JSON.encode(doc).encode("utf-8")
 
 
-class ModelClient:
-    """Request/response contract all model adapters implement."""
-
-    def complete(self, prompt: str, decoding: DecodingParams, replicate_index: int) -> str:
-        raise NotImplementedError
-
-
-class ReplayClient(ModelClient):
+class ReplayClient:
     """Serves stored responses keyed by prompt hash; fully deterministic.
 
     The entry is read and validated once per trial: replicate 0, or a prompt
-    other than the last one, reads the store; later replicates of the same
-    prompt reuse that read. Only the last entry is held in memory.
+    hash other than the last one, reads the store; later replicates of the
+    same prompt reuse that read. Only the last entry is held in memory.
     """
 
     def __init__(self, store_dir: str | Path):
@@ -316,7 +304,7 @@ class ReplayClient(ModelClient):
             raise ProtocolError("the replay store path is empty")
         self.store_dir = Path(store_dir)
         self._prefix = os.path.join(store_dir, "")  # entry paths are joined as strings
-        self._last: tuple[str, str, list[str]] | None = None  # prompt, hash, responses
+        self._last: tuple[str, list[str]] | None = None  # prompt hash, responses
 
     def _read(self, prompt_hash: str) -> list[str]:
         try:
@@ -332,12 +320,12 @@ class ReplayClient(ModelClient):
             raise ReplayMissError(prompt_hash, "'responses' must be a list of strings")
         return responses
 
-    def complete(self, prompt: str, decoding: DecodingParams, replicate_index: int) -> str:
+    def complete(self, prompt_hash: str, replicate_index: int) -> str:
+        """The stored response of one replicate of the prompt with this hash."""
         last = self._last
-        if replicate_index == 0 or last is None or last[0] != prompt:
-            prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-            last = self._last = (prompt, prompt_hash, self._read(prompt_hash))
-        _, prompt_hash, responses = last
+        if replicate_index == 0 or last is None or last[0] != prompt_hash:
+            last = self._last = (prompt_hash, self._read(prompt_hash))
+        responses = last[1]
         if replicate_index >= len(responses):
             raise ReplayMissError(
                 prompt_hash, f"{len(responses)} responses, replicate {replicate_index} asked for"
@@ -389,53 +377,35 @@ class AuditLog:
 
 
 def run_trial(
-    client: ModelClient,
-    record: PatientRecord,
-    schema: Schema,
+    client: ReplayClient,
+    case_id: str,
+    case_block: str,
     model: ModelIdentity,
     decoding: DecodingParams,
     k: int = DEFAULT_K,
     template: str | None = None,
     rag_passages: list | None = None,
     audit_log: AuditLog | None = None,
-    retries: int = 3,
-    backoff_base: float = 0.1,
-    sleep=time.sleep,
     clock=time.time,
 ) -> TrialTranscript:
-    """Run k replicates for one case, parse, aggregate, and audit.
+    """Run k replicates for one rendered case, parse, aggregate, and audit.
 
-    Live transport failures are retried with exponential backoff; a replicate
-    that still fails is recorded as Malformed with the error text (failures
-    are data). A replay miss is a hard error.
+    A replay miss is a hard error.
     """
     if k < 1:
         raise ProtocolError(f"k must be >= 1, got {k}")
     if template is None:
         template = load_prompt_template()
-    prompt, prompt_hash = build_prompt([serialize_case(record, schema)], template, rag_passages)
+    _, prompt_hash = build_prompt([case_block], template, rag_passages)
 
-    replicates: list[tuple[str, ParsedOutput]] = []
+    replicates = []
     for i in range(k):
-        raw: str | None = None
-        last_error: TransportError | None = None
-        for attempt in range(retries):
-            try:
-                raw = client.complete(prompt, decoding, i)
-                break
-            except TransportError as exc:
-                last_error = exc
-                if attempt < retries - 1:
-                    sleep(backoff_base * 2**attempt)
-        if raw is None:
-            text = f"<transport failure after {retries} attempts: {last_error}>"
-            replicates.append((text, _MALFORMED))
-        else:
-            replicates.append((raw, parse_response(raw)))
+        raw = client.complete(prompt_hash, i)
+        replicates.append((raw, parse_response(raw)))
 
     aggregate = aggregate_replicates([p for _, p in replicates], k)
     transcript = TrialTranscript(
-        case_id=record.patient_id,
+        case_id=case_id,
         model=model,
         prompt_hash=prompt_hash,
         decoding=decoding,

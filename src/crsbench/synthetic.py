@@ -4,17 +4,18 @@ The real multicenter cohort is private, so benchmarks run on synthetic cases:
 marginals are drawn from configurable clinical-range distributions, and the
 6-month outcome comes from a latent-outcome model, the rule engine's expected
 improvement plus logistic noise, calibrated so that default label prevalence
-lands near the published test prevalence (~0.81).
+lands near the published test prevalence (~0.81). The outcome is computed
+on the drawn columns with the same columnar rule chain the pipeline runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import CohortError, PatientRecord
-from .heuristic import predict_heuristic
+from .cohort import PARSE_BLOCK_ROWS, CohortError, CohortTable, PatientRecord
+from .heuristic import rule_chain
 
 
 @dataclass(frozen=True)
@@ -83,53 +84,58 @@ def _check_config(params: GeneratorConfig) -> None:
 
 def _rounded_clamped_normal(rng, n, mean, sd, clamp):
     lo, hi = clamp
-    return np.clip(np.rint(rng.normal(mean, sd, size=n)), lo, hi).astype(int)
+    return np.clip(np.rint(rng.normal(mean, sd, size=n)), lo, hi).astype(np.int64)
 
 
-def _categorical(rng, n, probs: dict):
-    names = list(probs)
+def _categorical(rng, n, probs: dict) -> np.ndarray:
+    """``n`` draws from the keys of ``probs``: an object column that holds
+    one string per category."""
+    names = np.array(list(probs), dtype=object)
     p = np.array([probs[k] for k in names], dtype=float)
     p = p / p.sum()
-    return [names[i] for i in rng.choice(len(names), size=n, p=p)]
+    return names[rng.choice(len(names), size=n, p=p)]
 
 
-def generate_synthetic(
-    n: int, seed: int, params: GeneratorConfig | None = None
-) -> list[PatientRecord]:
-    """Generate ``n`` labeled synthetic records, deterministic per seed."""
+def synthetic_table(n: int, seed: int, params: GeneratorConfig | None = None) -> CohortTable:
+    """Generate ``n`` labeled synthetic rows as a table, deterministic per seed."""
     if n < 1:
         raise CohortError(f"n must be >= 1, got {n}")
     params = params or GeneratorConfig()
     _check_config(params)
     rng = np.random.default_rng(seed)
 
-    snot = _rounded_clamped_normal(rng, n, params.snot22_mean, params.snot22_sd, params.snot22_clamp)
-    ct = _rounded_clamped_normal(rng, n, params.ct_mean, params.ct_sd, params.ct_clamp)
-    endo = _rounded_clamped_normal(rng, n, params.endo_mean, params.endo_sd, params.endo_clamp)
-    age = _rounded_clamped_normal(rng, n, params.age_mean, params.age_sd, params.age_clamp)
-    sex = np.where(rng.random(n) < params.p_male, "Male", "Female")
-    flags = {name: rng.random(n) < rate for name, rate in params.rates.items()}
-    insurance = _categorical(rng, n, params.insurance_probs)
-    income = _categorical(rng, n, params.income_probs)
-    race = _categorical(rng, n, params.race_probs)
+    # The statements draw in the order that fixes what each seed generates.
+    columns = {"patient_id": np.array([f"syn_{seed}_{i:05d}" for i in range(n)], dtype=object)}
+    columns["snot22_baseline"] = _rounded_clamped_normal(
+        rng, n, params.snot22_mean, params.snot22_sd, params.snot22_clamp)
+    columns["ct_total"] = _rounded_clamped_normal(
+        rng, n, params.ct_mean, params.ct_sd, params.ct_clamp)
+    columns["endoscopy_total"] = _rounded_clamped_normal(
+        rng, n, params.endo_mean, params.endo_sd, params.endo_clamp)
+    columns["age"] = _rounded_clamped_normal(
+        rng, n, params.age_mean, params.age_sd, params.age_clamp)
+    male = rng.random(n) < params.p_male
+    columns["sex"] = np.array(["Female", "Male"], dtype=object)[male.astype(np.intp)]
+    for name, rate in params.rates.items():
+        columns[name] = rng.random(n) < rate
+    columns["insurance"] = _categorical(rng, n, params.insurance_probs)
+    columns["income_bracket"] = _categorical(rng, n, params.income_probs)
+    columns["race"] = _categorical(rng, n, params.race_probs)
     noise = rng.logistic(0.0, params.improvement_noise_scale, size=n)
 
+    reduction = rule_chain(columns).delta + params.improvement_shift + noise
+    six_mo = np.rint(columns["snot22_baseline"] - reduction)
+    columns["snot22_6mo"] = np.clip(six_mo, 0, 110).astype(np.int64)
+    return CohortTable(columns, np.zeros(n, dtype=bool))
+
+
+def generate_synthetic(
+    n: int, seed: int, params: GeneratorConfig | None = None
+) -> list[PatientRecord]:
+    """``synthetic_table``'s rows as records. They are built a block at a
+    time, so no more than one block of rows is held as columns twice."""
+    table = synthetic_table(n, seed, params)
     records = []
-    for i in range(n):
-        rec = PatientRecord(
-            patient_id=f"syn_{seed}_{i:05d}",
-            snot22_baseline=int(snot[i]),
-            age=int(age[i]),
-            sex=str(sex[i]),
-            ct_total=int(ct[i]),
-            endoscopy_total=int(endo[i]),
-            insurance=insurance[i],
-            income_bracket=income[i],
-            race=race[i],
-            **{name: bool(arr[i]) for name, arr in flags.items()},
-        )
-        delta = predict_heuristic(rec).adjusted_improvement
-        reduction = delta + params.improvement_shift + noise[i]
-        six_mo = int(np.clip(np.rint(rec.snot22_baseline - reduction), 0, 110))
-        records.append(replace(rec, snot22_6mo=six_mo))
+    for start in range(0, n, PARSE_BLOCK_ROWS):
+        records.extend(table.records(slice(start, start + PARSE_BLOCK_ROWS)))
     return records

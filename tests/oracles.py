@@ -82,6 +82,117 @@ def oracle_rule(baseline, endo, ct, polyps, flags: dict, age):
     return delta, label, confidence
 
 
+# --- per-record rule chain and case renderer --------------------------------
+# ``crsbench.heuristic`` and ``crsbench.protocol.serialize_case`` as they were
+# before both worked on columns: one record at a time, brackets as if-chains,
+# the trace a growing list and the case block built with attrgetters. The
+# columnar rule chain and renderer must reproduce them byte for byte.
+
+
+def _severity_multipliers_reference(snot22_baseline, endoscopy_total, ct_total, crs_polyps):
+    if snot22_baseline < 25:
+        snot = 0.5
+    elif snot22_baseline < 40:
+        snot = 0.7
+    elif snot22_baseline < 60:
+        snot = 1.0
+    elif snot22_baseline < 80:
+        snot = 1.1
+    else:
+        snot = 1.2
+
+    if endoscopy_total <= 3:
+        endo = 0.8
+    elif endoscopy_total <= 6:
+        endo = 0.9
+    elif endoscopy_total <= 10:
+        endo = 1.0
+    else:
+        endo = 1.1
+
+    if ct_total <= 6:
+        ct = 0.85
+    elif ct_total <= 12:
+        ct = 1.0
+    else:
+        ct = 1.1
+
+    factors = [("snot_bracket", snot), ("endoscopy_bracket", endo), ("ct_bracket", ct)]
+    if crs_polyps:
+        factors.append(("polyps", 1.05))
+    return factors
+
+
+_PENALTY_TABLE_REFERENCE = (
+    ("depression", "depression", 0.7),
+    ("fibromyalgia", "fibromyalgia", 0.7),
+    ("smoker", "smoker", 0.85),
+    ("copd", "copd", 0.8),
+    ("asthma", "asthma", 0.9),
+    ("osa", "osa", 0.9),
+    ("diabetes", "diabetes", 0.9),
+    ("gerd", "gerd", 0.95),
+    ("asa_intolerance", "asa_intolerance", 0.9),
+    ("previous_surgery", "previous_surgery", 0.85),
+)
+
+
+def _penalty_multipliers_reference(record):
+    factors = [
+        (name, mult) for attr, name, mult in _PENALTY_TABLE_REFERENCE if getattr(record, attr)
+    ]
+    if record.age >= 65:
+        factors.append(("age65", 0.9))
+    return factors
+
+
+def _confidence_band_reference(delta: float) -> str:
+    d = abs(delta - 9.0)
+    if d >= 15:
+        return "very confident"
+    if d >= 10:
+        return "somewhat confident"
+    if d >= 6:
+        return "neutral"
+    if d >= 3:
+        return "somewhat unsure"
+    return "not at all confident"
+
+
+def predict_heuristic_reference(record) -> SimpleNamespace:
+    """The full rule chain on one record; ``confidence`` is the band's word."""
+    base = 0.45 * record.snot22_baseline
+    trace = _severity_multipliers_reference(
+        record.snot22_baseline, record.endoscopy_total, record.ct_total, record.crs_polyps
+    )
+    trace.extend(_penalty_multipliers_reference(record))
+    delta = base
+    for _, mult in trace:
+        delta *= mult
+    return SimpleNamespace(
+        base_improvement=base,
+        factor_trace=tuple(trace),
+        adjusted_improvement=delta,
+        predicted_6mo=max(0.0, record.snot22_baseline - delta),
+        label=int(delta > 9.0),
+        confidence=_confidence_band_reference(delta),
+    )
+
+
+def serialize_case_reference(record, schema) -> str:
+    import operator
+
+    from crsbench.cohort import COLUMN_TO_FIELD
+
+    lines = [f"PATIENT_ID: {record.patient_id}"]
+    for name in schema.column_names:
+        if name in ("PATIENT_ID", "SNOT22_6MO_TOTAL"):
+            continue
+        value = operator.attrgetter(COLUMN_TO_FIELD[name])(record)
+        lines.append(f"{name}: {int(value) if isinstance(value, bool) else value}")
+    return "\n".join(lines)
+
+
 # --- ranking-metric oracles ------------------------------------------------
 
 

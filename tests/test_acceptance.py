@@ -7,7 +7,6 @@ name. Stated runtime budgets are enforced with wall-clock guards.
 
 import itertools
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from crsbench.cohort import (
     serialize_cohort,
     stratified_split,
 )
-from crsbench.heuristic import predict_heuristic
+from crsbench.heuristic import BANDS, rule_chain
 from crsbench.metrics import (
     ConfusionMatrix,
     auroc,
@@ -100,14 +99,30 @@ ALL_PENALTY_FLAGS = ("depression", "fibromyalgia", "smoker", "copd", "asthma", "
                      "diabetes", "gerd", "asa_intolerance", "previous_surgery")
 
 
-def _grid_case(baseline, endo, ct, age, **flags):
+def _grid_case(baseline, endo, ct, age, **flags) -> dict:
     fields = dict(
         snot22_baseline=baseline, endoscopy_total=endo, ct_total=ct, age=age,
         crs_polyps=False,
         **{name: False for name in ALL_PENALTY_FLAGS},
     )
     fields.update(flags)
-    return SimpleNamespace(**fields)
+    return fields
+
+
+def _grid_chain(cases: list[dict]):
+    """The rule chain over the grid cases as one table: a column per field."""
+    return rule_chain({name: np.array([case[name] for case in cases]) for name in cases[0]})
+
+
+def _full_grid() -> list[tuple[dict, dict]]:
+    """(case, its flags) for every point of the acceptance grid."""
+    return [
+        (_grid_case(baseline, endo, ct, age, **flags), flags)
+        for baseline, endo, ct in itertools.product(GRID_BASELINES, GRID_ENDO, GRID_CT)
+        for flags in (dict(zip(GRID_FLAGS, combo))
+                      for combo in itertools.product((False, True), repeat=len(GRID_FLAGS)))
+        for age in GRID_AGES
+    ]
 
 
 def test_criterion_01_published_fixture_regression():
@@ -127,20 +142,20 @@ def test_criterion_01_published_fixture_regression():
 def test_criterion_02_rule_engine_matches_independent_oracle():
     start = time.perf_counter()
     checked = 0
-    for baseline, endo, ct in itertools.product(GRID_BASELINES, GRID_ENDO, GRID_CT):
-        for combo in itertools.product((False, True), repeat=len(GRID_FLAGS)):
-            flags = dict(zip(GRID_FLAGS, combo))
-            for age in GRID_AGES:
-                case = _grid_case(baseline, endo, ct, age, **flags)
-                pred = predict_heuristic(case)
-                delta, label, conf_word = oracle_rule(
-                    baseline, endo, ct, flags["crs_polyps"],
-                    {k: v for k, v in flags.items() if k != "crs_polyps"}, age,
-                )
-                assert abs(pred.adjusted_improvement - delta) <= 1e-9
-                assert pred.label == label
-                assert pred.confidence.value == conf_word
-                checked += 1
+    grid = _full_grid()
+    chain = _grid_chain([case for case, _ in grid])
+    for (case, flags), got_delta, got_label, got_band in zip(
+        grid, chain.delta.tolist(), chain.label.tolist(), chain.band.tolist()
+    ):
+        delta, label, conf_word = oracle_rule(
+            case["snot22_baseline"], case["endoscopy_total"], case["ct_total"],
+            flags["crs_polyps"], {k: v for k, v in flags.items() if k != "crs_polyps"},
+            case["age"],
+        )
+        assert abs(got_delta - delta) <= 1e-9
+        assert got_label == label
+        assert BANDS[got_band].value == conf_word
+        checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 23 * 11 * 9 * 16 * 2
     assert elapsed < 10.0
@@ -150,25 +165,24 @@ def test_criterion_02_rule_engine_matches_independent_oracle():
 
 def test_criterion_03_rule_engine_bounded_and_monotone():
     lowest_ratio = np.inf
-    for baseline, endo, ct in itertools.product(GRID_BASELINES, GRID_ENDO, GRID_CT):
-        for combo in itertools.product((False, True), repeat=len(GRID_FLAGS)):
-            flags = dict(zip(GRID_FLAGS, combo))
-            for age in GRID_AGES:
-                pred = predict_heuristic(_grid_case(baseline, endo, ct, age, **flags))
-                assert pred.predicted_6mo >= 0.3139 * baseline - 1e-12
-                assert pred.predicted_6mo > 0 or baseline == 0  # clip branch never fires
-                if baseline:
-                    lowest_ratio = min(lowest_ratio, pred.predicted_6mo / baseline)
-    # monotone non-increase of delta under every penalty flag and the age cutoff
-    for baseline, endo, ct in itertools.product(GRID_BASELINES, GRID_ENDO, GRID_CT):
-        clean = predict_heuristic(_grid_case(baseline, endo, ct, 40)).adjusted_improvement
-        for flag in ALL_PENALTY_FLAGS:
-            flagged = predict_heuristic(
-                _grid_case(baseline, endo, ct, 40, **{flag: True})
-            ).adjusted_improvement
-            assert flagged <= clean + 1e-12
-        aged = predict_heuristic(_grid_case(baseline, endo, ct, 65)).adjusted_improvement
-        assert aged <= clean + 1e-12
+    cases = [case for case, _ in _full_grid()]
+    for case, predicted_6mo in zip(cases, _grid_chain(cases).predicted_6mo.tolist()):
+        baseline = case["snot22_baseline"]
+        assert predicted_6mo >= 0.3139 * baseline - 1e-12
+        assert predicted_6mo > 0 or baseline == 0  # clip branch never fires
+        if baseline:
+            lowest_ratio = min(lowest_ratio, predicted_6mo / baseline)
+    # monotone non-increase of delta under every penalty flag and the age cutoff:
+    # per severity point, the clean case, one case per flag, and the aged case
+    variants = [{}, *({flag: True} for flag in ALL_PENALTY_FLAGS), {"age": 65}]
+    severities = list(itertools.product(GRID_BASELINES, GRID_ENDO, GRID_CT))
+    deltas = _grid_chain([
+        _grid_case(baseline, endo, ct, **{"age": 40, **variant})
+        for baseline, endo, ct in severities for variant in variants
+    ]).delta.reshape(len(severities), len(variants))
+    for clean, *changed in deltas.tolist():
+        for delta in changed:
+            assert delta <= clean + 1e-12
     print(f"\n[criterion 3] PASS - predicted 6mo >= 0.3139 x baseline "
           f"(worst ratio {lowest_ratio:.4f}); penalties never raise delta")
 
@@ -291,7 +305,8 @@ def test_criterion_08_replay_determinism_and_parser_fuzz(tmp_path, schema):
     def run_all():
         client = ReplayClient(store)
         return [
-            run_trial(client, rec, schema, identity, decoding, k=5, template=template)
+            run_trial(client, rec.patient_id, serialize_case(rec, schema), identity, decoding,
+                      k=5, template=template)
             for rec in cohort
         ]
 

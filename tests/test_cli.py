@@ -38,9 +38,16 @@ from crsbench.cohort import (
     serialize_cohort,
     stratified_split,
 )
-from crsbench.protocol import build_prompt, load_prompt_template, serialize_case, store_replay_responses
+from crsbench.protocol import (
+    build_prompt,
+    case_blocks,
+    load_prompt_template,
+    serialize_case,
+    store_replay_responses,
+)
+from crsbench.rag import Bm25Index, load_corpus
 from crsbench.schema import load_schema
-from crsbench.synthetic import generate_synthetic
+from crsbench.synthetic import generate_synthetic, synthetic_table
 from conftest import time_bound
 from oracles import prepare_cohort_reference
 
@@ -622,7 +629,7 @@ def _assert_same_prepared_cohort(path, schema, seed):
     assert got.unlabeled == want.unlabeled
     assert got.split == want.split
     assert got.scaler.state_id == want.scaler.state_id
-    assert got.test == want.test
+    assert got.test.records() == want.test
     assert got.X_train.tobytes() == want.X_train.tobytes()
     assert got.X_test.tobytes() == want.X_test.tobytes()
     for a, b in ((got.y_train, want.y_train), (got.y_test, want.y_test)):
@@ -686,8 +693,8 @@ def test_prepare_cohort_matches_per_command_chain_on_unlabeled_and_repeated_rows
 
 
 def test_run_builds_records_only_for_the_test_split(tmp_path, schema, monkeypatch, capsys):
-    """The cohort stays a table up to the test split: a run on 2,000 rows
-    constructs one PatientRecord per test case and no more."""
+    """The cohort stays a table all the way through: a run on 2,000 rows,
+    400 of them in the test split, constructs no PatientRecord."""
     cohort = tmp_path / "cohort.csv"
     cohort.write_bytes(serialize_cohort(generate_synthetic(2000, seed=3), schema))
     built = []
@@ -698,7 +705,34 @@ def test_run_builds_records_only_for_the_test_split(tmp_path, schema, monkeypatc
         "models": ["logreg", "gnb", "heuristic"]}).encode())
     assert _main_in_process(capsys, "run", "--config", cfg).returncode == EXIT_OK
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert len(built) == manifest["split"]["test"] == 400
+    assert manifest["split"]["test"] == 400
+    assert len(built) == 0
+
+
+def test_synthetic_run_and_genai_build_no_records(tmp_path, schema, monkeypatch, capsys):
+    """A run that synthesizes its cohort and replays a model, and a genai
+    with retrieval on that cohort, construct no PatientRecord."""
+    cohort = synthetic_table(300, seed=5)
+    test = cohort.take(stratified_split(cohort, 0.2, seed=5).test_rows)
+    template, index, store = load_prompt_template(), Bm25Index(load_corpus()), tmp_path / "store"
+    for block in case_blocks(test, schema):
+        for passages in (None, index.retrieve(block, k=5)[0]):
+            store_replay_responses(store, build_prompt([block], template, passages)[1],
+                                   ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
+    built = []
+    original = PatientRecord.__post_init__
+    monkeypatch.setattr(PatientRecord, "__post_init__", lambda rec: (built.append(1), original(rec)))
+    run_dir = tmp_path / "run"
+    cfg = _write(tmp_path / "c.json", json.dumps({
+        "seed": 5, "out_dir": str(run_dir), "synthetic": {"n": 300},
+        "models": ["heuristic", "replay:m"], "replay": {"store": str(store)}}).encode())
+    assert _main_in_process(capsys, "run", "--config", cfg).returncode == EXIT_OK
+    proc = _main_in_process(capsys, "genai", "--replay-store", str(store), "--rag",
+                            "--cohort", str(run_dir / "cohort.csv"), "--seed", "5",
+                            "--model-id", "m-rag", "--out", str(tmp_path / "rag.json"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(json.loads((tmp_path / "rag.json").read_text())["case_ids"]) == len(test) == 60
+    assert len(built) == 0
 
 
 REPLAY_VARIANTS = [

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,20 @@ import pytest
 import crsbench
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# SHA-256 of the standard output of the deterministic demos, pinned so that a
+# change to the rule chain, the case renderer or the replay protocol that
+# alters what they print shows here.
+STDOUT_SHA256 = {
+    "02_rule_engine_trace.py": "2a8e2f6b5130a5e5d2745c2d5b76fd7df6fe4e34e007fe9c0e41fa0e43edd319",
+    "03_replay_protocol.py": "7d643690214c4ec6be2abe10b0bf227019f170e509f7e5c5ec322cc5ea954079",
+}
+
+
+def _run_demo(demo, cwd):
+    src = str(Path(crsbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=cwd)
 
 
 def test_demos_found():
@@ -16,8 +31,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    src = str(Path(crsbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          timeout=120, env=env, cwd=tmp_path)
+    proc = _run_demo(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+    if demo.name in STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

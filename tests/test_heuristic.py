@@ -1,26 +1,42 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
+from crsbench.cohort import CohortTable
 from crsbench.heuristic import (
+    BANDS,
     BASE_RATE,
     DELTA_THRESHOLD,
-    base_improvement,
-    confidence_band,
-    penalty_multipliers,
+    FACTORS,
+    confidence_bands,
     predict_heuristic,
-    severity_multipliers,
+    rule_chain,
 )
 from crsbench.vocab import Confidence
-from oracles import oracle_rule
+from oracles import oracle_rule, predict_heuristic_reference
+
+FLAGS = ["crs_polyps", "depression", "fibromyalgia", "smoker", "copd", "asthma", "osa",
+         "diabetes", "gerd", "asa_intolerance", "previous_surgery"]
+
+
+def _chain(*records):
+    """The columnar rule chain over a table of ``records``."""
+    return rule_chain(CohortTable.from_records(records).columns)
+
+
+def _multiplier(name, **overrides) -> float:
+    """Factor ``name``'s multiplier in a one-row chain of ``make_record(**overrides)``."""
+    return float(_chain(make_record(**overrides)).multipliers[0, FACTORS.index(name)])
 
 
 def test_base_improvement_is_45_percent():
-    assert base_improvement(60) == pytest.approx(27.0)
-    assert base_improvement(0) == 0.0
+    base = _chain(make_record(snot22_baseline=60), make_record(snot22_baseline=0)).base
+    assert base[0] == pytest.approx(27.0)
+    assert base[1] == 0.0
 
 
 def test_worked_example_full_chain():
@@ -69,7 +85,7 @@ def test_zero_baseline_degenerate_case():
     ],
 )
 def test_confidence_band_boundaries(delta, expected):
-    assert confidence_band(delta) is expected
+    assert BANDS[confidence_bands(np.array([delta]))[0]] is expected
 
 
 @pytest.mark.parametrize(
@@ -78,27 +94,27 @@ def test_confidence_band_boundaries(delta, expected):
      (60, 1.1), (79, 1.1), (80, 1.2), (110, 1.2)],
 )
 def test_snot_bracket_edges(baseline, expected):
-    factors = dict(severity_multipliers(baseline, 8, 10, False))
-    assert factors["snot_bracket"] == expected
+    assert _multiplier("snot_bracket", snot22_baseline=baseline, crs_polyps=False) == expected
 
 
 @pytest.mark.parametrize(
     "endo,expected", [(0, 0.8), (3, 0.8), (4, 0.9), (6, 0.9), (7, 1.0), (10, 1.0), (11, 1.1)]
 )
 def test_endoscopy_bracket_edges(endo, expected):
-    factors = dict(severity_multipliers(50, endo, 10, False))
-    assert factors["endoscopy_bracket"] == expected
+    assert _multiplier("endoscopy_bracket", snot22_baseline=50, endoscopy_total=endo,
+                       crs_polyps=False) == expected
 
 
 @pytest.mark.parametrize("ct,expected", [(0, 0.85), (6, 0.85), (7, 1.0), (12, 1.0), (13, 1.1)])
 def test_ct_bracket_edges(ct, expected):
-    factors = dict(severity_multipliers(50, 8, ct, False))
-    assert factors["ct_bracket"] == expected
+    assert _multiplier("ct_bracket", snot22_baseline=50, ct_total=ct, crs_polyps=False) == expected
 
 
 def test_age_penalty_boundary():
-    assert ("age65", 0.9) in penalty_multipliers(make_record(age=65))
-    assert penalty_multipliers(make_record(age=64)) == []
+    at, below = _chain(make_record(age=65), make_record(age=64)).predictions()
+    assert ("age65", 0.9) in at.factor_trace
+    assert [name for name, _ in below.factor_trace] == [
+        "snot_bracket", "endoscopy_bracket", "ct_bracket", "polyps"]
 
 
 def test_trace_product_equals_delta():
@@ -125,9 +141,7 @@ def test_outcome_field_is_never_read():
     flags=st.lists(st.booleans(), min_size=11, max_size=11),
 )
 def test_matches_independent_oracle(baseline, endo, ct, age, flags):
-    names = ["crs_polyps", "depression", "fibromyalgia", "smoker", "copd",
-             "asthma", "osa", "diabetes", "gerd", "asa_intolerance", "previous_surgery"]
-    kwargs = dict(zip(names, flags))
+    kwargs = dict(zip(FLAGS, flags))
     rec = make_record(snot22_baseline=baseline, endoscopy_total=endo, ct_total=ct,
                       age=age, **kwargs)
     pred = predict_heuristic(rec)
@@ -140,19 +154,48 @@ def test_matches_independent_oracle(baseline, endo, ct, age, flags):
     assert pred.confidence.value == conf_word
 
 
+# Every bracket edge and the age cutoff, mixed with values drawn from the whole
+# range; ages past int64 make the age column an object column.
+_ROW = st.fixed_dictionaries({
+    "snot22_baseline": st.one_of(st.sampled_from([24, 25, 39, 40, 59, 60, 79, 80]),
+                                 st.integers(0, 110)),
+    "endoscopy_total": st.one_of(st.sampled_from([3, 4, 6, 7, 10, 11]), st.integers(0, 20)),
+    "ct_total": st.one_of(st.sampled_from([6, 7, 12, 13]), st.integers(0, 24)),
+    "age": st.one_of(st.sampled_from([64, 65]), st.integers(18, 90),
+                     st.integers(10**29, 10**30 - 1)),
+    **{flag: st.booleans() for flag in FLAGS},
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=40))
+@example(rows=[{"snot22_baseline": b, "endoscopy_total": e, "ct_total": c, "age": a,
+                **{flag: i % 2 == 0 for flag in FLAGS}}
+               for i, (b, e, c, a) in enumerate(zip(
+                   [24, 25, 39, 40, 59, 60, 79, 80], [3, 4, 6, 7, 10, 11, 3, 4],
+                   [6, 7, 12, 13, 6, 7, 12, 13], [64, 65, 64, 65, 64, 65, 64, 65]))])
+def test_rule_chain_matches_scalar_reference(rows):
+    records = [make_record(patient_id=f"r{i}", **row) for i, row in enumerate(rows)]
+    chain = _chain(*records)
+    want = [predict_heuristic_reference(r) for r in records]
+    assert chain.delta.tobytes() == np.array([w.adjusted_improvement for w in want]).tobytes()
+    assert chain.base.tobytes() == np.array([w.base_improvement for w in want]).tobytes()
+    assert chain.predicted_6mo.tobytes() == np.array([w.predicted_6mo for w in want]).tobytes()
+    assert chain.label.tolist() == [w.label for w in want]
+    assert [BANDS[b].value for b in chain.band.tolist()] == [w.confidence for w in want]
+    for got, w in zip(chain.predictions(), want):
+        assert got.factor_trace == w.factor_trace
+
+
 @settings(max_examples=200, deadline=None)
 @given(baseline=st.integers(0, 110), endo=st.integers(0, 20), ct=st.integers(0, 24))
 def test_penalties_never_increase_delta(baseline, endo, ct):
-    clean = predict_heuristic(
-        make_record(snot22_baseline=baseline, endoscopy_total=endo, ct_total=ct)
-    )
-    for flag in ["depression", "fibromyalgia", "smoker", "copd", "asthma", "osa",
-                 "diabetes", "gerd", "asa_intolerance", "previous_surgery"]:
-        flagged = predict_heuristic(
-            make_record(snot22_baseline=baseline, endoscopy_total=endo, ct_total=ct,
-                        **{flag: True})
-        )
-        assert flagged.adjusted_improvement <= clean.adjusted_improvement
+    severity = dict(snot22_baseline=baseline, endoscopy_total=endo, ct_total=ct)
+    clean, *flagged = _chain(
+        make_record(**severity),
+        *(make_record(**severity, **{flag: True}) for flag in FLAGS[1:]),
+    ).delta
+    assert (np.array(flagged) <= clean).all()
 
 
 def test_to_dict_round_trips_trace():

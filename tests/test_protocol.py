@@ -3,24 +3,26 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import BASE_RECORD, make_record
 from crsbench import protocol
+from crsbench.cohort import CohortTable
 from crsbench.protocol import (
     AUDIT_SCHEMA_VERSION,
     Aggregate,
     AuditLog,
     DecodingParams,
-    ModelClient,
     ModelIdentity,
     ParsedOutput,
     ParserStatus,
     ProtocolError,
     ReplayClient,
     ReplayMissError,
-    TransportError,
     aggregate_replicates,
     build_prompt,
+    case_blocks,
     load_prompt_template,
     parse_response,
     proxy_score,
@@ -29,6 +31,7 @@ from crsbench.protocol import (
     store_replay_responses,
 )
 from crsbench.vocab import Confidence
+from oracles import serialize_case_reference
 
 IDENTITY = ModelIdentity("vendor", "model-x", "2025-01-01")
 DECODING = DecodingParams()
@@ -161,6 +164,35 @@ def test_serialize_case_layout(schema):
     assert block == serialize_case(rec, schema)
 
 
+_BOOL_FIELDS = [name for name, value in BASE_RECORD.items() if isinstance(value, bool)]
+_CASE = st.fixed_dictionaries({
+    "snot22_baseline": st.integers(0, 110),
+    "snot22_6mo": st.one_of(st.none(), st.integers(0, 110)),
+    # ages past int64 make the age column an object column
+    "age": st.one_of(st.integers(18, 120), st.integers(10**29, 10**30 - 1)),
+    "sex": st.sampled_from(["Female", "Male"]),
+    "ct_total": st.integers(0, 24),
+    "endoscopy_total": st.integers(0, 20),
+    "insurance": st.sampled_from(["None", "Medicaid", "Medicare", "Private"]),
+    "race": st.sampled_from(["White", "Black", "Asian", "Other"]),
+    **{name: st.booleans() for name in _BOOL_FIELDS},
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases=st.lists(_CASE, min_size=1, max_size=12))
+@example(cases=[{"age": 10**30 - 1, "crs_polyps": False, "smoker": True}, {"age": 18}])
+def test_case_blocks_match_scalar_reference(schema, cases):
+    records = [make_record(patient_id=f"case-{i}", **case) for i, case in enumerate(cases)]
+    table = CohortTable.from_records(records)
+    assert table.columns["crs_polyps"].dtype == bool
+    if any(r.age >= 2**63 for r in records):
+        assert table.columns["age"].dtype == object
+    want = [serialize_case_reference(r, schema) for r in records]
+    assert case_blocks(table, schema) == want
+    assert [serialize_case(r, schema) for r in records] == want
+
+
 def test_build_prompt_hash_and_order(schema):
     template = load_prompt_template()
     block = serialize_case(make_record(), schema)
@@ -182,24 +214,25 @@ def test_prompt_template_mentions_mcid_and_output_contract():
 # --- clients, replay, audit --------------------------------------------------
 
 
-class ScriptedClient(ModelClient):
-    def __init__(self, responses, failures=0):
+class ScriptedClient:
+    def __init__(self, responses):
         self.responses = responses
-        self.failures = failures
         self.calls = 0
 
-    def complete(self, prompt, decoding, replicate_index):
+    def complete(self, prompt_hash, replicate_index):
         self.calls += 1
-        if self.failures > 0:
-            self.failures -= 1
-            raise TransportError("boom")
         return self.responses[replicate_index % len(self.responses)]
+
+
+def _trial(client, rec, schema, *args, **kwargs):
+    """``run_trial`` on the case block of one record."""
+    return run_trial(client, rec.patient_id, serialize_case(rec, schema), *args, **kwargs)
 
 
 def test_run_trial_happy_path(tmp_path, schema):
     client = ScriptedClient(["PREDICTION: 1\nCONFIDENCE: very confident"])
     audit = AuditLog(tmp_path / "audit.jsonl")
-    t = run_trial(client, make_record(), schema, IDENTITY, DECODING, k=5, audit_log=audit)
+    t = _trial(client, make_record(), schema, IDENTITY, DECODING, k=5, audit_log=audit)
     assert t.aggregate.final_label == 1
     assert t.aggregate.n_valid == 5
     assert len(t.replicates) == 5
@@ -218,29 +251,6 @@ def test_audit_log_has_version_header(tmp_path):
     assert len(path.read_text().splitlines()) == 1
 
 
-def test_run_trial_retries_then_succeeds(schema):
-    sleeps = []
-    client = ScriptedClient(["PREDICTION: 0\nCONFIDENCE: neutral"], failures=2)
-    t = run_trial(
-        client, make_record(), schema, IDENTITY, DECODING, k=1,
-        retries=3, backoff_base=0.5, sleep=sleeps.append, clock=lambda: 0.0,
-    )
-    assert t.aggregate.final_label == 0
-    assert sleeps == [0.5, 1.0]  # exponential backoff
-
-
-def test_run_trial_records_transport_failure_as_malformed(schema):
-    client = ScriptedClient(["unused"], failures=99)
-    t = run_trial(
-        client, make_record(), schema, IDENTITY, DECODING, k=2,
-        retries=3, sleep=lambda s: None, clock=lambda: 0.0,
-    )
-    assert t.aggregate.flag == "unparseable"
-    for raw, parsed in t.replicates:
-        assert parsed.parser_status is ParserStatus.MALFORMED
-        assert "transport failure" in raw
-
-
 def test_replay_round_trip(tmp_path, schema):
     rec = make_record(patient_id="r1")
     template = load_prompt_template()
@@ -248,8 +258,8 @@ def test_replay_round_trip(tmp_path, schema):
     responses = ["PREDICTION: 1\nCONFIDENCE: somewhat confident"] * 3
     store_replay_responses(tmp_path, prompt_hash, responses)
     client = ReplayClient(tmp_path)
-    t1 = run_trial(client, rec, schema, IDENTITY, DECODING, k=3, clock=lambda: 0.0)
-    t2 = run_trial(client, rec, schema, IDENTITY, DECODING, k=3, clock=lambda: 0.0)
+    t1 = _trial(client, rec, schema, IDENTITY, DECODING, k=3, clock=lambda: 0.0)
+    t2 = _trial(client, rec, schema, IDENTITY, DECODING, k=3, clock=lambda: 0.0)
     assert t1.canonical_bytes() == t2.canonical_bytes()
     assert t1.aggregate.final_label == 1
 
@@ -257,7 +267,7 @@ def test_replay_round_trip(tmp_path, schema):
 def test_replay_miss_is_hard_error(tmp_path, schema):
     client = ReplayClient(tmp_path)
     with pytest.raises(ReplayMissError):
-        run_trial(client, make_record(), schema, IDENTITY, DECODING, k=1)
+        _trial(client, make_record(), schema, IDENTITY, DECODING, k=1)
 
 
 def test_replay_miss_on_short_response_list(tmp_path, schema):
@@ -265,7 +275,7 @@ def test_replay_miss_on_short_response_list(tmp_path, schema):
     _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"])
     with pytest.raises(ReplayMissError):
-        run_trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=5)
+        _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=5)
 
 
 def test_replay_reads_store_once_per_trial_and_sees_rewrites(tmp_path, schema, monkeypatch):
@@ -282,12 +292,28 @@ def test_replay_reads_store_once_per_trial_and_sees_rewrites(tmp_path, schema, m
     monkeypatch.setattr(protocol, "open", counting_open, raising=False)
     client = ReplayClient(tmp_path)
 
-    t1 = run_trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
+    t1 = _trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
     assert reads == [f"{prompt_hash}.json"]
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 0\nCONFIDENCE: neutral"] * 5)
-    t2 = run_trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
+    t2 = _trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
     assert len(reads) == 2
     assert (t1.aggregate.final_label, t2.aggregate.final_label) == (1, 0)
+
+
+def test_run_trial_hashes_its_prompt_once(tmp_path, schema, monkeypatch):
+    rec = make_record()
+    _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
+    store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
+    hashed, sha256 = [], hashlib.sha256
+
+    def counting_sha256(data):
+        hashed.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(protocol.hashlib, "sha256", counting_sha256)
+    t = _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=5)
+    assert t.prompt_hash == prompt_hash
+    assert len(hashed) == 1
 
 
 @pytest.mark.parametrize(
@@ -306,7 +332,7 @@ def test_unusable_replay_entry_is_replay_miss(tmp_path, schema, entry, defect):
     _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
     (tmp_path / f"{prompt_hash}.json").write_bytes(entry)
     with pytest.raises(ReplayMissError, match=defect) as info:
-        run_trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=1)
+        _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=1)
     assert info.value.prompt_hash == prompt_hash
 
 
@@ -315,8 +341,8 @@ def test_canonical_bytes_timestamp_toggle(tmp_path, schema):
     _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 0\nCONFIDENCE: neutral"])
     client = ReplayClient(tmp_path)
-    a = run_trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 1.0)
-    b = run_trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 2.0)
+    a = _trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 1.0)
+    b = _trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 2.0)
     assert a.canonical_bytes() != b.canonical_bytes()
     assert a.canonical_bytes(include_timestamp=False) == b.canonical_bytes(include_timestamp=False)
 
