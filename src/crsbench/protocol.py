@@ -284,12 +284,6 @@ class TrialTranscript:
             "timestamp": self.timestamp,
         }
 
-    def canonical_bytes(self, include_timestamp: bool = True) -> bytes:
-        doc = self.to_dict()
-        if not include_timestamp:
-            doc.pop("timestamp")
-        return _SORTED_JSON.encode(doc).encode("utf-8")
-
 
 class ReplayClient:
     """Serves stored responses keyed by prompt hash; fully deterministic.

@@ -193,6 +193,14 @@ def serialize_case_reference(record, schema) -> str:
     return "\n".join(lines)
 
 
+def transcript_bytes(transcript, include_timestamp: bool = True) -> bytes:
+    """A trial transcript as sorted-key JSON, the audit log's encoding."""
+    doc = transcript.to_dict()
+    if not include_timestamp:
+        doc.pop("timestamp")
+    return json.JSONEncoder(sort_keys=True).encode(doc).encode("utf-8")
+
+
 # --- ranking-metric oracles ------------------------------------------------
 
 

@@ -60,6 +60,7 @@ from oracles import (
     derive_label,
     oracle_rule,
     paired_bootstrap_auc_diff_ci,
+    transcript_bytes,
 )
 
 # Published test-set confusion matrices as (tn, fp, fn, tp) plus the printed
@@ -313,8 +314,8 @@ def test_criterion_08_replay_determinism_and_parser_fuzz(tmp_path, schema):
     first = run_all()
     second = run_all()
     for a, b in zip(first, second):
-        assert a.canonical_bytes(include_timestamp=False) == b.canonical_bytes(
-            include_timestamp=False
+        assert transcript_bytes(a, include_timestamp=False) == transcript_bytes(
+            b, include_timestamp=False
         )
     for transcripts in (first, second):
         hard = [t.aggregate.final_label for t in transcripts]

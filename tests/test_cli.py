@@ -281,7 +281,7 @@ def _truncate_first_param(doc):
         ),
     ],
 )
-def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change):
+def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change, capsys):
     model_file = tmp_path / "logreg.json"
     assert main(
         ["train", "--cohort", str(cohort_csv), "--model", "logreg", "--out", str(model_file)]
@@ -293,7 +293,7 @@ def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change):
         ["importance", "--model-file", str(model_file), "--cohort", str(cohort_csv),
          "--repeats", "1", "--out", str(tmp_path / "imp.json")],
     ):
-        proc = _run_cli(*argv)
+        proc = _main_in_process(capsys, *argv)
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
@@ -522,7 +522,7 @@ def test_unusable_replay_entry_is_replay_miss(tmp_path, cohort_csv, schema, entr
         pytest.param(lambda bad, good: bad.mkdir(), id="a-directory"),
     ],
 )
-def test_unreadable_cohort_csv_is_validation_error(tmp_path, cohort_csv, make):
+def test_unreadable_cohort_csv_is_validation_error(tmp_path, cohort_csv, make, capsys):
     bad = tmp_path / "bad.csv"
     make(bad, cohort_csv.read_bytes())
     cfg = tmp_path / "c.json"
@@ -532,7 +532,7 @@ def test_unreadable_cohort_csv_is_validation_error(tmp_path, cohort_csv, make):
         ["train", "--cohort", str(bad), "--model", "logreg", "--out", str(tmp_path / "m.json")],
         ["run", "--config", str(cfg)],
     ):
-        proc = _run_cli(*argv)
+        proc = _main_in_process(capsys, *argv)
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1

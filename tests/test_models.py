@@ -143,6 +143,40 @@ def test_training_input_validation(schema):
         train_logreg(X, y, ("f_a", "f_b", "f_c", "SNOT22_6MO_TOTAL"), schema=schema)
 
 
+_TRAINERS = {
+    "logreg": train_logreg,
+    "gnb": train_gnb,
+    "mlp": lambda X, y, names, schema: train_mlp(
+        X, y, names, arch=MlpArchitecture(4, 3), class_weights=(1.0, 1.0),
+        optimizer=OptimizerConfig(max_epochs=1), schema=schema),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+@pytest.mark.parametrize("labels, bad", [
+    pytest.param([0, 2], "2", id="label-2"),
+    pytest.param([0, 0.4, 1], "0.4", id="label-0.4"),
+    pytest.param([0.0, 0.7], "0.7", id="label-0.7-not-one-class"),
+    pytest.param([0, -1, 1], "-1", id="label-minus-1"),
+])
+def test_training_rejects_labels_other_than_0_and_1(schema, trainer, labels, bad):
+    # Casting to int turned 0.4 and 0.7 into 0; a label of 2 trained logreg
+    # as if it were 1 and gave gnb NaN parameters.
+    y = np.resize(labels, 40)
+    X, _ = _blobs(40)
+    with pytest.raises(ModelError) as info:
+        _TRAINERS[trainer](X, y, FEATURES_4, schema=schema)
+    assert str(info.value) == f"training labels must be 0 or 1, found {bad}"
+
+
+def test_training_accepts_float_and_bool_labels_of_0_and_1(schema):
+    X, y = _blobs(40)
+    want = train_logreg(X, y, FEATURES_4, schema=schema).params["w"]
+    for labels in (y.astype(float), y.astype(bool)):
+        got = train_logreg(X, labels, FEATURES_4, schema=schema).params["w"]
+        assert got.tobytes() == want.tobytes()
+
+
 def test_logreg_learns_separable_blobs(schema):
     X, y = _blobs(200, sep=3.0)
     model = train_logreg(X, y, FEATURES_4, schema=schema)
@@ -371,6 +405,38 @@ def test_train_mlp_is_bit_identical_to_reference(schema, kind, seed):
     assert json.dumps(got) == json.dumps(meta)
 
 
+# n_train = n - round(n / 10): 74 rows leave 67 = 2 * 32 + 3, a 3-row last
+# batch; 72 rows leave 65 = 2 * 32 + 1, a one-row last batch.
+@pytest.mark.parametrize("kind", ["weighted", "focal"])
+@pytest.mark.parametrize("n", [74, 72], ids=["3-row-last-batch", "1-row-last-batch"])
+def test_small_train_mlp_is_bit_identical_to_reference(schema, kind, n):
+    X, y = _blobs(n, seed=2)
+    arch, loss = MlpArchitecture(4, 7), LossConfig(kind)
+    optimizer = OptimizerConfig(max_epochs=12, patience=4)
+    weights = inverse_prevalence_weights(y)
+    model = train_mlp(X, y, FEATURES_4, arch=arch, loss=loss, optimizer=optimizer, seed=3,
+                      schema=schema)
+    best, meta = train_mlp_reference(X, y, init_mlp_params(arch, 3), loss, optimizer, weights, 3)
+    assert _same_bits(model.params, best)
+    assert json.dumps({k: model.metadata[k] for k in meta}) == json.dumps(meta)
+
+
+def test_train_mlp_calls_the_step_function_once_per_batch(schema, monkeypatch):
+    # The bench counts SGD steps by rebinding crsbench.models.mlp_loss_and_grads.
+    step, rows = crsbench.models.mlp_loss_and_grads, []
+
+    def counting(params, X, *args, **kwargs):
+        rows.append(X.shape[0])
+        return step(params, X, *args, **kwargs)
+
+    monkeypatch.setattr(crsbench.models, "mlp_loss_and_grads", counting)
+    X, y = _blobs(100, seed=5)  # 90 training rows: batches of 32, 32 and 26
+    model = train_mlp(X, y, FEATURES_4, arch=MlpArchitecture(4, 7),
+                      optimizer=OptimizerConfig(max_epochs=7, patience=50), schema=schema)
+    assert model.metadata["epochs_run"] == 7
+    assert rows == [32, 32, 26] * 7
+
+
 def _penalised_loss(X, y, params, weights, l2):
     w, b = params["w"], params["b"][0]
     terms = _loss_terms(sigmoid_two_branch(X @ w + b), y, LossConfig("weighted"), weights)
@@ -571,18 +637,21 @@ for n in map(int, filter(None, sys.argv[3].split(","))):
 """
 
 
-def _forward_digests(hidden, sizes, blas_threads, logreg_sizes=()):
+def _child_lines(script, args, blas_threads):
+    """Run ``script`` in a fresh interpreter with ``blas_threads`` BLAS threads."""
     tests = Path(__file__).resolve().parent
     src = str(Path(crsbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tests)]),
                OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FORWARD_CHILD, ",".join(map(str, hidden)), ",".join(map(str, sizes)),
-         ",".join(map(str, logreg_sizes))],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     return [line.split() for line in proc.stdout.splitlines()]
+
+
+def _forward_digests(hidden, sizes, blas_threads, logreg_sizes=()):
+    args = [",".join(map(str, values)) for values in (hidden, sizes, logreg_sizes)]
+    return _child_lines(_FORWARD_CHILD, args, blas_threads)
 
 
 def test_blocked_mlp_forward_is_bit_identical_to_the_whole_matrix_form():
@@ -599,6 +668,30 @@ def test_mlp_forward_bits_do_not_depend_on_the_blas_thread_count():
     two = _forward_digests([400], [20003], blas_threads=2, logreg_sizes=[40000])
     assert [r[0] for r in one].count("logreg") == 1
     assert [r[3] for r in one] == [r[3] for r in two]
+
+
+# Prints "loss sha256(parameters) epochs_run" for a default-size train_mlp at the
+# paper's n=524, under each loss.
+_TRAIN_MLP_CHILD = """
+import hashlib
+import numpy as np
+from crsbench.models import LossConfig, train_mlp
+
+rng = np.random.default_rng(1)
+X = rng.normal(size=(524, 22))
+y = (X[:, 0] - 0.5 * X[:, 3] + rng.normal(0.0, 1.0, 524) > 0.8).astype(int)
+for kind in ("weighted", "focal"):
+    model = train_mlp(X, y, tuple(f"x{i}" for i in range(22)), loss=LossConfig(kind), seed=1)
+    params = b"".join(model.params[k].tobytes() for k in ("W1", "b1", "W2", "b2"))
+    print(kind, hashlib.sha256(params).hexdigest(), model.metadata["epochs_run"])
+"""
+
+
+def test_train_mlp_bits_do_not_depend_on_the_blas_thread_count():
+    one = _child_lines(_TRAIN_MLP_CHILD, [], blas_threads=1)
+    two = _child_lines(_TRAIN_MLP_CHILD, [], blas_threads=2)
+    assert [r[0] for r in one] == ["weighted", "focal"]
+    assert one == two
 
 
 def test_mlp_forward_of_no_rows_is_empty():

@@ -31,7 +31,7 @@ from crsbench.protocol import (
     store_replay_responses,
 )
 from crsbench.vocab import Confidence
-from oracles import serialize_case_reference
+from oracles import serialize_case_reference, transcript_bytes
 
 IDENTITY = ModelIdentity("vendor", "model-x", "2025-01-01")
 DECODING = DecodingParams()
@@ -260,7 +260,7 @@ def test_replay_round_trip(tmp_path, schema):
     client = ReplayClient(tmp_path)
     t1 = _trial(client, rec, schema, IDENTITY, DECODING, k=3, clock=lambda: 0.0)
     t2 = _trial(client, rec, schema, IDENTITY, DECODING, k=3, clock=lambda: 0.0)
-    assert t1.canonical_bytes() == t2.canonical_bytes()
+    assert transcript_bytes(t1) == transcript_bytes(t2)
     assert t1.aggregate.final_label == 1
 
 
@@ -343,8 +343,8 @@ def test_canonical_bytes_timestamp_toggle(tmp_path, schema):
     client = ReplayClient(tmp_path)
     a = _trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 1.0)
     b = _trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 2.0)
-    assert a.canonical_bytes() != b.canonical_bytes()
-    assert a.canonical_bytes(include_timestamp=False) == b.canonical_bytes(include_timestamp=False)
+    assert transcript_bytes(a) != transcript_bytes(b)
+    assert transcript_bytes(a, include_timestamp=False) == transcript_bytes(b, include_timestamp=False)
 
 
 def test_model_identity_validation():
