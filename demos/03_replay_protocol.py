@@ -73,6 +73,7 @@ def main():
             print(f"  votes 0/1: {agg.vote_counts[0]}/{agg.vote_counts[1]}  "
                   f"final={agg.final_label}  mean_proxy={agg.mean_proxy}  flag={agg.flag}")
 
+        audit.close()
         print(f"\naudit log holds {len(audit.read_transcripts())} transcripts "
               f"(replayable byte-for-byte)")
 

@@ -146,19 +146,20 @@ def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Coh
     )
 
 
-def _replay_trials(test, schema, store, identity, params: DecodingParams, k, template, audit,
-                   rag_index=None, rag_k=5):
+def _replay_trials(test, schema, store, identity, params: DecodingParams, k, template,
+                   audit_path, rag_index=None, rag_k=5):
     """Run one replayed trial per row of the test table; returns (scores, hard labels).
 
     ``store``, ``params`` and ``k`` were checked where they were read: by
     ``_parse_run_config`` for ``run``, by the parser and ``main`` for
-    ``genai``. A case with no parseable replicate scores 0.0. The audit log,
-    if any, is closed when the trials end or fail, so it holds a line for
-    each finished trial.
+    ``genai``. A case with no parseable replicate scores 0.0. The audit log
+    at ``audit_path``, if one is given, is opened here and closed when the
+    trials end or fail, so it holds a line for each finished trial.
     """
-    client = ReplayClient(store)
+    audit = AuditLog(audit_path) if audit_path else None
     scores, hard = [], []
     try:
+        client = ReplayClient(store)
         for case_id, block in zip(test.ids.tolist(), case_blocks(test, schema)):
             passages = None
             if rag_index is not None:
@@ -363,11 +364,10 @@ def cmd_genai(args) -> int:
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
     identity = ModelIdentity(args.vendor, args.model_id, args.access_date)
     template = load_prompt_template(args.template)
-    audit = AuditLog(args.audit_log) if args.audit_log else None
     rag_index = Bm25Index(load_corpus(args.corpus)) if args.rag else None
     scores, hard = _replay_trials(
         cohort.test, schema, args.replay_store, identity,
-        DecodingParams(args.temperature, args.top_p), args.k, template, audit,
+        DecodingParams(args.temperature, args.top_p), args.k, template, args.audit_log,
         rag_index=rag_index, rag_k=args.rag_k,
     )
     _write_predictions(Path(args.out), args.model_id, cohort.case_ids, cohort.y_test, scores, hard)
@@ -577,8 +577,10 @@ def cmd_run(args) -> int:
 def _run_pipeline(cfg: RunConfig, out_dir) -> int:
     seed = cfg.seed
     schema = load_schema(cfg.schema)
+    # each run starts its own log, and a manifest is left only by a finished run
     audit_path = out_dir / "audit.jsonl"
-    audit_path.unlink(missing_ok=True)  # each run starts its own log
+    audit_path.unlink(missing_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
 
     if cfg.cohort_csv is not None:
         cohort_path = Path(cfg.cohort_csv)
@@ -607,7 +609,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
             identity = ModelIdentity(cfg.replay["vendor"], name, cfg.replay["access_date"])
             scores, hard = _replay_trials(
                 test, schema, cfg.replay["store"], identity, cfg.decoding, cfg.k,
-                load_prompt_template(cfg.template), AuditLog(audit_path),
+                load_prompt_template(cfg.template), audit_path,
             )
         _write_predictions(out_dir / f"{name}_predictions.json", name, case_ids, y_test, scores, hard)
         _emit_report(

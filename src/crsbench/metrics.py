@@ -348,16 +348,10 @@ def delong_test(labels, scores_a, scores_b) -> dict:
     auc_b, v01_b, v10_b = _delong_placements(labels, scores_b)
     m, n = len(v01_a), len(v10_a)
 
-    def cov(u, v):
-        if len(u) < 2:
-            return 0.0
-        return float(np.cov(u, v, ddof=1)[0, 1])
+    def cov(u, v):  # 2x2 sample covariance of one class's paired placements
+        return np.cov(np.vstack([u, v]), ddof=1) if len(u) >= 2 else np.zeros((2, 2))
 
-    s01 = np.array([[cov(v01_a, v01_a), cov(v01_a, v01_b)],
-                    [cov(v01_b, v01_a), cov(v01_b, v01_b)]])
-    s10 = np.array([[cov(v10_a, v10_a), cov(v10_a, v10_b)],
-                    [cov(v10_b, v10_a), cov(v10_b, v10_b)]])
-    cov_matrix = s01 / m + s10 / n
+    cov_matrix = cov(v01_a, v01_b) / m + cov(v10_a, v10_b) / n
     variance = cov_matrix[0, 0] + cov_matrix[1, 1] - 2.0 * cov_matrix[0, 1]
     diff = auc_a - auc_b
 

@@ -2,9 +2,9 @@
 
 Renders a table's cases as prompt blocks (``case_blocks``, column by
 column; ``serialize_case`` is its one-row call), assembles the canonical
-prompt, runs k replicates against the replay store, parses the constrained
-outputs, aggregates by majority vote with a proxy-score tie-break, and leaves
-an auditable transcript for every trial.
+prompt, takes its k replicate responses from the replay store in one read,
+parses the constrained outputs, aggregates by majority vote with a
+proxy-score tie-break, and leaves an auditable transcript for every trial.
 """
 
 from __future__ import annotations
@@ -288,19 +288,17 @@ class TrialTranscript:
 class ReplayClient:
     """Serves stored responses keyed by prompt hash; fully deterministic.
 
-    The entry is read and validated once per trial: replicate 0, or a prompt
-    hash other than the last one, reads the store; later replicates of the
-    same prompt reuse that read. Only the last entry is held in memory.
+    Each ``complete`` call reads and validates the store entry once and keeps
+    nothing between calls, so a rewritten entry is seen by the next trial.
     """
 
     def __init__(self, store_dir: str | Path):
         if not os.fspath(store_dir):  # "" would read entries from the working directory
             raise ProtocolError("the replay store path is empty")
-        self.store_dir = Path(store_dir)
         self._prefix = os.path.join(store_dir, "")  # entry paths are joined as strings
-        self._last: tuple[str, list[str]] | None = None  # prompt hash, responses
 
-    def _read(self, prompt_hash: str) -> list[str]:
+    def complete(self, prompt_hash: str, k: int) -> list[str]:
+        """The first k stored responses of the prompt with this hash."""
         try:
             with open(f"{self._prefix}{prompt_hash}.json", "rb", buffering=0) as fh:
                 raw = fh.read()
@@ -312,19 +310,11 @@ class ReplayClient:
         responses = doc.get("responses") if isinstance(doc, dict) else None
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise ReplayMissError(prompt_hash, "'responses' must be a list of strings")
-        return responses
-
-    def complete(self, prompt_hash: str, replicate_index: int) -> str:
-        """The stored response of one replicate of the prompt with this hash."""
-        last = self._last
-        if replicate_index == 0 or last is None or last[0] != prompt_hash:
-            last = self._last = (prompt_hash, self._read(prompt_hash))
-        responses = last[1]
-        if replicate_index >= len(responses):
+        if k > len(responses):  # name the first replicate the entry lacks
             raise ReplayMissError(
-                prompt_hash, f"{len(responses)} responses, replicate {replicate_index} asked for"
+                prompt_hash, f"{len(responses)} responses, replicate {len(responses)} asked for"
             )
-        return responses[replicate_index]
+        return responses[:k]
 
 
 def store_replay_responses(store_dir: str | Path, prompt_hash: str, responses: list[str]) -> Path:
@@ -339,31 +329,24 @@ def store_replay_responses(store_dir: str | Path, prompt_hash: str, responses: l
 class AuditLog:
     """Append-only JSON Lines log with a schema version header line.
 
-    The first ``append`` opens one line-buffered handle that later appends
-    reuse: every line reaches the file whole as it is written, so a killed
-    process leaves only complete lines. ``close`` releases the handle; a later
-    ``append`` reopens it.
+    Creating the log opens one line-buffered handle, and writes the header
+    when the file is empty. Every line reaches the file whole as it is
+    written, so a killed process leaves only complete lines. ``close``
+    releases the handle.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = None
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(
-                json.dumps({"audit_schema_version": AUDIT_SCHEMA_VERSION}) + "\n",
-                encoding="utf-8",
-            )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+        if self._fh.tell() == 0:
+            self._fh.write(json.dumps({"audit_schema_version": AUDIT_SCHEMA_VERSION}) + "\n")
 
     def append(self, transcript: TrialTranscript) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
         self._fh.write(_SORTED_JSON.encode(transcript.to_dict()) + "\n")
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
 
     def read_transcripts(self) -> list[dict]:
         lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -382,7 +365,8 @@ def run_trial(
     audit_log: AuditLog | None = None,
     clock=time.time,
 ) -> TrialTranscript:
-    """Run k replicates for one rendered case, parse, aggregate, and audit.
+    """Take k replicates for one rendered case in one ``complete`` call,
+    parse, aggregate, and audit.
 
     A replay miss is a hard error.
     """
@@ -392,11 +376,7 @@ def run_trial(
         template = load_prompt_template()
     _, prompt_hash = build_prompt([case_block], template, rag_passages)
 
-    replicates = []
-    for i in range(k):
-        raw = client.complete(prompt_hash, i)
-        replicates.append((raw, parse_response(raw)))
-
+    replicates = [(raw, parse_response(raw)) for raw in client.complete(prompt_hash, k)]
     aggregate = aggregate_replicates([p for _, p in replicates], k)
     transcript = TrialTranscript(
         case_id=case_id,

@@ -57,3 +57,6 @@ def test_bench_inputs_build_and_traced_invocations_check_clean(tmp_path, monkeyp
         for inv, code in zip(invocations, done["exit_codes"]):
             assert checks.check_safely(inv, code, pass_dir, inputs) == [], inv.kind
         assert done["trace"]["missing"] == []
+        counts = done["trace"]["counts"]
+        assert counts["protocol.trials"] > 0, pass_dir.name
+        assert counts["protocol.replay_reads"] == counts["protocol.trials"]  # one read per trial

@@ -406,6 +406,18 @@ def test_run_pipeline_and_report(tmp_path):
     assert "logreg" in summary and "heuristic" in summary
 
 
+def test_a_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path, capsys):
+    out_dir, cfg = tmp_path / "run", tmp_path / "c.json"
+    config = {"seed": 3, "out_dir": str(out_dir), "synthetic": {"n": 80}, "models": ["gnb"]}
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 3
+    config.update(seed=4, models=["gnb", "replay:m"], replay={"store": str(tmp_path / "none")})
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == EXIT_REPLAY_MISS
+    assert (out_dir / "cohort.csv").exists() and not (out_dir / "manifest.json").exists()
+
+
 def test_run_requires_seed(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "r")}))

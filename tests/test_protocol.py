@@ -219,9 +219,9 @@ class ScriptedClient:
         self.responses = responses
         self.calls = 0
 
-    def complete(self, prompt_hash, replicate_index):
+    def complete(self, prompt_hash, k):
         self.calls += 1
-        return self.responses[replicate_index % len(self.responses)]
+        return [self.responses[i % len(self.responses)] for i in range(k)]
 
 
 def _trial(client, rec, schema, *args, **kwargs):
@@ -233,6 +233,8 @@ def test_run_trial_happy_path(tmp_path, schema):
     client = ScriptedClient(["PREDICTION: 1\nCONFIDENCE: very confident"])
     audit = AuditLog(tmp_path / "audit.jsonl")
     t = _trial(client, make_record(), schema, IDENTITY, DECODING, k=5, audit_log=audit)
+    audit.close()
+    assert client.calls == 1  # all k replicates come from one call
     assert t.aggregate.final_label == 1
     assert t.aggregate.n_valid == 5
     assert len(t.replicates) == 5
@@ -244,11 +246,29 @@ def test_run_trial_happy_path(tmp_path, schema):
 
 def test_audit_log_has_version_header(tmp_path):
     path = tmp_path / "audit.jsonl"
-    AuditLog(path)
+    AuditLog(path).close()
     first = json.loads(path.read_text().splitlines()[0])
     assert first == {"audit_schema_version": AUDIT_SCHEMA_VERSION}
-    AuditLog(path)  # reopening does not rewrite the header
+    AuditLog(path).close()  # reopening does not rewrite the header
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_audit_log_into_an_existing_empty_file_keeps_every_trial(tmp_path, schema):
+    records = [make_record(patient_id=patient_id) for patient_id in ("e1", "e2")]
+    template = load_prompt_template()
+    for rec in records:
+        _, prompt_hash = build_prompt([serialize_case(rec, schema)], template)
+        store_replay_responses(tmp_path / "store", prompt_hash, ["PREDICTION: 1"] * 3)
+    path = tmp_path / "audit.jsonl"
+    path.touch()
+    audit = AuditLog(path)
+    client = ReplayClient(tmp_path / "store")
+    for rec in records:
+        _trial(client, rec, schema, IDENTITY, DECODING, k=3, template=template, audit_log=audit)
+    audit.close()
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header == {"audit_schema_version": AUDIT_SCHEMA_VERSION}
+    assert [row["case_id"] for row in audit.read_transcripts()] == ["e1", "e2"]
 
 
 def test_replay_round_trip(tmp_path, schema):
@@ -274,7 +294,7 @@ def test_replay_miss_on_short_response_list(tmp_path, schema):
     rec = make_record()
     _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"])
-    with pytest.raises(ReplayMissError):
+    with pytest.raises(ReplayMissError, match="1 responses, replicate 1 asked for"):
         _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=5)
 
 
