@@ -1,4 +1,4 @@
-"""Operator surface: configuration loading, pipeline orchestration, artifacts.
+"""Operator surface: configuration, orchestration, and artifacts via ``jsondoc.replacing``.
 
 Subcommands: synth, preprocess, train, predict, genai, rag-build, evaluate,
 compare, importance, report, run. Exit codes: 0 success, 2 validation error,
@@ -35,7 +35,7 @@ from .cohort import (
     stratified_split,
 )
 from .heuristic import rule_chain
-from .jsondoc import load_json
+from .jsondoc import load_json, replacing, write_json
 from .metrics import (
     MetricError,
     PredictionSet,
@@ -196,11 +196,8 @@ def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
         "hard_labels": _indented_list([int(v) for v in hard]),
     }
     body = ",\n".join(f" {json.dumps(key)}: {value}" for key, value in fields.items())
-    path.write_text(f"{{\n{body}\n}}", encoding="utf-8")
-
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(f"{{\n{body}\n}}")
 
 
 def _read_predictions(path: Path) -> tuple[str, PredictionSet]:
@@ -264,9 +261,9 @@ def _report_markdown(report) -> str:
 
 def _emit_report(pred_set: PredictionSet, name: str, out_dir: Path) -> None:
     report = evaluate(pred_set, model_name=name)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out_dir / f"{name}_report.json")
-    (out_dir / f"{name}_report.md").write_text(_report_markdown(report), encoding="utf-8")
+    with replacing(out_dir / f"{name}_report.md") as fh:
+        fh.write(_report_markdown(report))
     write_curve_csvs(report, out_dir / "curves")
 
 
@@ -282,8 +279,8 @@ def cmd_synth(args) -> int:
         raise CliError("--n must be >= 1")
     schema = load_schema(args.schema)
     table = synthetic_table(args.n, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(serialize_cohort(table, schema))
+    with replacing(out) as fh:
+        fh.write(serialize_cohort(table, schema).decode("utf-8"))
     labels = table.labels()
     prevalence = int(labels.sum()) / len(labels)
     print(f"wrote {len(table)} records to {out} (label prevalence {prevalence:.3f})")
@@ -295,21 +292,20 @@ def cmd_preprocess(args) -> int:
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
     split, scaler, rejection = cohort.split, cohort.scaler, cohort.rejection
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "split.json", {
+    write_json(out_dir / "split.json", {
         "seed": split.seed,
         "train_ids": sorted(split.train_ids),
         "test_ids": sorted(split.test_ids),
         "label_prevalence_train": split.label_prevalence_train,
         "label_prevalence_test": split.label_prevalence_test,
     })
-    _write_json(out_dir / "scaler.json", {
+    write_json(out_dir / "scaler.json", {
         "columns": list(scaler.columns),
         "means": list(scaler.means),
         "sds": list(scaler.sds),
         "state_id": scaler.state_id,
     })
-    _write_json(out_dir / "rejections.json", {
+    write_json(out_dir / "rejections.json", {
         "rows_total": rejection.rows_total,
         "accepted": rejection.accepted,
         "rejections": [{"row": r, "reason": why} for r, why in rejection.rejections],
@@ -402,7 +398,7 @@ def cmd_compare(args) -> int:
     if not np.array_equal(pred_a.labels, pred_b.labels):
         raise CliError(f"{args.pred_a} and {args.pred_b} disagree on ground-truth labels")
     result = compare_sets(pred_a, pred_b, seed=args.seed)
-    _write_json(Path(args.out), {"model_a": name_a, "model_b": name_b, **result})
+    write_json(args.out, {"model_a": name_a, "model_b": name_b, **result})
     print(
         f"delong p={result['delong']['p_value']:.4f}, "
         f"mcnemar p={result['mcnemar']['p_value']:.4f} -> {args.out}"
@@ -423,7 +419,7 @@ def cmd_importance(args) -> int:
         res = permutation_importance(predict_fn, X, y, j, repeats=args.repeats, seed=args.seed + j)
         rows.append({"feature": name, **res})
     rows.sort(key=lambda r: -r["mean_delta_balanced_accuracy"])
-    _write_json(Path(args.out), rows)
+    write_json(args.out, rows)
     print(f"permutation importance for {len(rows)} features -> {args.out}")
     return EXIT_OK
 
@@ -445,7 +441,8 @@ def cmd_report(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:  # a missing key or a value of the wrong type
             raise CliError(f"{path} is not an evaluation report: {exc!r}") from None
     out = run_dir / "summary.md"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(out) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -582,11 +579,10 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
     audit_path.unlink(missing_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    if cfg.cohort_csv is not None:
-        cohort_path = Path(cfg.cohort_csv)
-    else:
-        cohort_path = out_dir / "cohort.csv"
-        cohort_path.write_bytes(serialize_cohort(synthetic_table(cfg.synthetic["n"], seed), schema))
+    cohort_path = Path(cfg.cohort_csv or out_dir / "cohort.csv")
+    if cfg.cohort_csv is None:
+        with replacing(cohort_path) as fh:
+            fh.write(serialize_cohort(synthetic_table(cfg.synthetic["n"], seed), schema).decode("utf-8"))
 
     cohort = _prepare_cohort(cohort_path, schema, cfg.test_fraction, seed)
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
@@ -602,7 +598,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
         elif spec == "heuristic":
             chain = rule_chain(test.columns)
             scores, hard = chain.proxy_scores(), chain.label
-            with (out_dir / "heuristic_traces.jsonl").open("w", encoding="utf-8") as fh:
+            with replacing(out_dir / "heuristic_traces.jsonl") as fh:
                 for case_id, p in zip(case_ids, chain.predictions()):
                     fh.write(json.dumps({"case_id": case_id, **p.to_dict()}) + "\n")
         else:  # replay:<id>
@@ -617,7 +613,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
             name, reports_dir,
         )
 
-    _write_json(out_dir / "manifest.json", {
+    write_json(out_dir / "manifest.json", {
         "crsbench_version": __version__,
         "seed": seed,
         "test_fraction": cfg.test_fraction,

@@ -14,13 +14,14 @@ probabilities the paired tests need are closed forms over ``math``.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .jsondoc import replacing, write_json
 
 CM_LAYOUT_NOTE = "[tn, fp; fn, tp] with class 0 = row 0"
 
@@ -597,19 +598,11 @@ def compare(pred_a: PredictionSet, pred_b: PredictionSet, n_resamples: int = 200
             "bootstrap_accuracy": {"a": boot_a, "b": boot_b}, "winners": winners}
 
 
-def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
+def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
     """CSV curve files (ROC, P-R, reliability, net benefit) for plotting."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     def dump(name, rows, headers):
-        path = out / f"{report.model_name}_{name}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(headers)
-            writer.writerows(rows)
-        written.append(path)
+        with replacing(Path(out_dir) / f"{report.model_name}_{name}.csv") as fh:
+            csv.writer(fh).writerows([headers, *rows])
 
     dump("roc", [(r["threshold"], r["fpr"], r["tpr"]) for r in report.roc],
          ["threshold", "fpr", "tpr"])
@@ -626,8 +619,7 @@ def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> list[Path
          for r in report.net_benefit_curve],
         ["threshold", "net_benefit", "treat_all", "treat_none"],
     )
-    return written
 
 
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=1), encoding="utf-8")
+    write_json(path, report.to_dict())

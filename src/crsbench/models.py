@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import leakage_guard
-from .jsondoc import load_json
+from .jsondoc import load_json, replacing
 from .schema import Schema, load_schema
 
 EPS = 1e-7
@@ -554,9 +554,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
     The file holds exactly ``json.dumps`` of the document whose last key is
     ``params``, each parameter as ``{"shape": [...], "data": [...]}`` over its
-    flattened values. Everything but the parameters is encoded before the
-    file is opened, so an unserializable value leaves no file; the parameter
-    values are then written ``SAVE_CHUNK_VALUES`` at a time.
+    flattened values, written ``SAVE_CHUNK_VALUES`` at a time through
+    ``replacing``, so a failure at any point leaves the old file as it was.
     """
     head = json.dumps({
         "kind": model.kind,
@@ -567,7 +566,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "schema_checksum": model.schema_checksum,
         "metadata": model.metadata,
     })
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(f'{head[:-1]}, "params": {{')
         for i, (name, value) in enumerate(model.params.items()):
             flat = value.ravel()

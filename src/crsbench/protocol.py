@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 
 from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
-from .jsondoc import load_json
+from .jsondoc import load_json, write_json
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
 
@@ -317,13 +317,9 @@ class ReplayClient:
         return responses[:k]
 
 
-def store_replay_responses(store_dir: str | Path, prompt_hash: str, responses: list[str]) -> Path:
+def store_replay_responses(store_dir: str | Path, prompt_hash: str, responses: list[str]) -> None:
     """Write (or overwrite) the replay entry for one prompt hash."""
-    store = Path(store_dir)
-    store.mkdir(parents=True, exist_ok=True)
-    path = store / f"{prompt_hash}.json"
-    path.write_text(json.dumps({"responses": responses}, indent=1), encoding="utf-8")
-    return path
+    write_json(Path(store_dir) / f"{prompt_hash}.json", {"responses": responses})
 
 
 class AuditLog:

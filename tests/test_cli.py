@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -174,13 +175,13 @@ def test_compare_single_class_predictions_is_numeric_failure(tmp_path):
     ) == EXIT_NUMERIC
 
 
-def _run_cli(*argv, timeout=30):
+def _run_cli(*argv, timeout=30, **popen):
     """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
     src = str(Path(crsbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "crsbench.cli", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env, **popen,
     )
 
 
@@ -1145,6 +1146,60 @@ def test_unreadable_json_at_each_boundary_is_one_line_error(tmp_path, cohort_csv
     argv = _json_boundary_argv(boundary, tmp_path, cohort_csv, schema, UNREADABLE_JSON[defect])
     line = _one_error_line(_main_in_process(capsys, *argv), code)
     assert "not UTF-8 JSON" in line
+
+
+# -- artifact writes ----------------------------------------------------------
+
+
+def test_a_failed_write_leaves_the_old_artifact_whole(tmp_path, gnb_model):
+    cohort, out = tmp_path / "c.csv", tmp_path / "p.json"
+    assert main(["synth", "--n", "524", "--seed", "1", "--out", str(cohort)]) == EXIT_OK
+    argv = ("predict", "--cohort", str(cohort), "--model-file", str(gnb_model), "--out", str(out))
+    assert main(list(argv)) == EXIT_OK
+    before, names = out.read_bytes(), sorted(os.listdir(tmp_path))
+    limit = 2048  # bytes the child may write to any one file
+    assert len(before) > limit
+    # Python ignores SIGXFSZ, so a write past the limit raises EFBIG
+    proc = _run_cli(*argv, timeout=60, preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_FSIZE, (limit, limit)))
+    assert _one_error_line(proc, EXIT_VALIDATION) == "error: [Errno 27] File too large"
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == names  # no temporary file is left
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "genai", "compare", "importance"])
+def test_every_out_flag_creates_its_directory(tmp_path, cohort_csv, gnb_model, schema, capsys,
+                                              command):
+    cohort, model, store, preds = str(cohort_csv), str(gnb_model), tmp_path / "store", tmp_path / "p.json"
+    if command == "genai":
+        _plant_test_split(cohort_csv, schema, store)
+    if command == "compare":
+        assert main(["predict", "--cohort", cohort, "--model-file", model, "--out", str(preds)]) == EXIT_OK
+    argv = {
+        "train": ["--cohort", cohort, "--model", "gnb"],
+        "predict": ["--cohort", cohort, "--model-file", model],
+        "genai": ["--cohort", cohort, "--replay-store", str(store), "--model-id", "m"],
+        "compare": ["--pred-a", str(preds), "--pred-b", str(preds)],
+        "importance": ["--cohort", cohort, "--model-file", model, "--repeats", "2"],
+    }[command]
+    out = tmp_path / "new" / "dir" / "out.json"
+    proc = _main_in_process(capsys, command, *argv, "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(out.read_text())
+
+
+def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path, cohort_csv, gnb_model,
+                                                                     capsys):
+    preds, link = tmp_path / "p.json", tmp_path / "sink.json"
+    assert main(["predict", "--cohort", str(cohort_csv), "--model-file", str(gnb_model),
+                 "--out", str(preds)]) == EXIT_OK
+    link.symlink_to(os.devnull)
+    names = sorted(os.listdir(tmp_path))
+    proc = _main_in_process(capsys, "compare", "--pred-a", str(preds), "--pred-b", str(preds),
+                            "--out", str(link))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+    assert sorted(os.listdir(tmp_path)) == names
 
 
 # -- fuzz of the run config ---------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import numpy as np
@@ -519,7 +520,8 @@ def test_compare_requires_aligned_sets(rng):
 
 def test_curve_and_report_files(tmp_path, rng):
     report = evaluate(_pred_set(rng), model_name="m1")
-    files = write_curve_csvs(report, tmp_path)
+    write_curve_csvs(report, tmp_path)
+    files = list(tmp_path.iterdir())
     names = {f.name for f in files}
     assert names == {"m1_roc.csv", "m1_pr.csv", "m1_reliability.csv", "m1_net_benefit.csv"}
     for f in files:
@@ -530,6 +532,30 @@ def test_curve_and_report_files(tmp_path, rng):
 
     doc = json.loads(out.read_text())
     assert doc["auroc"] == report.auroc
+
+
+def test_a_curve_file_that_fails_mid_write_keeps_the_old_file(tmp_path, rng, monkeypatch):
+    report = evaluate(_pred_set(rng), model_name="m1")
+    write_curve_csvs(report, tmp_path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    class FullDisk:
+        """A CSV writer that gets the first row out, then fails as a full disk does."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerow(self, row):
+            self.fh.write(",".join(map(str, row)) + "\r\n")
+
+        def writerows(self, rows):
+            self.writerow(next(iter(rows)))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(metrics.csv, "writer", FullDisk)
+    with pytest.raises(OSError, match="No space left"):
+        write_curve_csvs(report, tmp_path)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before  # and no temporary file
 
 
 def test_balanced_accuracy_helper():

@@ -786,6 +786,20 @@ def test_unserializable_model_leaves_no_file(tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_a_save_that_fails_mid_stream_keeps_the_old_file(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(TrainedModel(kind="logreg", feature_names=("a",),
+                            params={"w": np.zeros(1), "b": np.zeros(1)}), path)
+    before = path.read_bytes()
+    # "w" streams past the write buffer; the object in "b" then fails to encode
+    failing = TrainedModel(kind="logreg", feature_names=("a",),
+                           params={"w": np.ones(4 * SAVE_CHUNK_VALUES), "b": np.array([object()])})
+    with pytest.raises(TypeError):
+        save_model(failing, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
 def test_saving_an_mlp_holds_one_chunk_not_the_whole_document(tmp_path):
     params = init_mlp_params(MlpArchitecture(21), 0)  # 21 x 400, the run's MLP
     model = TrainedModel(kind="mlp", feature_names=tuple(f"f{i}" for i in range(21)),
