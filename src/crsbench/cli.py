@@ -280,7 +280,7 @@ def cmd_synth(args) -> int:
     schema = load_schema(args.schema)
     table = synthetic_table(args.n, args.seed)
     with replacing(out) as fh:
-        fh.write(serialize_cohort(table, schema).decode("utf-8"))
+        fh.buffer.write(serialize_cohort(table, schema))
     labels = table.labels()
     prevalence = int(labels.sum()) / len(labels)
     print(f"wrote {len(table)} records to {out} (label prevalence {prevalence:.3f})")
@@ -579,10 +579,12 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
     audit_path.unlink(missing_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    cohort_path = Path(cfg.cohort_csv or out_dir / "cohort.csv")
-    if cfg.cohort_csv is None:
+    if cfg.cohort_csv is not None:
+        cohort_path = Path(cfg.cohort_csv)
+    else:
+        cohort_path = out_dir / "cohort.csv"
         with replacing(cohort_path) as fh:
-            fh.write(serialize_cohort(synthetic_table(cfg.synthetic["n"], seed), schema).decode("utf-8"))
+            fh.buffer.write(serialize_cohort(synthetic_table(cfg.synthetic["n"], seed), schema))
 
     cohort = _prepare_cohort(cohort_path, schema, cfg.test_fraction, seed)
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split

@@ -29,11 +29,11 @@ def replacing(path: str | Path):
 
     The text goes to ``.NAME.PID.tmp`` beside ``path``, renamed onto ``path``
     when the block ends without an error and removed otherwise. The parent
-    directory is created; a device or FIFO ``path`` is written in place.
+    directory is created. A symlink, a device or a FIFO is written in place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists() and not path.is_file():
+    if path.is_symlink() or (path.exists() and not path.is_file()):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return

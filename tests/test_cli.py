@@ -1202,6 +1202,23 @@ def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path, co
     assert sorted(os.listdir(tmp_path)) == names
 
 
+def test_an_out_symlink_to_a_file_is_written_through(tmp_path, cohort_csv, gnb_model, capsys):
+    """A symlinked --out (as /dev/stdout is when the shell redirects it to a
+    file) keeps its link and the file it names gets the new document."""
+    preds, target, link = tmp_path / "p.json", tmp_path / "target.json", tmp_path / "link.json"
+    assert main(["predict", "--cohort", str(cohort_csv), "--model-file", str(gnb_model),
+                 "--out", str(preds)]) == EXIT_OK
+    target.write_text("old")
+    link.symlink_to(target)
+    names = sorted(os.listdir(tmp_path))
+    proc = _main_in_process(capsys, "compare", "--pred-a", str(preds), "--pred-b", str(preds),
+                            "--out", str(link))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["model_a"]
+    assert sorted(os.listdir(tmp_path)) == names
+
+
 # -- fuzz of the run config ---------------------------------------------------
 
 _JSON = st.recursive(
