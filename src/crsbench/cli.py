@@ -275,8 +275,6 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
-    if args.n < 1:
-        raise CliError("--n must be >= 1")
     schema = load_schema(args.schema)
     table = synthetic_table(args.n, args.seed)
     with replacing(out) as fh:
@@ -407,8 +405,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    if args.repeats < 1:
-        raise CliError(f"--repeats must be an integer >= 1, got {args.repeats}")
     schema = load_schema(args.schema)
     model = load_model(args.model_file, schema)
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
@@ -524,9 +520,11 @@ _RUN_CONFIG = {
                f"an object with some of store ({_PATH_RULE}), vendor and access_date"),
 }
 RunConfig = namedtuple("RunConfig", _RUN_CONFIG)
-# Subcommand flags named after run-config or decoding keys, checked by the same rules.
+# The numeric subcommand flags, checked before any command runs; those named
+# after run-config or decoding keys share their rules.
 _FLAG_RULES = {**{key: _RUN_CONFIG[key][1:] for key in ("seed", "threshold", "test_fraction", "k")},
-               **{key: _DECODING[key] for key in ("temperature", "top_p")}}
+               **{key: _DECODING[key] for key in ("temperature", "top_p")},
+               **{key: (_int_from(1), "an integer >= 1") for key in ("n", "repeats", "rag_k")}}
 
 
 def _check(name: str, rule, what: str, value):

@@ -434,7 +434,9 @@ def serialize_cohort(cohort, schema: Schema) -> bytes:
     Rows are rendered a block at a time, so only one block is held as
     columns and as cell strings.
     """
-    names = [COLUMN_TO_FIELD[column] for column in schema.column_names]
+    names = [COLUMN_TO_FIELD.get(column) for column in schema.column_names]
+    if None in names:
+        raise SchemaError(f"schema column {schema.column_names[names.index(None)]} has no record field")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(schema.column_names)

@@ -74,26 +74,6 @@ class PredictionSet:
             raise MetricError("case_ids must be unique")
 
 
-def _gathered(name: str) -> property:
-    return property(lambda self: getattr(self._source, name)[self._idx])
-
-
-class _Resample:
-    """A bootstrap resample: the PredictionSet fields at ``idx``, each gathered
-    when a metric reads it. Case ids repeat, so it is no PredictionSet."""
-
-    __slots__ = ("_source", "_idx")
-
-    def __init__(self, source: PredictionSet, idx: np.ndarray):
-        self._source = source
-        self._idx = idx
-
-    case_ids = property(lambda self: tuple(self._source.case_ids[i] for i in self._idx))
-    labels = _gathered("labels")
-    scores = _gathered("scores")
-    hard_labels = _gathered("hard_labels")
-
-
 def confusion(labels, hard_labels) -> ConfusionMatrix:
     labels = np.asarray(labels, dtype=int)
     hard = np.asarray(hard_labels, dtype=int)
@@ -248,10 +228,9 @@ class ReliabilityBin:
     count: int
 
 
-def reliability_curve(labels, probabilities, bins: int = 10) -> list[ReliabilityBin]:
-    """Equal-width bins on [0,1]; empty bins are emitted, not dropped."""
-    if bins < 2:
-        raise MetricError("bins must be >= 2")
+def reliability_curve(labels, probabilities) -> list[ReliabilityBin]:
+    """Ten equal-width bins on [0,1]; empty bins are emitted, not dropped."""
+    bins = 10
     labels = np.asarray(labels, dtype=float)
     p = np.asarray(probabilities, dtype=float)
     idx = np.minimum((p * bins).astype(int), bins - 1) if len(p) else np.array([], dtype=int)
@@ -406,13 +385,8 @@ def mcnemar(labels, hard_a, hard_b) -> dict:
             "p_value": p, "method": "chi2_cc", "flagged": False}
 
 
-def bootstrap_ci(
-    metric,
-    pred_set: PredictionSet,
-    n_resamples: int = 2000,
-    seed: int = 0,
-) -> dict:
-    """Case-level percentile bootstrap for any metric of a PredictionSet.
+def bootstrap_ci(pred_set: PredictionSet, n_resamples: int, seed: int) -> dict:
+    """Case-level percentile bootstrap of a PredictionSet's accuracy.
 
     Resamples that lose a class are redrawn; exceeding the redraw cap (10x
     the resample budget) is a hard error.
@@ -421,7 +395,8 @@ def bootstrap_ci(
         raise MetricError("n_resamples must be >= 100")
     n = len(pred_set.case_ids)
     rng = np.random.default_rng(seed)
-    point = float(metric(pred_set))
+    correct = pred_set.labels == pred_set.hard_labels
+    point = float(np.mean(correct))
     positive = pred_set.labels == 1
     values = np.empty(n_resamples)
     redraws = 0
@@ -434,7 +409,7 @@ def bootstrap_ci(
             redraws += 1
             if redraws > cap:
                 raise MetricError("bootstrap redraw cap exceeded; metric undefined on this data")
-        values[r] = metric(_Resample(pred_set, idx))
+        values[r] = np.mean(correct[idx])
     return {
         "point": point,
         "lo95": float(np.percentile(values, 2.5)),
@@ -470,12 +445,8 @@ def permutation_importance(
     }
 
 
-def roc_points(labels, scores) -> list[dict]:
-    """ROC operating points at every distinct score threshold (descending)."""
-    return _roc_points(_rank(labels, scores))
-
-
 def _roc_points(r: _Ranking) -> list[dict]:
+    """ROC operating points at every distinct score threshold (descending)."""
     n1 = int(np.sum(r.pos))
     n0 = len(r.order) - n1
     taken, tp = _descending_counts(r)
@@ -489,12 +460,8 @@ def _roc_points(r: _Ranking) -> list[dict]:
     return points
 
 
-def pr_points(labels, scores) -> list[dict]:
-    """P-R operating points at every distinct score threshold (descending)."""
-    return _pr_points(_rank(labels, scores))
-
-
 def _pr_points(r: _Ranking) -> list[dict]:
+    """P-R operating points at every distinct score threshold (descending)."""
     n1 = int(np.sum(r.pos))
     taken, tp = _descending_counts(r)
     recall = tp / n1 if n1 else np.zeros(len(taken))
@@ -520,7 +487,6 @@ class EvaluationReport:
     roc: list[dict] = field(repr=False, default_factory=list)
     pr: list[dict] = field(repr=False, default_factory=list)
     calibration_on_rescaled_proxy: bool = False
-    paired_tests: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -541,17 +507,13 @@ class EvaluationReport:
                 for b in self.reliability
             ],
             "net_benefit": self.net_benefit_curve,
-            "paired_tests": self.paired_tests,
+            "paired_tests": None,
         }
 
 
-def evaluate(
-    pred_set: PredictionSet,
-    model_name: str = "model",
-    thresholds=DEFAULT_NB_THRESHOLDS,
-    bins: int = 10,
-) -> EvaluationReport:
-    """Build the full report for one model on one split.
+def evaluate(pred_set: PredictionSet, model_name: str = "model") -> EvaluationReport:
+    """Build the full report for one model on one split, with net benefit at
+    ``DEFAULT_NB_THRESHOLDS``.
 
     Hard-label models ranked by a signed proxy score in [-1,1] get their
     calibration block computed on the linear rescale (s+1)/2, flagged as such.
@@ -568,8 +530,8 @@ def evaluate(
         auroc=_auroc(ranking),
         average_precision=_average_precision(ranking),
         brier=brier(pred_set.labels, probs),
-        reliability=reliability_curve(pred_set.labels, probs, bins=bins),
-        net_benefit_curve=net_benefit(pred_set.labels, probs, thresholds),
+        reliability=reliability_curve(pred_set.labels, probs),
+        net_benefit_curve=net_benefit(pred_set.labels, probs, DEFAULT_NB_THRESHOLDS),
         roc=_roc_points(ranking),
         pr=_pr_points(ranking),
         calibration_on_rescaled_proxy=rescaled,
@@ -584,12 +546,8 @@ def compare(pred_a: PredictionSet, pred_b: PredictionSet, n_resamples: int = 200
         raise MetricError("prediction sets disagree on ground-truth labels")
     delong = delong_test(pred_a.labels, pred_a.scores, pred_b.scores)
     mcn = mcnemar(pred_a.labels, pred_a.hard_labels, pred_b.hard_labels)
-
-    def acc(ps):
-        return float(np.mean(ps.labels == ps.hard_labels))
-
-    boot_a = bootstrap_ci(acc, pred_a, n_resamples=n_resamples, seed=seed)
-    boot_b = bootstrap_ci(acc, pred_b, n_resamples=n_resamples, seed=seed)
+    boot_a = bootstrap_ci(pred_a, n_resamples, seed)
+    boot_b = bootstrap_ci(pred_b, n_resamples, seed)
     winners = {
         "auroc": "a" if delong["auc_a"] > delong["auc_b"] else "b" if delong["auc_b"] > delong["auc_a"] else "tie",
         "accuracy": "a" if boot_a["point"] > boot_b["point"] else "b" if boot_b["point"] > boot_a["point"] else "tie",

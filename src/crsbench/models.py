@@ -58,10 +58,6 @@ def clamp_count() -> int:
     return _clamp_counter["count"]
 
 
-def reset_clamp_count() -> None:
-    _clamp_counter["count"] = 0
-
-
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
     """``p`` clipped to [EPS, 1 - EPS]; ``p`` itself when nothing is outside."""
     p = np.asarray(p, dtype=float)
@@ -104,24 +100,20 @@ def _focal_terms(p, y, gamma: float, alpha: float):
     return y * pos + (1.0 - y) * neg
 
 
-def focal_loss(p: float | np.ndarray, y: int | np.ndarray, gamma: float, alpha: float):
-    """Focal loss terms: -a(1-p)^g log p for y=1, -(1-a)p^g log(1-p) for y=0."""
-    out = _focal_terms(_clamp_probs(p), np.asarray(y, dtype=float), gamma, alpha)
-    return float(out) if out.ndim == 0 else out
+def loss_values(p, y, loss: LossConfig, class_weights: tuple[float, float]):
+    """Per-sample loss on clamped probabilities; a float for a scalar ``p`` and ``y``.
 
-
-def weighted_ce(p, y, class_weights: tuple[float, float]):
+    Focal: -a(1-p)^g log p for y=1, -(1-a)p^g log(1-p) for y=0. Weighted:
+    cross-entropy times ``class_weights[y]``.
+    """
     p = _clamp_probs(p)
     y = np.asarray(y, dtype=float)
-    w = np.where(y == 1, class_weights[1], class_weights[0])
-    out = -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(out) if out.ndim == 0 else out
-
-
-def loss_values(p, y, loss: LossConfig, class_weights: tuple[float, float]):
     if loss.kind == "focal":
-        return focal_loss(p, y, loss.gamma, loss.alpha)
-    return weighted_ce(p, y, class_weights)
+        out = _focal_terms(p, y, loss.gamma, loss.alpha)
+    else:
+        w = np.where(y == 1, class_weights[1], class_weights[0])
+        out = -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    return float(out) if out.ndim == 0 else out
 
 
 def inverse_prevalence_weights(y: np.ndarray, power: float = 1.0) -> tuple[float, float]:
@@ -267,17 +259,19 @@ def train_logreg(
     )
 
 
-def train_gnb(
-    X, y, feature_names, var_smoothing: float = 1e-9, schema: Schema | None = None
-) -> TrainedModel:
-    """Gaussian naive Bayes: per-class means/variances plus priors."""
+GNB_VAR_SMOOTHING = 1e-9
+
+
+def train_gnb(X, y, feature_names, schema: Schema | None = None) -> TrainedModel:
+    """Gaussian naive Bayes: per-class means/variances, floored at
+    ``GNB_VAR_SMOOTHING``, plus priors."""
     schema = schema or load_schema()
     X, y = _check_training_inputs(X, y, feature_names, schema)
     means, variances, priors = [], [], []
     for cls in (0, 1):
         Xc = X[y == cls]
         means.append(Xc.mean(axis=0))
-        variances.append(np.maximum(Xc.var(axis=0), var_smoothing))
+        variances.append(np.maximum(Xc.var(axis=0), GNB_VAR_SMOOTHING))
         priors.append(len(Xc) / len(X))
     return TrainedModel(
         kind="gnb",
@@ -288,7 +282,7 @@ def train_gnb(
             "priors": np.array(priors),
         },
         schema_checksum=schema.checksum,
-        metadata={"var_smoothing": var_smoothing},
+        metadata={"var_smoothing": GNB_VAR_SMOOTHING},
     )
 
 
@@ -589,8 +583,8 @@ _PARAM_NAMES = {"logreg": {"w", "b"}, "gnb": {"means", "variances", "priors"},
 def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
     """Load a model container.
 
-    A document that is not a model container, and a schema checksum mismatch,
-    are a ``ModelError``.
+    A document that is not a model container, a parameter value that is not a
+    finite number, and a schema checksum mismatch are a ``ModelError``.
     """
     schema = schema or load_schema()
     doc = load_json(Path(path).read_bytes(), ModelError, path)
@@ -609,10 +603,11 @@ def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
             f"{str(checksum)[:12]} != {schema.checksum[:12]}"
         )
     try:
-        params = {
-            k: np.array(v["data"], dtype=float).reshape(v["shape"])
-            for k, v in doc["params"].items()
-        }
+        params = {k: np.array(v["data"]).reshape(v["shape"]) for k, v in doc["params"].items()}
+        for k, values in params.items():  # the dtype first: a float dtype would parse "0.1"
+            if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                raise ValueError(f"parameter {k!r} must hold finite numbers only")
+        params = {k: values.astype(float, copy=False) for k, values in params.items()}
         loss = LossConfig(**doc["loss_config"]) if doc["loss_config"] else None
         model = TrainedModel(
             kind=kind,

@@ -61,13 +61,12 @@ def load_corpus(path: str | Path | None = None) -> list[Passage]:
 
 
 class Bm25Index:
-    """Okapi BM25 inverted index; immutable after build."""
+    """Okapi BM25 inverted index with k1 = ``K1_DEFAULT`` and b = ``B_DEFAULT``;
+    immutable after build."""
 
-    def __init__(self, passages: list[Passage], k1: float = K1_DEFAULT, b: float = B_DEFAULT):
+    def __init__(self, passages: list[Passage]):
         if not passages:
             raise RagError("cannot index an empty corpus")
-        self.k1 = k1
-        self.b = b
         self.passages = {p.passage_id: p for p in passages}
         if len(self.passages) != len(passages):
             raise RagError("duplicate passage_id in corpus")
@@ -91,13 +90,13 @@ class Bm25Index:
         """Okapi BM25 score; terms absent from the corpus contribute 0."""
         if passage_id not in self.passages:
             raise RagError(f"passage not in index: {passage_id}")
-        length_norm = 1.0 - self.b + self.b * self.doc_lengths[passage_id] / self.avg_doc_length
+        length_norm = 1.0 - B_DEFAULT + B_DEFAULT * self.doc_lengths[passage_id] / self.avg_doc_length
         total = 0.0
         for term in query_terms:
             tf = self.postings.get(term, {}).get(passage_id, 0)
             if tf == 0:
                 continue
-            total += self.idf(term) * tf * (self.k1 + 1.0) / (tf + self.k1 * length_norm)
+            total += self.idf(term) * tf * (K1_DEFAULT + 1.0) / (tf + K1_DEFAULT * length_norm)
         return total
 
     def retrieve(self, query_text: str, k: int = 5) -> tuple[list[Passage], bool]:

@@ -62,23 +62,34 @@ class Schema:
         return [c.name for c in self.columns if c.required]
 
 
+def _check(ok: bool, defect: str) -> None:
+    if not ok:
+        raise SchemaError(f"schema file: {defect}")
+
+
 def _parse_schema(raw: bytes) -> Schema:
+    """The schema in ``raw``; a document of the wrong shape is a ``SchemaError``."""
     doc = load_json(raw, SchemaError, "the schema file")
+    _check(isinstance(doc, dict), "must be a JSON object")
     try:
-        columns = tuple(
-            ColumnSpec(
-                name=c["name"],
-                kind=c["kind"],
-                required=bool(c["required"]),
-                min=c.get("min"),
-                max=c.get("max"),
-            )
-            for c in doc["columns"]
-        )
+        _check(isinstance(doc["columns"], list) and all(isinstance(c, dict) for c in doc["columns"]),
+               "columns must be a list of objects")
+        columns = tuple(ColumnSpec(c["name"], c["kind"], c["required"], c.get("min"), c.get("max"))
+                        for c in doc["columns"])
+        for c in columns:
+            _check(isinstance(c.name, str) and isinstance(c.required, bool)
+                   and all(v is None or type(v) is int for v in (c.min, c.max)),
+                   f"column {c.name!r} needs a string name, a boolean required and integer min/max")
+        _check(isinstance(doc["encodings"], dict) and all(
+            isinstance(codes, dict) and all(type(v) is int for v in codes.values())
+            for codes in doc["encodings"].values()), "encodings must be objects of integer codes")
+        for key in ("feature_order", "continuous", "blocklist"):
+            _check(isinstance(doc[key], list) and all(isinstance(v, str) for v in doc[key]),
+                   f"{key} must be a list of strings")
         schema = Schema(
             version=doc["version"],
             columns=columns,
-            encodings={k: dict(v) for k, v in doc["encodings"].items()},
+            encodings=doc["encodings"],
             feature_order=tuple(doc["feature_order"]),
             continuous=tuple(doc["continuous"]),
             blocklist=tuple(doc["blocklist"]),
@@ -86,13 +97,15 @@ def _parse_schema(raw: bytes) -> Schema:
         )
     except KeyError as exc:
         raise SchemaError(f"schema file missing key: {exc}") from None
-    names = {c.name for c in schema.columns}
+    kinds = {c.name: c.kind for c in columns}
     for feat in schema.feature_order:
-        if feat not in names:
-            raise SchemaError(f"feature_order names unknown column: {feat}")
-    for enum_col in schema.encodings:
-        if enum_col not in names:
-            raise SchemaError(f"encodings names unknown column: {enum_col}")
+        _check(kinds.get(feat, "id") != "id", f"feature_order names {feat}, not a feature column")
+    for name in schema.encodings:
+        _check(name in kinds, f"encodings names unknown column: {name}")
+    for name, kind in kinds.items():
+        _check(kind != "enum" or name in schema.encodings, f"enum column {name} has no encodings")
+    for name in schema.continuous:
+        _check(kinds.get(name) in ("int", "bool"), f"continuous names {name}, not an int or bool column")
     return schema
 
 

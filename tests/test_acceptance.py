@@ -222,7 +222,7 @@ def test_criterion_05_calibration_simulation():
     p = rng.uniform(size=n)
     y = (rng.uniform(size=n) < p).astype(int)
     worst_gap = 0.0
-    for b in reliability_curve(y, p, bins=10):
+    for b in reliability_curve(y, p):
         if b.count:
             gap = abs(b.mean_prob - b.empirical_rate)
             worst_gap = max(worst_gap, gap)

@@ -264,6 +264,13 @@ def _truncate_first_param(doc):
     return doc
 
 
+def _bias_of(value):
+    def change(doc):
+        doc["params"]["b"]["data"] = [value]
+        return doc
+    return change
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -280,6 +287,10 @@ def _truncate_first_param(doc):
             lambda doc: {**doc, "params": {**doc["params"], "w": {"shape": [3], "data": [0.0] * 3}}},
             id="w-shorter-than-features",
         ),
+        pytest.param(_bias_of(float("nan")), id="nan-parameter"),
+        pytest.param(_bias_of(float("-inf")), id="infinite-parameter"),
+        pytest.param(_bias_of("0.1"), id="string-parameter"),
+        pytest.param(_bias_of(True), id="boolean-parameter"),
     ],
 )
 def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change, capsys):
@@ -620,6 +631,16 @@ def test_unknown_decoding_key_is_validation_error(tmp_path, cohort_csv, capsys):
                                "decoding": {"temprature": 0.3}}))
     line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
     assert "temprature" in line
+
+
+def test_genai_rag_k_zero_fails_before_the_audit_log_is_opened(tmp_path, cohort_csv, capsys):
+    store, log = tmp_path / "store", tmp_path / "a.jsonl"
+    store.mkdir()
+    proc = _main_in_process(capsys, "genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                            "--model-id", "m", "--rag", "--rag-k", "0", "--audit-log", str(log),
+                            "--out", str(tmp_path / "p.json"))
+    assert _one_error_line(proc, EXIT_VALIDATION) == "error: --rag-k must be an integer >= 1, got 0"
+    assert sorted(os.listdir(tmp_path)) == ["cohort.csv", "store"]
 
 
 def test_genai_k_zero_is_validation_error(tmp_path, cohort_csv, capsys):
@@ -1036,6 +1057,7 @@ def gnb_model(tmp_path, cohort_csv):
         pytest.param(["genai", "--model-id", "m", "--top-p", "1.5"], "--top-p", id="top-p-above-one"),
         pytest.param(["importance", "--repeats", "0"], "--repeats", id="repeats-zero"),
         pytest.param(["importance", "--repeats", "-1"], "--repeats", id="repeats-negative"),
+        pytest.param(["synth", "--n", "0", "--seed", "1"], "--n", id="synth-n-zero"),
     ],
 )
 def test_bad_flag_values_fail_before_anything_is_written(tmp_path, cohort_csv, gnb_model, capsys,
@@ -1292,3 +1314,82 @@ def test_fuzzed_run_config_exits_with_a_documented_code(fuzz_inputs, capsys, dat
         os.chdir(cwd)
     assert proc.returncode in (EXIT_OK, EXIT_VALIDATION, EXIT_LEAKAGE, EXIT_REPLAY_MISS, EXIT_NUMERIC)
     assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+
+
+# -- the schema boundary --------------------------------------------------------
+
+_SCHEMA = json.loads(resources.files("crsbench.data").joinpath("schema.json").read_bytes())
+
+
+def _schema_argvs(tmp_path, cohort_csv, doc) -> list[list[str]]:
+    """synth and preprocess (parse, split, scale, encode) under the schema ``doc``."""
+    path = _write(tmp_path / "schema.json", json.dumps(doc).encode())
+    return [["synth", "--n", "40", "--seed", "1", "--force", "--out", str(tmp_path / "s.csv"),
+             "--schema", path],
+            ["preprocess", "--cohort", str(cohort_csv), "--out-dir", str(tmp_path / "prep"),
+             "--schema", path]]
+
+
+def _changed_schema(change):
+    doc = json.loads(json.dumps(_SCHEMA))
+    changed = change(doc)
+    return doc if changed is None else changed
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda doc: [], id="a-list"),
+        pytest.param(lambda doc: doc.update(columns=[1]), id="column-a-number"),
+        pytest.param(lambda doc: doc.update(encodings={"A": 1}), id="encoding-a-number"),
+        pytest.param(lambda doc: doc["encodings"].update(SEX={"Female": "0", "Male": "1"}),
+                     id="string-codes"),
+        pytest.param(lambda doc: doc["columns"][1].update(min="x"), id="string-min"),
+        pytest.param(lambda doc: doc["continuous"].append("SEX"), id="enum-column-continuous"),
+        pytest.param(lambda doc: doc.update(blocklist=[1]), id="number-in-blocklist"),
+        pytest.param(lambda doc: doc["columns"][3].update(required="no"), id="string-required"),
+        pytest.param(lambda doc: doc["columns"][2].update(name="FOO"), id="column-without-field"),
+    ],
+)
+def test_schema_of_the_wrong_shape_is_a_validation_error(tmp_path, cohort_csv, capsys, change):
+    for argv in _schema_argvs(tmp_path, cohort_csv, _changed_schema(change)):
+        line = _one_error_line(_main_in_process(capsys, *argv), EXIT_VALIDATION)
+        assert line.startswith("error: ") and "schema" in line, line
+
+
+def _paths(node, at=()):
+    """The path of ``node`` and of every value inside it."""
+    yield at
+    inner = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in inner:
+        yield from _paths(value, (*at, key))
+
+
+@st.composite
+def _mutated_schema(draw):
+    """The packaged schema with one value, nested ones included, dropped or
+    replaced by an arbitrary JSON value or a word the schema uses."""
+    doc = json.loads(json.dumps(_SCHEMA))
+    where = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(_JSON | st.sampled_from(["SEX", "Age", "PATIENT_ID", "SNOT22_6MO_TOTAL", "id", "enum"]))
+    if not where:
+        return value
+    *outer, last = where
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=_mutated_schema())
+def test_mutated_schema_exits_with_a_documented_code(tmp_path, cohort_csv, capsys, doc):
+    for argv in _schema_argvs(tmp_path, cohort_csv, doc):
+        proc = _main_in_process(capsys, *argv)
+        assert proc.returncode in (EXIT_OK, EXIT_VALIDATION, EXIT_LEAKAGE)
+        assert len(proc.stderr.splitlines()) <= 1, proc.stderr

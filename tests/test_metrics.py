@@ -23,9 +23,7 @@ from crsbench.metrics import (
     mcnemar,
     net_benefit,
     permutation_importance,
-    pr_points,
     reliability_curve,
-    roc_points,
     threshold_metrics,
     write_curve_csvs,
     write_report_json,
@@ -144,31 +142,43 @@ def test_auroc_complement_symmetry(pairs):
     assert auroc(1 - labels, scores) == pytest.approx(1.0 - auroc(labels, scores), abs=1e-12)
 
 
+def _both_classes(labels):
+    labels[:2] = [0, 1]
+    return labels
+
+
 def _curve_instances(rng):
+    """Instances ``evaluate`` accepts: both classes, probabilities or signed proxy scores."""
     for _ in range(100):
         yield _random_instance(rng, tie_prone=bool(rng.integers(0, 2)))
-    for n in (1, 2, 7, 40):
-        yield rng.integers(0, 2, size=n), np.full(n, 0.25)  # all tied, maybe one class
+    for n in (2, 7, 40):
+        yield _both_classes(rng.integers(0, 2, size=n)), np.full(n, 0.25)  # all tied
     for _ in range(20):
         n = int(rng.integers(2, 60))
-        yield rng.integers(0, 2, size=n), rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf], size=n)
+        yield _both_classes(rng.integers(0, 2, size=n)), rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=n)
+
+
+def _evaluated(labels, scores):
+    ids = tuple(f"c{i}" for i in range(len(labels)))
+    return evaluate(PredictionSet(ids, labels, scores, (scores >= 0.5).astype(int)))
 
 
 def test_roc_and_pr_points_match_per_threshold_oracle(rng):
     for labels, scores in _curve_instances(rng):
-        # json.dumps also tells 0.0 from -0.0 and keeps inf thresholds comparable
-        assert json.dumps(roc_points(labels, scores)) == json.dumps(roc_points_per_threshold(labels, scores))
-        assert json.dumps(pr_points(labels, scores)) == json.dumps(pr_points_per_threshold(labels, scores))
+        report = _evaluated(labels, scores)
+        # json.dumps also tells 0.0 from -0.0 and keeps the inf threshold comparable
+        assert json.dumps(report.roc) == json.dumps(roc_points_per_threshold(labels, scores))
+        assert json.dumps(report.pr) == json.dumps(pr_points_per_threshold(labels, scores))
 
 
 def test_ranking_on_empty_input():
-    assert roc_points([], []) == [{"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}]
-    assert pr_points([], []) == []
+    with pytest.raises(MetricError, match="empty"):
+        _evaluated(np.array([], dtype=int), np.array([]))
 
 
 def test_nan_score_raises_instead_of_hanging():
     with time_bound(5.0):
-        for fn in (auroc, average_precision, roc_points, pr_points):
+        for fn in (auroc, average_precision):
             with pytest.raises(MetricError):
                 fn([0, 1, 1], [0.1, float("nan"), 0.3])
         with pytest.raises(MetricError):
@@ -179,8 +189,8 @@ def test_ranking_rejects_labels_outside_zero_one():
     with pytest.raises(MetricError):
         auroc([0, 2, 1], [0.1, 0.2, 0.3])
     with pytest.raises(MetricError):
-        roc_points([0, 1], [0.1, 0.2, 0.3])
-    for fn in (auroc, average_precision, roc_points, pr_points):
+        average_precision([0, 1], [0.1, 0.2, 0.3])
+    for fn in (auroc, average_precision):
         with pytest.raises(MetricError):
             fn([0, 0.5, 1], [0.1, 0.2, 0.3])
     with pytest.raises(MetricError):
@@ -217,8 +227,6 @@ def test_metrics_return_or_raise_metric_error_on_arbitrary_floats(rows):
     calls = [
         lambda: auroc(labels, scores_a),
         lambda: average_precision(labels, scores_a),
-        lambda: roc_points(labels, scores_a),
-        lambda: pr_points(labels, scores_a),
         lambda: delong_test(labels, scores_a, scores_b),
         lambda: evaluate(PredictionSet(ids, labels, scores_a, hard)),
         lambda: compare(
@@ -247,7 +255,7 @@ def test_brier_basics():
 
 
 def test_reliability_curve_emits_empty_bins():
-    bins = reliability_curve([1, 0], [0.95, 0.96], bins=10)
+    bins = reliability_curve([1, 0], [0.95, 0.96])
     assert len(bins) == 10
     assert bins[0].count == 0 and bins[0].mean_prob is None
     assert bins[9].count == 2
@@ -256,7 +264,7 @@ def test_reliability_curve_emits_empty_bins():
 
 
 def test_reliability_curve_top_edge_goes_to_last_bin():
-    bins = reliability_curve([1], [1.0], bins=10)
+    bins = reliability_curve([1], [1.0])
     assert bins[9].count == 1
 
 
@@ -388,41 +396,47 @@ def _pred_set(rng, n=105, prevalence=0.8):
     return PredictionSet(tuple(f"c{i}" for i in range(n)), labels, scores, hard)
 
 
+def _guessed(ps, rng):
+    """``ps`` with random hard labels, so its accuracy varies across resamples."""
+    return PredictionSet(ps.case_ids, ps.labels, ps.scores, rng.integers(0, 2, size=len(ps.labels)))
+
+
 def test_bootstrap_ci_brackets_point(rng):
-    ps = _pred_set(rng)
-    res = bootstrap_ci(lambda s: auroc(s.labels, s.scores), ps, n_resamples=500, seed=1)
-    assert res["lo95"] <= res["point"] <= res["hi95"]
+    ps = _guessed(_pred_set(rng), rng)
+    res = bootstrap_ci(ps, n_resamples=500, seed=1)
+    assert res["point"] == float(np.mean(ps.labels == ps.hard_labels))
+    assert res["lo95"] < res["point"] < res["hi95"]
     assert res["hi95"] - res["lo95"] < 0.5
 
 
 def test_bootstrap_is_deterministic_per_seed(rng):
     ps = _pred_set(rng)
-    metric = lambda s: float(np.mean(s.labels == s.hard_labels))
-    a = bootstrap_ci(metric, ps, n_resamples=200, seed=5)
-    b = bootstrap_ci(metric, ps, n_resamples=200, seed=5)
+    a = bootstrap_ci(ps, n_resamples=200, seed=5)
+    b = bootstrap_ci(ps, n_resamples=200, seed=5)
     assert a == b
 
 
 def test_bootstrap_budget_floor(rng):
     with pytest.raises(MetricError):
-        bootstrap_ci(lambda s: 0.0, _pred_set(rng), n_resamples=50)
+        bootstrap_ci(_pred_set(rng), n_resamples=50, seed=0)
 
 
 def test_bootstrap_redraws_on_class_loss():
     # 2 cases, one per class: about half of all resamples lose a class and
     # must be redrawn; every kept resample still has both classes
     ps = PredictionSet(("a", "b"), np.array([0, 1]), np.array([0.1, 0.9]), np.array([0, 1]))
-    res = bootstrap_ci(lambda s: auroc(s.labels, s.scores), ps, n_resamples=200, seed=0)
+    res = bootstrap_ci(ps, n_resamples=200, seed=0)
     assert res["redraws"] > 0
     assert res["point"] == 1.0
     assert res["lo95"] == res["hi95"] == 1.0
 
 
 def test_bootstrap_matches_sequential_draws(rng):
-    metric = lambda s: float(np.mean(s.labels == s.hard_labels)) + auroc(s.labels, s.scores)
+    metric = lambda s: float(np.mean(s.labels == s.hard_labels))
     for n, prevalence in ((2, 0.5), (7, 0.5), (30, 0.95), (105, 0.8)):
-        ps = _pred_set(rng, n=n, prevalence=prevalence)
-        res = bootstrap_ci(metric, ps, n_resamples=300, seed=n)
+        ps = _guessed(_pred_set(rng, n=n, prevalence=prevalence), rng)
+        res = bootstrap_ci(ps, n_resamples=300, seed=n)
+        assert res["point"] == metric(ps)
         values, redraws = sequential_bootstrap_values(
             metric, ps.labels, ps.scores, ps.hard_labels, 300, seed=n
         )
@@ -431,23 +445,10 @@ def test_bootstrap_matches_sequential_draws(rng):
         assert res["hi95"] == float(np.percentile(values, 97.5))
 
 
-def test_bootstrap_resample_carries_every_field():
-    ps = PredictionSet(("a", "b"), np.array([0, 1]), np.array([0.1, 0.9]), np.array([0, 1]))
-    seen = []
-
-    def metric(s):
-        seen.append([(c, lab, sc, h) for c, lab, sc, h in zip(s.case_ids, s.labels, s.scores, s.hard_labels)])
-        return 0.0
-
-    bootstrap_ci(metric, ps, n_resamples=100)
-    assert len(seen) == 101
-    assert all(sorted(rows) == [("a", 0, 0.1, 0), ("b", 1, 0.9, 1)] for rows in seen)
-
-
 def test_bootstrap_single_class_hits_redraw_cap():
     ps = PredictionSet(("a", "b"), np.array([1, 1]), np.array([0.1, 0.9]), np.array([0, 1]))
     with pytest.raises(MetricError, match="redraw cap"):
-        bootstrap_ci(lambda s: 0.0, ps, n_resamples=100)
+        bootstrap_ci(ps, n_resamples=100, seed=0)
 
 
 # --- permutation importance -----------------------------------------------------
@@ -488,8 +489,8 @@ def test_evaluate_probability_scores(rng):
     assert doc["confusion_matrix"]["rows"] == report.cm.as_rows()
     assert report.auroc == auroc(ps.labels, ps.scores)
     assert report.average_precision == average_precision(ps.labels, ps.scores)
-    assert report.roc == roc_points(ps.labels, ps.scores)
-    assert report.pr == pr_points(ps.labels, ps.scores)
+    assert json.dumps(report.roc) == json.dumps(roc_points_per_threshold(ps.labels, ps.scores))
+    assert json.dumps(report.pr) == json.dumps(pr_points_per_threshold(ps.labels, ps.scores))
 
 
 def test_evaluate_rescales_signed_proxy_scores():

@@ -14,6 +14,7 @@ from conftest import peak_traced_bytes
 from crsbench.cohort import LeakageError
 from crsbench.models import (
     FORWARD_BLOCK_ROWS,
+    GNB_VAR_SMOOTHING,
     LOGREG_MAX_ITERATIONS,
     SAVE_CHUNK_VALUES,
     DivergenceError,
@@ -24,7 +25,6 @@ from crsbench.models import (
     TrainedModel,
     _newton_step,
     clamp_count,
-    focal_loss,
     init_mlp_params,
     inverse_prevalence_weights,
     load_model,
@@ -33,13 +33,11 @@ from crsbench.models import (
     mlp_loss_and_grads,
     predict_hard,
     predict_proba,
-    reset_clamp_count,
     save_model,
     sigmoid,
     train_gnb,
     train_logreg,
     train_mlp,
-    weighted_ce,
 )
 from oracles import (
     ReferenceDivergence,
@@ -76,33 +74,35 @@ def test_sigmoid_stability():
     assert p[4] == 1.0 or p[4] > 1 - 1e-12
 
 
+FOCAL = LossConfig("focal", gamma=2.0, alpha=0.25)
+
+
 def test_focal_reduces_to_weighted_ce_at_gamma_zero():
     rng = np.random.default_rng(0)
     p = rng.uniform(0.01, 0.99, size=200)
     y = rng.integers(0, 2, size=200)
     alpha = 0.25
-    focal = focal_loss(p, y, gamma=0.0, alpha=alpha)
-    ce = weighted_ce(p, y, class_weights=(1.0 - alpha, alpha))
+    focal = loss_values(p, y, LossConfig("focal", gamma=0.0, alpha=alpha), (1.0, 1.0))
+    ce = loss_values(p, y, LossConfig("weighted"), (1.0 - alpha, alpha))
     np.testing.assert_allclose(focal, ce, rtol=0, atol=1e-12)
 
 
 def test_focal_down_weights_easy_examples():
     # a well-classified positive contributes far less under gamma=2
-    easy = focal_loss(0.95, 1, gamma=2.0, alpha=0.25)
-    hard = focal_loss(0.40, 1, gamma=2.0, alpha=0.25)
+    easy = loss_values(0.95, 1, FOCAL, (1.0, 1.0))
+    hard = loss_values(0.40, 1, FOCAL, (1.0, 1.0))
     plain_ratio = -np.log(0.40) / -np.log(0.95)
     assert hard / easy > plain_ratio
 
 
 def test_clamp_counter_tracks_out_of_range_probabilities():
-    reset_clamp_count()
-    focal_loss(np.array([0.5, 0.5]), np.array([1, 0]), gamma=2.0, alpha=0.25)
-    assert clamp_count() == 0
-    focal_loss(np.array([0.0, 1.0, 0.5]), np.array([1, 0, 1]), gamma=2.0, alpha=0.25)
-    assert clamp_count() == 2
-    assert json.loads(json.dumps(clamp_count())) == 2  # a plain int, as trace records need
-    reset_clamp_count()
-    assert clamp_count() == 0
+    for loss in (LossConfig("weighted"), FOCAL):
+        before = clamp_count()
+        loss_values(np.array([0.5, 0.5]), np.array([1, 0]), loss, (1.0, 1.0))
+        assert clamp_count() == before
+        loss_values(np.array([0.0, 1.0, 0.5]), np.array([1, 0, 1]), loss, (1.0, 1.0))
+        assert clamp_count() - before == 2, loss.kind
+    assert json.loads(json.dumps(clamp_count())) == clamp_count()  # a plain int, as trace records need
 
 
 @pytest.mark.parametrize("kind,gamma,alpha", [("weighted", 0.0, 0.5), ("focal", 2.0, 0.25),
@@ -221,8 +221,9 @@ def test_gnb_matches_closed_form(schema):
 def test_gnb_variance_floor(schema):
     X, y = _blobs(60, seed=2)
     X[:, 3] = 1.0  # constant column
-    model = train_gnb(X, y, FEATURES_4, var_smoothing=1e-6, schema=schema)
-    assert np.all(model.params["variances"][:, 3] == 1e-6)
+    model = train_gnb(X, y, FEATURES_4, schema=schema)
+    assert np.all(model.params["variances"][:, 3] == GNB_VAR_SMOOTHING)
+    assert model.metadata == {"var_smoothing": GNB_VAR_SMOOTHING}
     assert np.all(np.isfinite(predict_proba(model, X)))
 
 
@@ -365,7 +366,7 @@ def test_load_rejects_parameter_shapes_that_disagree(tmp_path, schema, kind, par
     y=st.integers(0, 1),
 )
 def test_focal_loss_nonnegative_property(p, gamma, alpha, y):
-    value = focal_loss(p, y, gamma=gamma, alpha=alpha)
+    value = loss_values(p, y, LossConfig("focal", gamma=gamma, alpha=alpha), (1.0, 1.0))
     assert value >= 0.0
     assert np.isfinite(value)
 
@@ -594,11 +595,10 @@ def test_mlp_step_counts_each_clamped_probability_once():
     X = np.array([[100.0, 0.0], [50.0, 0.0], [0.0, 0.0]])
     y = np.array([1, 0, 1])
     for loss in (LossConfig("weighted"), LossConfig("focal")):
-        reset_clamp_count()
+        before = clamp_count()
         value, _ = mlp_loss_and_grads(params, X, y, loss, (0.5, 1.5))
         assert np.isfinite(value)
-        assert clamp_count() == 2, loss.kind
-    reset_clamp_count()
+        assert clamp_count() - before == 2, loss.kind
 
 
 # Row counts around the forward pass's block edges (256 rows, a lone last row
@@ -707,8 +707,9 @@ def test_mlp_forward_memory_does_not_grow_with_rows():
     assert peak < 1.25 * block + X.shape[0] * 8  # one block live at a time, plus the output
 
 
-# Values a saved parameter must keep exactly: signed zeros, subnormals and the
-# non-finite values json.dumps writes as NaN / Infinity / -Infinity.
+# Values save_model writes as json.dumps does: signed zeros and subnormals,
+# which a loaded parameter keeps exactly, and the non-finite values written
+# as NaN / Infinity / -Infinity, which load_model rejects.
 _SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.225073858507201e-308, float("nan"),
                    float("inf"), -float("inf"), 1 / 3, -1e300)
 _CHUNK_EDGES = (0, 1, SAVE_CHUNK_VALUES - 1, SAVE_CHUNK_VALUES, SAVE_CHUNK_VALUES + 1,
@@ -716,13 +717,14 @@ _CHUNK_EDGES = (0, 1, SAVE_CHUNK_VALUES - 1, SAVE_CHUNK_VALUES, SAVE_CHUNK_VALUE
 
 
 @st.composite
-def _param_arrays(draw, size=None):
+def _param_arrays(draw, size=None, finite=False):
     """A float array whose values come from a small pool that mixes drawn
-    floats with the special ones."""
+    floats with the special ones, only finite ones when ``finite``."""
     if size is None:
         size = draw(st.sampled_from(_CHUNK_EDGES) | st.integers(0, 3 * SAVE_CHUNK_VALUES))
-    pool = draw(st.lists(st.floats(width=64) | st.sampled_from(_SPECIAL_FLOATS), min_size=1,
-                         max_size=12))
+    specials = [v for v in _SPECIAL_FLOATS if np.isfinite(v) or not finite]
+    floats = st.floats(width=64, allow_nan=not finite, allow_infinity=not finite)
+    pool = draw(st.lists(floats | st.sampled_from(specials), min_size=1, max_size=12))
     seed = draw(st.integers(0, 2**32 - 1))
     data = np.random.default_rng(seed).choice(np.array(pool), size=size)
     cols = draw(st.sampled_from([c for c in (1, 2, 3, 7) if size % c == 0]))
@@ -761,7 +763,7 @@ def test_save_model_writes_json_dumps_of_the_whole_document(
 @given(data=st.data(), d=st.integers(1, 5), h=st.integers(1, 3 * SAVE_CHUNK_VALUES // 5))
 def test_saved_model_loads_back_with_every_value_and_sign(tmp_path_factory, data, d, h):
     shapes = {"W1": (d, h), "b1": (h,), "W2": (h, 1), "b2": (1,)}
-    params = {k: data.draw(_param_arrays(size=int(np.prod(s)))).reshape(s)
+    params = {k: data.draw(_param_arrays(size=int(np.prod(s)), finite=True)).reshape(s)
               for k, s in shapes.items()}
     metadata = data.draw(_metadata)
     model = TrainedModel(kind="mlp", feature_names=tuple(f"f{i}" for i in range(d)),
@@ -772,10 +774,15 @@ def test_saved_model_loads_back_with_every_value_and_sign(tmp_path_factory, data
     for key, value in params.items():
         got = loaded.params[key]
         assert got.shape == value.shape
-        np.testing.assert_array_equal(got, value)  # NaN matches NaN
-        signed = ~np.isnan(value)  # JSON's NaN carries no sign
-        np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(value[signed]))
+        np.testing.assert_array_equal(got, value)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(value))
     assert json.dumps(loaded.metadata) == json.dumps(metadata)
+    key = data.draw(st.sampled_from(sorted(params)))
+    params[key].flat[data.draw(st.integers(0, params[key].size - 1))] = data.draw(
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    save_model(model, path)
+    with pytest.raises(ModelError, match=f"{key}' must hold finite numbers"):
+        load_model(path)
 
 
 def test_unserializable_model_leaves_no_file(tmp_path):
