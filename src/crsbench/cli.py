@@ -599,8 +599,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
             chain = rule_chain(test.columns)
             scores, hard = chain.proxy_scores(), chain.label
             with replacing(out_dir / "heuristic_traces.jsonl") as fh:
-                for case_id, p in zip(case_ids, chain.predictions()):
-                    fh.write(json.dumps({"case_id": case_id, **p.to_dict()}) + "\n")
+                fh.writelines(chain.trace_lines(case_ids))
         else:  # replay:<id>
             identity = ModelIdentity(cfg.replay["vendor"], name, cfg.replay["access_date"])
             scores, hard = _replay_trials(

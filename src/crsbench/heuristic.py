@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsondoc import json_floats, json_string
 from .vocab import CONFIDENCE_VALUE, Confidence
 
 # Threshold on the adjusted improvement for a positive recommendation.
@@ -105,6 +106,31 @@ class RuleChain:
         ):
             trace = tuple((name, m) for name, m, on in zip(FACTORS, mults, applied) if on)
             yield HeuristicPrediction(base, trace, delta, predicted, label, BANDS[band])
+
+    def trace_lines(self, case_ids):
+        """Each row's trace as a JSON line, in row order: the line of row i
+        has the bytes of ``json.dumps({"case_id": case_ids[i], **p.to_dict()})``
+        and a newline, where p is the row's ``HeuristicPrediction``, laid out
+        from the columns."""
+        names = [json_string(name) for name in FACTORS]
+        bands = [json_string(level._value_) for level in BANDS]
+        _, columns = np.nonzero(self.applied)  # row by row, each row's in FACTORS order
+        factors = [
+            f'{{"name": {names[j]}, "multiplier": {m}}}'
+            for j, m in zip(columns.tolist(), json_floats(self.multipliers[self.applied].tolist()))
+        ]
+        ends = np.cumsum(np.count_nonzero(self.applied, axis=1)).tolist()
+        start = 0
+        for case_id, end, base, delta, predicted, label, band in zip(
+            case_ids, ends, json_floats(self.base.tolist()), json_floats(self.delta.tolist()),
+            json_floats(self.predicted_6mo.tolist()), self.label.tolist(), self.band.tolist(),
+        ):
+            yield (
+                f'{{"case_id": {json_string(case_id)}, "base_improvement": {base}, '
+                f'"factors": [{", ".join(factors[start:end])}], "adjusted_improvement": {delta}, '
+                f'"predicted_6mo": {predicted}, "label": {label!r}, "confidence": {bands[band]}}}\n'
+            )
+            start = end
 
 
 def rule_chain(columns) -> RuleChain:

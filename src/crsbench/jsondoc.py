@@ -49,3 +49,27 @@ def replacing(path: str | Path):
 def write_json(path: str | Path, doc) -> None:
     with replacing(path) as fh:
         fh.write(json.dumps(doc, indent=1))
+
+
+# A str as ``json.dumps`` writes it: quoted, with every non-ASCII character escaped
+json_string = json.encoder.encode_basestring_ascii
+
+# The floats JSON has no literal for: their ``float.__repr__`` text, and the
+# names ``json`` writes for them instead.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_floats(values) -> list[str]:
+    """Each float of ``values`` as ``json.dumps`` writes it: by
+    ``float.__repr__``, with NaN and the infinities as ``NaN``, ``Infinity``
+    and ``-Infinity``."""
+    return [_NONFINITE.get(text, text) for text in map(float.__repr__, values)]
+
+
+def json_number(value) -> str:
+    """``value``, a number or None, as ``json.dumps`` writes it: a float as
+    ``json_floats`` writes it, anything else by ``json.dumps``."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    return json.dumps(value)

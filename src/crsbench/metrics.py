@@ -13,7 +13,6 @@ probabilities the paired tests need are closed forms over ``math``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -450,8 +449,8 @@ def _roc_points(r: _Ranking) -> list[dict]:
     n1 = int(np.sum(r.pos))
     n0 = len(r.order) - n1
     taken, tp = _descending_counts(r)
-    fpr = (taken - tp) / n0 if n0 else np.zeros(len(taken))
-    tpr = tp / n1 if n1 else np.zeros(len(taken))
+    fpr = (taken - tp) / n0
+    tpr = tp / n1
     points = [{"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}]
     points.extend(
         {"threshold": t, "fpr": f, "tpr": p}
@@ -464,10 +463,9 @@ def _pr_points(r: _Ranking) -> list[dict]:
     """P-R operating points at every distinct score threshold (descending)."""
     n1 = int(np.sum(r.pos))
     taken, tp = _descending_counts(r)
-    recall = tp / n1 if n1 else np.zeros(len(taken))
     return [
         {"threshold": t, "recall": rc, "precision": pr}
-        for t, rc, pr in zip(r.value[::-1].tolist(), recall.tolist(), (tp / taken).tolist())
+        for t, rc, pr in zip(r.value[::-1].tolist(), (tp / n1).tolist(), (tp / taken).tolist())
     ]
 
 
@@ -557,10 +555,11 @@ def compare(pred_a: PredictionSet, pred_b: PredictionSet, n_resamples: int = 200
 
 
 def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
-    """CSV curve files (ROC, P-R, reliability, net benefit) for plotting."""
+    """CSV curve files (ROC, P-R, reliability, net benefit) for plotting, with
+    the bytes ``csv.writer`` writes."""
     def dump(name, rows, headers):
         with replacing(Path(out_dir) / f"{report.model_name}_{name}.csv") as fh:
-            csv.writer(fh).writerows([headers, *rows])
+            fh.writelines(_csv_lines(headers, rows))
 
     dump("roc", [(r["threshold"], r["fpr"], r["tpr"]) for r in report.roc],
          ["threshold", "fpr", "tpr"])
@@ -577,6 +576,22 @@ def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
          for r in report.net_benefit_curve],
         ["threshold", "net_benefit", "treat_all", "treat_none"],
     )
+
+
+def _csv_field(value) -> str:
+    """A number or None as ``csv.writer`` writes it: a float (a subclass too)
+    by ``float.__repr__``, None as nothing, anything else by ``str``."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return "" if value is None else str(value)
+
+
+def _csv_lines(headers, rows):
+    """A header and rows of numbers as the lines ``csv.writer`` writes: fields
+    joined by commas, each line ended by ``\\r\\n``. No field needs quoting."""
+    yield ",".join(headers) + "\r\n"
+    for row in rows:
+        yield ",".join(map(_csv_field, row)) + "\r\n"
 
 
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 
 from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
-from .jsondoc import load_json, write_json
+from .jsondoc import json_number, json_string, load_json, write_json
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
 
@@ -30,9 +30,6 @@ logger = logging.getLogger(__name__)
 
 AUDIT_SCHEMA_VERSION = 1
 DEFAULT_K = 5
-
-# json.dumps(..., sort_keys=True) without building an encoder per call
-_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 TEMPERATURE_RANGE = (0.1, 0.5)
 TOP_P_RANGE = (0.7, 0.95)
@@ -335,11 +332,39 @@ class AuditLog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+        self._model = self._decoding = None  # the objects ``self._fixed`` encodes
+        self._fixed = ""
         if self._fh.tell() == 0:
             self._fh.write(json.dumps({"audit_schema_version": AUDIT_SCHEMA_VERSION}) + "\n")
 
     def append(self, transcript: TrialTranscript) -> None:
-        self._fh.write(_SORTED_JSON.encode(transcript.to_dict()) + "\n")
+        """Write ``transcript`` as one line, the bytes of
+        ``json.dumps(transcript.to_dict(), sort_keys=True)``, laid out member
+        by member. The ``decoding`` and ``model`` members are encoded again
+        only when the transcript holds other objects for them."""
+        t = transcript
+        if t.model is not self._model or t.decoding is not self._decoding:
+            doc = t.to_dict()
+            self._model, self._decoding = t.model, t.decoding
+            self._fixed = (f'"decoding": {json.dumps(doc["decoding"], sort_keys=True)}, '
+                           f'"model": {json.dumps(doc["model"], sort_keys=True)}')
+        a = t.aggregate
+        replicates = ", ".join([
+            f'{{"confidence": {"null" if p.confidence is None else json_string(p.confidence._value_)}, '
+            f'"parser_status": {json_string(p.parser_status._value_)}, '
+            f'"prediction": {"null" if p.prediction is None else repr(p.prediction)}, '
+            f'"raw_text": {json_string(raw)}}}'
+            for raw, p in t.replicates
+        ])
+        self._fh.write(
+            f'{{"aggregate": {{"final_label": {a.final_label!r}, '
+            f'"flag": {"null" if a.flag is None else json_string(a.flag)}, '
+            f'"mean_proxy": {json_number(a.mean_proxy)}, "n_valid": {a.n_valid!r}, '
+            f'"vote_counts": {{"0": {a.vote_counts[0]!r}, "1": {a.vote_counts[1]!r}}}}}, '
+            f'"case_id": {json_string(t.case_id)}, {self._fixed}, '
+            f'"prompt_hash": {json_string(t.prompt_hash)}, "replicates": [{replicates}], '
+            f'"timestamp": {json_number(t.timestamp)}}}\n'
+        )
 
     def close(self) -> None:
         self._fh.close()

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 import signal
 import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crsbench.cohort import PatientRecord
 from crsbench.schema import load_schema
@@ -34,6 +36,15 @@ BASE_RECORD = dict(
     income_bracket="<25k",
     race="White",
 )
+
+
+# Any text, lone surrogates, control characters, quotes and backslashes included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+# Any float, led by those whose text is easiest to get wrong: the signed
+# zeros, subnormals, a float past 2**53, NaN and the infinities.
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-7, math.nan, math.inf, -math.inf]
+) | st.floats()
 
 
 def peak_traced_bytes(fn) -> tuple[int, int]:

@@ -1,6 +1,9 @@
 import contextlib
+import csv
+import dataclasses
 import fcntl
 import gc
+import io
 import json
 import os
 import re
@@ -39,10 +42,16 @@ from crsbench.cohort import (
     serialize_cohort,
     stratified_split,
 )
+from crsbench.heuristic import predict_heuristic
+from crsbench.metrics import PredictionSet, evaluate
 from crsbench.protocol import (
+    DecodingParams,
+    ModelIdentity,
+    ReplayClient,
     build_prompt,
     case_blocks,
     load_prompt_template,
+    run_trial,
     serialize_case,
     store_replay_responses,
 )
@@ -50,7 +59,7 @@ from crsbench.rag import Bm25Index, load_corpus
 from crsbench.schema import load_schema
 from crsbench.synthetic import generate_synthetic, synthetic_table
 from conftest import time_bound
-from oracles import prepare_cohort_reference
+from oracles import prepare_cohort_reference, transcript_bytes
 
 
 @pytest.fixture
@@ -804,6 +813,54 @@ def test_genai_and_run_replay_write_identical_predictions(tmp_path, cohort_csv, 
         return docs
 
     assert untimed(genai_audit) == untimed(tmp_path / "run" / "audit.jsonl")
+
+
+def test_traces_curves_and_audit_lines_have_the_bytes_of_their_oracle_encodings(
+        tmp_path, cohort_csv, schema):
+    store = tmp_path / "store"
+    escaped = ['PREDICTION: 0\nCONFIDENCE: neutral\n"R\u00e9sum\u00e9" \\ \u2014 \ud83d\x07'] * 5
+    variants = [*REPLAY_VARIANTS, escaped]
+    for i, prompt_hash in enumerate(_test_split_prompt_hashes(cohort_csv, schema)):
+        store_replay_responses(store, prompt_hash, variants[i % len(variants)])
+    run_dir, genai_audit, cfg = tmp_path / "run", tmp_path / "genai_audit.jsonl", tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 0, "out_dir": str(run_dir), "cohort_csv": str(cohort_csv),
+                               "models": ["logreg", "heuristic", "replay:m"],
+                               "replay": {"store": str(store)}}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert main(["genai", "--replay-store", str(store), "--cohort", str(cohort_csv),
+                 "--model-id", "m", "--audit-log", str(genai_audit),
+                 "--out", str(tmp_path / "genai.json")]) == EXIT_OK
+    test = prepare_cohort_reference(cohort_csv, schema, 0.2, 0).test
+
+    traces = "".join(json.dumps({"case_id": r.patient_id, **predict_heuristic(r).to_dict()}) + "\n"
+                     for r in test)
+    assert (run_dir / "heuristic_traces.jsonl").read_bytes() == traces.encode()
+
+    def csv_bytes(rows):
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        return text.getvalue().encode()
+
+    for name in ("logreg", "heuristic", "m"):
+        doc = json.loads((run_dir / f"{name}_predictions.json").read_text())
+        report = evaluate(PredictionSet(tuple(doc["case_ids"]), np.array(doc["labels"]),
+                                        np.array(doc["scores"]), np.array(doc["hard_labels"])), name)
+        curves = {curve: [list(points[0]), *(point.values() for point in points)] for curve, points in (
+            ("roc", report.roc), ("pr", report.pr), ("net_benefit", report.net_benefit_curve))}
+        curves["reliability"] = [[field.name for field in dataclasses.fields(report.reliability[0])],
+                                 *map(dataclasses.astuple, report.reliability)]
+        for curve, rows in curves.items():
+            assert (run_dir / "reports" / "curves" / f"{name}_{curve}.csv").read_bytes() == csv_bytes(rows)
+
+    # the trials of both audit logs: vendor, access date and decoding at their defaults
+    client, identity = ReplayClient(store), ModelIdentity("replay", "m", "1970-01-01")
+    untimed = [transcript_bytes(run_trial(client, r.patient_id, serialize_case(r, schema), identity,
+                                          DecodingParams()), include_timestamp=False)
+               for r in test]
+    for audit in (run_dir / "audit.jsonl", genai_audit):
+        header, *lines = audit.read_bytes().split(b"\n")[:-1]
+        assert header == b'{"audit_schema_version": 1}'
+        assert [re.sub(rb', "timestamp": [^,]+}$', b"}", line) for line in lines] == untimed
 
 
 def test_preprocess_reads_ids_behind_a_byte_order_mark(tmp_path, cohort_csv):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import ANY_TEXT, EDGE_FLOATS, make_record
 from crsbench.cohort import CohortTable
 from crsbench.heuristic import (
     BANDS,
     BASE_RATE,
     DELTA_THRESHOLD,
     FACTORS,
+    RuleChain,
     confidence_bands,
     predict_heuristic,
     rule_chain,
@@ -203,6 +205,50 @@ def test_to_dict_round_trips_trace():
     assert doc["label"] in (0, 1)
     assert {"name": "smoker", "multiplier": 0.85} in doc["factors"]
     assert doc["confidence"] in {c.value for c in Confidence}
+
+
+def _trace_oracle(chain, case_ids) -> str:
+    return "".join(json.dumps({"case_id": case_id, **p.to_dict()}) + "\n"
+                   for case_id, p in zip(case_ids, chain.predictions()))
+
+
+@st.composite
+def _rule_chains(draw):
+    """Any rule chain of up to four rows, with arbitrary case ids."""
+    n, width = draw(st.integers(0, 4)), len(FACTORS)
+
+    def column(elements, size=n, dtype=float):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype)
+
+    chain = RuleChain(
+        base=column(EDGE_FLOATS),
+        multipliers=column(EDGE_FLOATS, n * width).reshape(n, width),
+        applied=column(st.booleans(), n * width, bool).reshape(n, width),
+        delta=column(EDGE_FLOATS),
+        predicted_6mo=column(EDGE_FLOATS),
+        label=column(st.integers(0, 1), dtype=np.int64),
+        band=column(st.integers(0, len(BANDS) - 1), dtype=np.int64),
+    )
+    return chain, draw(st.lists(ANY_TEXT, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_chains())
+def test_trace_lines_have_the_bytes_of_json_dumps(chain_and_ids):
+    chain, case_ids = chain_and_ids
+    assert "".join(chain.trace_lines(case_ids)) == _trace_oracle(chain, case_ids)
+
+
+def test_trace_lines_write_non_finite_floats_as_json_does():
+    chain = RuleChain(
+        base=np.array([math.nan]), multipliers=np.array([[math.inf] + [1.0] * (len(FACTORS) - 1)]),
+        applied=np.array([[True] + [False] * (len(FACTORS) - 1)]), delta=np.array([-math.inf]),
+        predicted_6mo=np.array([0.0]), label=np.array([0]), band=np.array([0]),
+    )
+    line, = chain.trace_lines(["c"])
+    assert line == _trace_oracle(chain, ["c"])
+    assert '"base_improvement": NaN' in line and '"multiplier": Infinity' in line
+    assert '"adjusted_improvement": -Infinity' in line
 
 
 def test_label_threshold_constants():

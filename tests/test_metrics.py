@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import errno
+import io
 import json
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crsbench import metrics
+from crsbench.jsondoc import replacing
 from crsbench.metrics import (
     ConfusionMatrix,
     MetricError,
@@ -28,7 +32,7 @@ from crsbench.metrics import (
     write_curve_csvs,
     write_report_json,
 )
-from conftest import time_bound
+from conftest import EDGE_FLOATS, time_bound
 from oracles import (
     ap_step_sum,
     auc_pair_count,
@@ -541,22 +545,41 @@ def test_a_curve_file_that_fails_mid_write_keeps_the_old_file(tmp_path, rng, mon
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
 
     class FullDisk:
-        """A CSV writer that gets the first row out, then fails as a full disk does."""
+        """A file handle that gets the first line out, then fails as a full disk does."""
 
         def __init__(self, fh):
             self.fh = fh
 
-        def writerow(self, row):
-            self.fh.write(",".join(map(str, row)) + "\r\n")
-
-        def writerows(self, rows):
-            self.writerow(next(iter(rows)))
+        def writelines(self, lines):
+            self.fh.write(next(iter(lines)))
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(metrics.csv, "writer", FullDisk)
+    @contextlib.contextmanager
+    def full_disk(path):
+        with replacing(path) as fh:
+            yield FullDisk(fh)
+
+    monkeypatch.setattr(metrics, "replacing", full_disk)
     with pytest.raises(OSError, match="No space left"):
         write_curve_csvs(report, tmp_path)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before  # and no temporary file
+
+
+# What a curve row holds: floats (numpy's too), integer counts, and None for
+# an empty reliability bin.
+_CSV_FIELDS = st.one_of(
+    EDGE_FLOATS, EDGE_FLOATS.map(np.float64), st.integers(), st.integers(0, 2**63 - 1).map(np.int64),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CSV_FIELDS, min_size=3, max_size=4), max_size=6))
+def test_curve_rows_have_the_bytes_csv_writer_writes(rows):
+    headers = ["threshold", "a", "b"]
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([headers, *rows])
+    assert "".join(metrics._csv_lines(headers, rows)) == expected.getvalue()
 
 
 def test_balanced_accuracy_helper():

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE_RECORD, make_record
+from conftest import ANY_TEXT, BASE_RECORD, EDGE_FLOATS, make_record
 from crsbench import protocol
 from crsbench.cohort import CohortTable
 from crsbench.protocol import (
@@ -20,6 +23,7 @@ from crsbench.protocol import (
     ProtocolError,
     ReplayClient,
     ReplayMissError,
+    TrialTranscript,
     aggregate_replicates,
     build_prompt,
     case_blocks,
@@ -365,6 +369,67 @@ def test_canonical_bytes_timestamp_toggle(tmp_path, schema):
     b = _trial(client, rec, schema, IDENTITY, DECODING, k=1, clock=lambda: 2.0)
     assert transcript_bytes(a) != transcript_bytes(b)
     assert transcript_bytes(a, include_timestamp=False) == transcript_bytes(b, include_timestamp=False)
+
+
+_PARSED_OUTPUTS = st.builds(
+    ParsedOutput, st.sampled_from([None, 0, 1]), st.sampled_from([None, *Confidence]),
+    st.sampled_from(ParserStatus),
+)
+_AGGREGATES = st.builds(
+    Aggregate, st.integers(0, 1), st.none() | EDGE_FLOATS,
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 9),
+    st.sampled_from([None, "unparseable", "tie_broken_by_proxy", "residual_tie"]),
+)
+_MODELS = st.builds(ModelIdentity, *[ANY_TEXT.filter(bool)] * 3)
+_DECODINGS = st.builds(
+    DecodingParams, EDGE_FLOATS | st.integers(0, 2), EDGE_FLOATS | st.integers(0, 1),
+    st.integers(1, 4096), st.none() | st.integers(0, 2**63),
+)
+
+
+@st.composite
+def _trial_runs(draw):
+    """Transcripts of one log, sharing or changing their model and decoding objects."""
+    models = draw(st.lists(_MODELS, min_size=1, max_size=2))
+    decodings = draw(st.lists(_DECODINGS, min_size=1, max_size=2))
+    return [
+        TrialTranscript(
+            draw(ANY_TEXT), draw(st.sampled_from(models)), draw(ANY_TEXT),
+            draw(st.sampled_from(decodings)),
+            tuple(draw(st.lists(st.tuples(ANY_TEXT, _PARSED_OUTPUTS), max_size=5))),
+            draw(_AGGREGATES), draw(EDGE_FLOATS | st.integers()),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def _audit_bytes(transcripts) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        log = AuditLog(Path(tmp) / "audit.jsonl")
+        for t in transcripts:
+            log.append(t)
+        log.close()
+        return log.path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trial_runs())
+def test_audit_lines_have_the_bytes_of_the_sorted_key_encoding(transcripts):
+    header = b'{"audit_schema_version": 1}\n'
+    assert _audit_bytes(transcripts) == header + b"".join(
+        transcript_bytes(t) + b"\n" for t in transcripts)
+
+
+def test_audit_line_writes_non_finite_floats_as_json_does():
+    transcripts = [
+        TrialTranscript("c", IDENTITY, "h", DECODING, (("x", _ok(1)),),
+                        Aggregate(1, mean_proxy, (0, 1), 1), timestamp)
+        for mean_proxy, timestamp in ((math.nan, math.inf), (-math.inf, 1.5))
+    ]
+    lines = _audit_bytes(transcripts).splitlines()[1:]
+    assert lines == [transcript_bytes(t) for t in transcripts]
+    assert b'"mean_proxy": NaN' in lines[0] and b'"timestamp": Infinity' in lines[0]
+    assert b'"mean_proxy": -Infinity' in lines[1]
 
 
 def test_model_identity_validation():
