@@ -403,12 +403,12 @@ def bootstrap_ci(pred_set: PredictionSet, n_resamples: int, seed: int) -> dict:
     for r in range(n_resamples):
         while True:
             idx = rng.integers(0, n, size=n)
-            if 0 < positive[idx].sum() < n:
+            if 0 < np.count_nonzero(positive[idx]) < n:
                 break
             redraws += 1
             if redraws > cap:
                 raise MetricError("bootstrap redraw cap exceeded; metric undefined on this data")
-        values[r] = np.mean(correct[idx])
+        values[r] = np.count_nonzero(correct[idx]) / n  # np.mean's quotient of the same integers
     return {
         "point": point,
         "lo95": float(np.percentile(values, 2.5)),

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import re
+import stat
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,7 @@ from pathlib import Path
 from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
 from .jsondoc import json_number, json_string, load_json, write_json
 from .schema import Schema
-from .vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
+from .vocab import CONFIDENCE_VALUE, Confidence, confidence_text
 
 logger = logging.getLogger(__name__)
 
@@ -101,6 +102,10 @@ class ParserStatus(Enum):
 
 @dataclass(frozen=True)
 class ParsedOutput:
+    """One replicate's parser outcome. ``vote`` and ``audit_head`` are
+    computed on first use and kept, so the parser's shared outcomes compute
+    each once per process."""
+
     prediction: int | None
     confidence: Confidence | None
     parser_status: ParserStatus
@@ -108,6 +113,19 @@ class ParsedOutput:
     @property
     def ok(self) -> bool:
         return self.parser_status is ParserStatus.OK
+
+    @functools.cached_property
+    def vote(self) -> tuple[int, float] | None:
+        """``(prediction, proxy score)`` of a valid replicate; None otherwise."""
+        return (self.prediction, proxy_score(self.prediction, self.confidence)) if self.ok else None
+
+    @functools.cached_property
+    def audit_head(self) -> str:
+        """This replicate's object in an audit line, up to the value of ``raw_text``."""
+        c, p = self.confidence, self.prediction
+        return (f'{{"confidence": {"null" if c is None else json_string(c._value_)}, '
+                f'"parser_status": {json_string(self.parser_status._value_)}, '
+                f'"prediction": {"null" if p is None else repr(p)}, "raw_text": ')
 
     def to_dict(self) -> dict:
         return {
@@ -118,14 +136,15 @@ class ParsedOutput:
         }
 
 
-# Parser outcomes are few and immutable, so each is built once and shared.
+# The parser has 14 outcomes, each built once and shared.
 _MISSING_PREDICTION = ParsedOutput(None, None, ParserStatus.MISSING_PREDICTION)
 _MALFORMED = ParsedOutput(None, None, ParserStatus.MALFORMED)
-_PARSED = {  # (prediction token, confidence or None) -> outcome
-    (token, level): ParsedOutput(
-        int(token), level, ParserStatus.OK if level else ParserStatus.MISSING_CONFIDENCE
-    )
-    for token in ("0", "1") for level in (None, *Confidence)
+_OUTCOMES = {  # prediction token -> confidence level's text, or None -> outcome
+    token: {
+        None: ParsedOutput(int(token), None, ParserStatus.MISSING_CONFIDENCE),
+        **{level._value_: ParsedOutput(int(token), level, ParserStatus.OK) for level in Confidence},
+    }
+    for token in ("0", "1")
 }
 
 _PREDICTION_RE = re.compile(r"PREDICTION\s*:\s*(\S+)", re.IGNORECASE)
@@ -141,11 +160,13 @@ def parse_response(raw: str) -> ParsedOutput:
     pred_match = _PREDICTION_RE.search(raw)
     if pred_match is None:
         return _MISSING_PREDICTION
-    token = pred_match.group(1).rstrip(".,;")
-    if token not in ("0", "1"):
+    outcomes = _OUTCOMES.get(pred_match.group(1).rstrip(".,;"))
+    if outcomes is None:
         return _MALFORMED
     conf_match = _CONFIDENCE_RE.search(raw)
-    return _PARSED[token, parse_confidence(conf_match.group(1)) if conf_match else None]
+    if conf_match is None:
+        return outcomes[None]
+    return outcomes.get(confidence_text(conf_match.group(1)), outcomes[None])
 
 
 def proxy_score(prediction: int, confidence: Confidence) -> float:
@@ -180,12 +201,13 @@ def aggregate_replicates(outputs: list[ParsedOutput], k: int) -> Aggregate:
     """
     if len(outputs) != k:
         raise ProtocolError(f"expected {k} replicates, got {len(outputs)}")
-    valid = [o for o in outputs if o.ok]
-    if not valid:
+    votes = [vote for o in outputs if (vote := o.vote) is not None]
+    if not votes:
         return Aggregate(0, None, (0, 0), 0, flag="unparseable")
-    votes1 = sum(o.prediction for o in valid)
-    votes0 = len(valid) - votes1
-    mean_proxy = sum(proxy_score(o.prediction, o.confidence) for o in valid) / len(valid)
+    labels, proxies = zip(*votes)
+    votes1 = sum(labels)
+    votes0 = len(votes) - votes1
+    mean_proxy = sum(proxies) / len(votes)
     if votes1 > votes0:
         label, flag = 1, None
     elif votes0 > votes1:
@@ -196,7 +218,7 @@ def aggregate_replicates(outputs: list[ParsedOutput], k: int) -> Aggregate:
         label, flag = 0, "tie_broken_by_proxy"
     else:
         label, flag = 0, "residual_tie"
-    return Aggregate(label, mean_proxy, (votes0, votes1), len(valid), flag=flag)
+    return Aggregate(label, mean_proxy, (votes0, votes1), len(votes), flag=flag)
 
 
 def case_blocks(table: CohortTable, schema: Schema) -> list[str]:
@@ -229,6 +251,31 @@ def load_prompt_template(path: str | Path | None = None) -> str:
     return Path(path).read_text(encoding="utf-8").strip()
 
 
+def _leading_parts(template: str, rag_passages: list | None) -> tuple[str, ...]:
+    """The prompt's parts before its case blocks: each retrieved passage
+    (with its source tag), then the template."""
+    if not rag_passages:
+        return (template,)
+    from .rag import render_passage
+
+    return (*map(render_passage, rag_passages), template)
+
+
+@functools.lru_cache(maxsize=64)
+def _leading_sha256(leading: tuple[str, ...]):
+    """SHA-256 state after the text that precedes the case blocks: each part
+    of ``leading`` and its separator. Callers hash on a copy."""
+    return hashlib.sha256("".join(f"{part}\n\n" for part in leading).encode("utf-8"))
+
+
+def _prompt_hash(leading: tuple[str, ...], body: str) -> str:
+    """SHA-256 of the prompt ``leading`` parts and then ``body`` make; the
+    leading text is hashed once per distinct ``leading``."""
+    state = _leading_sha256(leading).copy()
+    state.update(body.encode("utf-8"))
+    return state.hexdigest()
+
+
 def build_prompt(
     case_blocks: list[str],
     template: str,
@@ -241,16 +288,9 @@ def build_prompt(
     """
     if not case_blocks:
         raise ProtocolError("build_prompt requires at least one case block")
-    parts = []
-    if rag_passages:
-        from .rag import render_passage
-
-        parts.extend(render_passage(p) for p in rag_passages)
-    parts.append(template)
-    parts.extend(case_blocks)
-    prompt = "\n\n".join(parts)
-    prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-    return prompt, prompt_hash
+    leading = _leading_parts(template, rag_passages)
+    body = "\n\n".join(case_blocks)
+    return "\n\n".join((*leading, body)), _prompt_hash(leading, body)
 
 
 @dataclass(frozen=True)
@@ -282,6 +322,9 @@ class TrialTranscript:
         }
 
 
+_ENTRY_READ_CHUNK = 1 << 16
+
+
 class ReplayClient:
     """Serves stored responses keyed by prompt hash; fully deterministic.
 
@@ -295,15 +338,29 @@ class ReplayClient:
         self._prefix = os.path.join(store_dir, "")  # entry paths are joined as strings
 
     def complete(self, prompt_hash: str, k: int) -> list[str]:
-        """The first k stored responses of the prompt with this hash."""
+        """The first k stored responses of the prompt with this hash.
+
+        An entry that is not a regular file (a FIFO, a directory, a device)
+        is a miss, and so is one that cannot be read.
+        """
+        fd = None
+        chunks = []
         try:
-            with open(f"{self._prefix}{prompt_hash}.json", "rb", buffering=0) as fh:
-                raw = fh.read()
+            # a FIFO opened without O_NONBLOCK waits for a writer; with it,
+            # the open returns at once and the entry is refused below
+            fd = os.open(f"{self._prefix}{prompt_hash}.json", os.O_RDONLY | os.O_NONBLOCK)
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise ReplayMissError(prompt_hash, "not a regular file")
+            while chunk := os.read(fd, _ENTRY_READ_CHUNK):
+                chunks.append(chunk)
         except FileNotFoundError:
             raise ReplayMissError(prompt_hash) from None
         except OSError as exc:
             raise ReplayMissError(prompt_hash, f"unreadable ({exc.strerror})") from None
-        doc = load_json(raw, functools.partial(ReplayMissError, prompt_hash))
+        finally:
+            if fd is not None:
+                os.close(fd)
+        doc = load_json(b"".join(chunks), functools.partial(ReplayMissError, prompt_hash))
         responses = doc.get("responses") if isinstance(doc, dict) else None
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise ReplayMissError(prompt_hash, "'responses' must be a list of strings")
@@ -341,7 +398,8 @@ class AuditLog:
         """Write ``transcript`` as one line, the bytes of
         ``json.dumps(transcript.to_dict(), sort_keys=True)``, laid out member
         by member. The ``decoding`` and ``model`` members are encoded again
-        only when the transcript holds other objects for them."""
+        only when the transcript holds other objects for them, and each
+        replicate is its outcome's ``audit_head`` and its encoded raw text."""
         t = transcript
         if t.model is not self._model or t.decoding is not self._decoding:
             doc = t.to_dict()
@@ -349,13 +407,7 @@ class AuditLog:
             self._fixed = (f'"decoding": {json.dumps(doc["decoding"], sort_keys=True)}, '
                            f'"model": {json.dumps(doc["model"], sort_keys=True)}')
         a = t.aggregate
-        replicates = ", ".join([
-            f'{{"confidence": {"null" if p.confidence is None else json_string(p.confidence._value_)}, '
-            f'"parser_status": {json_string(p.parser_status._value_)}, '
-            f'"prediction": {"null" if p.prediction is None else repr(p.prediction)}, '
-            f'"raw_text": {json_string(raw)}}}'
-            for raw, p in t.replicates
-        ])
+        replicates = ", ".join([f"{p.audit_head}{json_string(raw)}}}" for raw, p in t.replicates])
         self._fh.write(
             f'{{"aggregate": {{"final_label": {a.final_label!r}, '
             f'"flag": {"null" if a.flag is None else json_string(a.flag)}, '
@@ -395,7 +447,7 @@ def run_trial(
         raise ProtocolError(f"k must be >= 1, got {k}")
     if template is None:
         template = load_prompt_template()
-    _, prompt_hash = build_prompt([case_block], template, rag_passages)
+    prompt_hash = _prompt_hash(_leading_parts(template, rag_passages), case_block)
 
     replicates = [(raw, parse_response(raw)) for raw in client.complete(prompt_hash, k)]
     aggregate = aggregate_replicates([p for _, p in replicates], k)

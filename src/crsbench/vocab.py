@@ -24,12 +24,8 @@ CONFIDENCE_VALUE = {
 }
 
 
-_BY_TEXT = {level.value: level for level in Confidence}
-
-
-def parse_confidence(text: str) -> Confidence | None:
-    """Match ``text`` against the closed vocabulary, or None if outside it.
-
-    Case-insensitive, internal whitespace collapsed.
-    """
-    return _BY_TEXT.get(" ".join(text.lower().split()))
+def confidence_text(text: str) -> str:
+    """``text`` spelled as the vocabulary's values are: lower case, internal
+    whitespace collapsed. It names a level only when it equals that level's
+    value."""
+    return " ".join(text.lower().split())

@@ -201,6 +201,32 @@ def transcript_bytes(transcript, include_timestamp: bool = True) -> bytes:
     return json.JSONEncoder(sort_keys=True).encode(doc).encode("utf-8")
 
 
+def aggregate_reference(outputs) -> tuple:
+    """``crsbench.protocol.aggregate_replicates`` from its docstring, in exact
+    arithmetic: a majority vote over the valid (status ``ok``) replicates; a
+    tie goes to the sign of their mean proxy score (the confidence's value,
+    negated for a 0); no valid replicate, or a mean of exactly 0, gives
+    label 0 with a flag. Returns (final_label, mean_proxy, vote_counts,
+    n_valid, flag), the mean as the float nearest the exact one."""
+    from crsbench.vocab import CONFIDENCE_VALUE
+
+    valid = [o for o in outputs if o.parser_status.value == "ok"]
+    if not valid:
+        return 0, None, (0, 0), 0, "unparseable"
+    ones = sum(1 for o in valid if o.prediction == 1)
+    zeros = len(valid) - ones
+    total = sum(Fraction(CONFIDENCE_VALUE[o.confidence]) * (1 if o.prediction == 1 else -1)
+                for o in valid)
+    mean = Fraction(total) / len(valid)
+    if ones != zeros:
+        label, flag = int(ones > zeros), None
+    elif mean != 0:
+        label, flag = int(mean > 0), "tie_broken_by_proxy"
+    else:
+        label, flag = 0, "residual_tie"
+    return label, float(mean), (zeros, ones), len(valid), flag
+
+
 # --- ranking-metric oracles ------------------------------------------------
 
 

@@ -622,6 +622,20 @@ def test_replay_miss_message_has_no_stray_quotes(tmp_path, cohort_csv, schema):
     assert line == f"replay miss: replay store has no entry for prompt hash {first}"
 
 
+def test_fifo_replay_entry_is_replay_miss_not_a_hang(tmp_path, cohort_csv, schema, capsys):
+    store = tmp_path / "store"
+    _plant_test_split(cohort_csv, schema, store)
+    first = _test_split_prompt_hashes(cohort_csv, schema)[0]
+    (store / f"{first}.json").unlink()
+    os.mkfifo(store / f"{first}.json")  # no writer: a blocking open never returns
+    proc = _main_in_process(capsys, "genai", "--replay-store", str(store), "--cohort",
+                            str(cohort_csv), "--model-id", "m", "--out", str(tmp_path / "p.json"),
+                            timeout=5)
+    line = _one_error_line(proc, EXIT_REPLAY_MISS)
+    assert line == (f"replay miss: replay entry for prompt hash {first} is unusable: "
+                    "not a regular file")
+
+
 def test_replay_model_without_store_is_validation_error(tmp_path, cohort_csv, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 0, "out_dir": str(tmp_path / "run"),

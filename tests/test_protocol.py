@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_TEXT, BASE_RECORD, EDGE_FLOATS, make_record
+from conftest import ANY_TEXT, BASE_RECORD, EDGE_FLOATS, make_record, time_bound
 from crsbench import protocol
 from crsbench.cohort import CohortTable
+from crsbench.rag import Passage, render_passage
 from crsbench.protocol import (
     AUDIT_SCHEMA_VERSION,
     Aggregate,
@@ -35,7 +37,7 @@ from crsbench.protocol import (
     store_replay_responses,
 )
 from crsbench.vocab import Confidence
-from oracles import serialize_case_reference, transcript_bytes
+from oracles import aggregate_reference, serialize_case_reference, transcript_bytes
 
 IDENTITY = ModelIdentity("vendor", "model-x", "2025-01-01")
 DECODING = DecodingParams()
@@ -153,6 +155,30 @@ def test_aggregate_wrong_count_is_error():
         aggregate_replicates([_ok(1)], k=5)
 
 
+# Outcomes built here, equal to the parser's shared ones but not the same objects
+_BUILT_OUTCOMES = (
+    st.builds(_ok, st.sampled_from([0, 1]), st.sampled_from(Confidence))
+    | st.builds(ParsedOutput, st.sampled_from([None, 0, 1]), st.sampled_from([None, *Confidence]),
+                st.sampled_from([s for s in ParserStatus if s is not ParserStatus.OK]))
+)
+_REPLIES = st.builds(
+    "PREDICTION: {}\nCONFIDENCE: {}".format,
+    st.sampled_from(["0", "1", "1.", "x"]),
+    st.sampled_from([level.value.upper() for level in Confidence] + ["sure"]),
+) | ANY_TEXT
+
+
+@settings(max_examples=500, deadline=None)
+@given(outputs=st.lists(_BUILT_OUTCOMES | _REPLIES.map(parse_response), max_size=9))
+@example(outputs=[_ok(0, Confidence.NOT_AT_ALL_CONFIDENT)] * 2)  # proxies of -0.0
+@example(outputs=[_ok(1, Confidence.SOMEWHAT_UNSURE), _ok(0, Confidence.SOMEWHAT_UNSURE)])
+def test_aggregate_matches_the_exact_reference(outputs):
+    agg = aggregate_replicates(outputs, k=len(outputs))
+    label, mean_proxy, vote_counts, n_valid, flag = aggregate_reference(outputs)
+    assert (agg.final_label, agg.vote_counts, agg.n_valid, agg.flag) == (label, vote_counts, n_valid, flag)
+    assert repr(agg.mean_proxy) == repr(mean_proxy)  # a zero mean stays +0.0
+
+
 # --- case serialization and prompt assembly ---------------------------------
 
 
@@ -206,6 +232,51 @@ def test_build_prompt_hash_and_order(schema):
     assert h == hashlib.sha256(prompt.encode()).hexdigest()
     with pytest.raises(ProtocolError):
         build_prompt([], template)
+
+
+def _sha256_of_prompt(parts):
+    """SHA-256 of the parts joined by blank lines, or None when the text has a
+    lone surrogate and cannot be encoded."""
+    try:
+        return hashlib.sha256("\n\n".join(parts).encode("utf-8")).hexdigest()
+    except UnicodeEncodeError:
+        return None
+
+
+_PASSAGES = st.lists(st.builds(Passage, st.just("p"), ANY_TEXT, ANY_TEXT.filter(bool), st.just(1)),
+                     max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompts=st.lists(
+    st.tuples(ANY_TEXT, _PASSAGES, st.lists(ANY_TEXT, min_size=1, max_size=3)), min_size=1, max_size=4,
+))
+@example(prompts=[("t", [], ["b"]), ("t", [Passage("p", "s", "x", 1)], ["b"]), ("u", [], ["b"]),
+                  ("t", [], ["b"])])
+@example(prompts=[("\ud800", [], ["b"]), ("t", [], ["\udfff"])])
+def test_prompt_hash_is_the_sha256_of_the_prompt_text(prompts):
+    """Prompts of several templates in one process, each hashed by
+    ``build_prompt`` and, one case block at a time, by ``run_trial``."""
+    client = ScriptedClient(["PREDICTION: 1"])
+    for template, passages, blocks in prompts:
+        leading = [render_passage(p) for p in passages] + [template]
+        want = _sha256_of_prompt([*leading, *blocks])
+        if want is None:
+            with pytest.raises(UnicodeEncodeError):
+                build_prompt(blocks, template, passages)
+        else:
+            prompt, prompt_hash = build_prompt(blocks, template, passages)
+            assert prompt == "\n\n".join([*leading, *blocks])
+            assert prompt_hash == want
+        for block in blocks:
+            want = _sha256_of_prompt([*leading, block])
+            trial = functools.partial(run_trial, client, "c", block, IDENTITY, DECODING, k=1,
+                                      template=template, rag_passages=passages)
+            if want is None:
+                with pytest.raises(UnicodeEncodeError):
+                    trial()
+            else:
+                assert trial().prompt_hash == want
 
 
 def test_prompt_template_mentions_mcid_and_output_contract():
@@ -307,13 +378,13 @@ def test_replay_reads_store_once_per_trial_and_sees_rewrites(tmp_path, schema, m
     template = load_prompt_template()
     _, prompt_hash = build_prompt([serialize_case(rec, schema)], template)
     store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
-    reads = []
+    reads, os_open = [], os.open
 
-    def counting_open(path, *args, **kwargs):  # every file the protocol module opens
+    def counting_open(path, *args, **kwargs):  # every file descriptor the trial opens
         reads.append(os.path.basename(path))
-        return open(path, *args, **kwargs)
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(protocol, "open", counting_open, raising=False)
+    monkeypatch.setattr(protocol.os, "open", counting_open)
     client = ReplayClient(tmp_path)
 
     t1 = _trial(client, rec, schema, IDENTITY, DECODING, k=5, template=template)
@@ -324,20 +395,45 @@ def test_replay_reads_store_once_per_trial_and_sees_rewrites(tmp_path, schema, m
     assert (t1.aggregate.final_label, t2.aggregate.final_label) == (1, 0)
 
 
+class _RecordingSha256:
+    """A SHA-256 state that logs the bytes each of its copies is fed."""
+
+    def __init__(self, state, fed):
+        self.state, self.fed = state, fed
+
+    def copy(self):
+        return _RecordingSha256(self.state.copy(), self.fed)
+
+    def update(self, data):
+        self.fed.append(data)
+        self.state.update(data)
+
+    def hexdigest(self):
+        return self.state.hexdigest()
+
+
 def test_run_trial_hashes_its_prompt_once(tmp_path, schema, monkeypatch):
-    rec = make_record()
-    _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
-    store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
-    hashed, sha256 = [], hashlib.sha256
+    """Two trials with one template hash the template's text at most once,
+    and each then feeds the hash only its own case block."""
+    template = load_prompt_template() + "\n(hash-count template)"  # in no earlier test's cache
+    blocks = [serialize_case(make_record(patient_id=i), schema) for i in ("h1", "h2")]
+    sha256 = hashlib.sha256
+    hashes = [sha256(f"{template}\n\n{block}".encode()).hexdigest() for block in blocks]
+    for prompt_hash in hashes:
+        store_replay_responses(tmp_path, prompt_hash, ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
+    prefixes, fed = [], []
 
-    def counting_sha256(data):
-        hashed.append(data)
-        return sha256(data)
+    def recording_sha256(data):
+        prefixes.append(data)
+        return _RecordingSha256(sha256(data), fed)
 
-    monkeypatch.setattr(protocol.hashlib, "sha256", counting_sha256)
-    t = _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=5)
-    assert t.prompt_hash == prompt_hash
-    assert len(hashed) == 1
+    monkeypatch.setattr(protocol.hashlib, "sha256", recording_sha256)
+    client = ReplayClient(tmp_path)
+    trials = [run_trial(client, f"h{i}", block, IDENTITY, DECODING, k=5, template=template)
+              for i, block in enumerate(blocks)]
+    assert [t.prompt_hash for t in trials] == hashes
+    assert prefixes == [f"{template}\n\n".encode()]
+    assert fed == [block.encode() for block in blocks]
 
 
 @pytest.mark.parametrize(
@@ -358,6 +454,36 @@ def test_unusable_replay_entry_is_replay_miss(tmp_path, schema, entry, defect):
     with pytest.raises(ReplayMissError, match=defect) as info:
         _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=1)
     assert info.value.prompt_hash == prompt_hash
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        pytest.param(os.mkfifo, id="fifo"),
+        pytest.param(os.mkdir, id="directory"),
+        pytest.param(lambda path: os.symlink(os.devnull, path), id="device"),
+    ],
+)
+def test_non_regular_replay_entry_is_replay_miss(tmp_path, schema, plant):
+    rec = make_record()
+    _, prompt_hash = build_prompt([serialize_case(rec, schema)], load_prompt_template())
+    plant(tmp_path / f"{prompt_hash}.json")
+    with time_bound(5), pytest.raises(ReplayMissError, match="not a regular file") as info:
+        _trial(ReplayClient(tmp_path), rec, schema, IDENTITY, DECODING, k=1)
+    assert info.value.prompt_hash == prompt_hash
+
+
+def test_replay_entry_larger_than_a_read_chunk_is_read_whole(tmp_path):
+    responses = [f"PREDICTION: {i % 2}\nCONFIDENCE: neutral\n{'x' * 40_000}" for i in range(5)]
+    store_replay_responses(tmp_path, "h", responses)
+    assert (tmp_path / "h.json").stat().st_size > 200_000
+    assert ReplayClient(tmp_path).complete("h", 5) == responses
+
+
+def test_empty_replay_entry_is_not_json_miss(tmp_path):
+    (tmp_path / "h.json").write_bytes(b"")
+    with pytest.raises(ReplayMissError, match="h is unusable: not UTF-8 JSON"):
+        ReplayClient(tmp_path).complete("h", 1)
 
 
 def test_canonical_bytes_timestamp_toggle(tmp_path, schema):

@@ -6,7 +6,7 @@ import pytest
 from crsbench.cohort import CohortError
 from crsbench.schema import SchemaError, load_schema
 from crsbench.synthetic import GeneratorConfig, generate_synthetic
-from crsbench.vocab import CONFIDENCE_VALUE, Confidence, parse_confidence
+from crsbench.vocab import CONFIDENCE_VALUE, Confidence, confidence_text
 from oracles import derive_label
 
 
@@ -54,10 +54,11 @@ def test_schema_rejects_unknown_feature(tmp_path):
 
 
 def test_confidence_vocabulary():
-    assert parse_confidence("Very Confident") is Confidence.VERY_CONFIDENT
-    assert parse_confidence("  somewhat    unsure ") is Confidence.SOMEWHAT_UNSURE
-    assert parse_confidence("confident") is None
-    assert parse_confidence("") is None
+    levels = {level.value: level for level in Confidence}
+    assert levels.get(confidence_text("Very Confident")) is Confidence.VERY_CONFIDENT
+    assert levels.get(confidence_text("  somewhat    unsure ")) is Confidence.SOMEWHAT_UNSURE
+    assert levels.get(confidence_text("confident")) is None
+    assert levels.get(confidence_text("")) is None
     values = [CONFIDENCE_VALUE[c] for c in Confidence]
     assert values == sorted(values, reverse=True)  # monotone in stated confidence
     assert values[0] == 1.0 and values[-1] == 0.0

@@ -12,9 +12,24 @@ SRC = Path(crsbench.__file__).resolve().parent
 ALLOWED = {("protocol.py", "AuditLog.__init__"), ("cli.py", "cmd_run")}
 
 
+# ``os.open`` flags that open a file for reading only
+_READ_ONLY_FLAGS = {"O_RDONLY", "O_NONBLOCK", "O_CLOEXEC", "O_NOFOLLOW"}
+
+
+def _read_only_flags(node) -> bool:
+    """Whether ``node`` is ``os.O_*`` read-only flags or-ed together."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _read_only_flags(node.left) and _read_only_flags(node.right)
+    return (isinstance(node, ast.Attribute) and node.attr in _READ_ONLY_FLAGS
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
 def _writes(call: ast.Call) -> bool:
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "open" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        # os.open(path, flags); flags the scan cannot read count as a write
+        return not (len(call.args) > 1 and _read_only_flags(call.args[1]))
     if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes", "mkdir"):
         return True
     if name != "open":
@@ -55,8 +70,11 @@ def test_the_scan_sees_each_way_to_write_a_file():
         "class F:\n"
         "    def g(self, p, m): open(p, m)\n"
         "def h(p): return open(p).read() + open(p, 'rb').read() + p.open('r').read()\n"
+        "def i(p): os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+        "def j(p, flags): os.open(p, flags)\n"
+        "def k(p): os.open(p, os.O_RDONLY | os.O_NONBLOCK)\n"
     )
-    assert _write_sites(source) == {"a", "b", "c", "d", "e", "F.g"}
+    assert _write_sites(source) == {"a", "b", "c", "d", "e", "F.g", "i", "j"}
 
 
 def test_only_jsondoc_writes_files():
