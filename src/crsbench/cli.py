@@ -35,7 +35,8 @@ from .cohort import (
     stratified_split,
 )
 from .heuristic import rule_chain
-from .jsondoc import load_json, replacing, write_json
+from .jsondoc import (checked, described, integer, list_of, load_json, nullable, number, obj,
+                      replacing, string, write_json)
 from .metrics import (
     MetricError,
     PredictionSet,
@@ -151,9 +152,9 @@ def _replay_trials(test, schema, store, identity, params: DecodingParams, k, tem
     """Run one replayed trial per row of the test table; returns (scores, hard labels).
 
     ``store``, ``params`` and ``k`` were checked where they were read: by
-    ``_parse_run_config`` for ``run``, by the parser and ``main`` for
-    ``genai``. A case with no parseable replicate scores 0.0. The audit log
-    at ``audit_path``, if one is given, is opened here and closed when the
+    ``_RUN_CONFIG`` for ``run``, by the parser and ``main`` for ``genai``.
+    A case with no parseable replicate scores 0.0. The audit log at
+    ``audit_path``, if one is given, is opened here and closed when the
     trials end or fail, so it holds a line for each finished trial.
     """
     audit = AuditLog(audit_path) if audit_path else None
@@ -200,29 +201,16 @@ def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
         fh.write(f"{{\n{body}\n}}")
 
 
+_PREDICTIONS = obj({"model_name": string(), "case_ids": list_of(string()), "labels": list_of(integer()),
+                    "scores": list_of(number()), "hard_labels": list_of(integer())})
+
+
 def _read_predictions(path: Path) -> tuple[str, PredictionSet]:
-    doc = load_json(path.read_bytes(), CliError, path)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: predictions must be a JSON object")
-
-    def field(key, check, what):
-        if key not in doc:
-            raise CliError(f"{path}: missing key {key!r}")
-        if not check(doc[key]):
-            raise CliError(f"{path}: {key!r} must be {what}")
-        return doc[key]
-
-    def list_of(*types):
-        return lambda value: isinstance(value, list) and all(isinstance(v, types) for v in value)
-
-    name = field("model_name", lambda value: isinstance(value, str), "a string")
-    case_ids = field("case_ids", list_of(str), "a list of strings")
-    labels = field("labels", list_of(int), "a list of integers")
-    scores = field("scores", list_of(int, float), "a list of numbers")
-    hard = field("hard_labels", list_of(int), "a list of integers")
+    doc = load_json(path.read_bytes(), _PREDICTIONS, CliError, path)
     try:
-        return name, PredictionSet(tuple(case_ids), np.array(labels), np.array(scores), np.array(hard))
-    except (MetricError, OverflowError) as exc:
+        return doc["model_name"], PredictionSet(tuple(doc["case_ids"]), np.array(doc["labels"]),
+                                                np.array(doc["scores"]), np.array(doc["hard_labels"]))
+    except (MetricError, OverflowError) as exc:  # OverflowError: an integer score past float range
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -420,6 +408,11 @@ def cmd_importance(args) -> int:
     return EXIT_OK
 
 
+# The members of an evaluation report that ``report`` summarizes.
+_REPORT = obj({"model_name": string(), "auroc": number(),
+               "threshold_metrics": obj({"accuracy": number(), "balanced_accuracy": number()})})
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     reports = sorted(run_dir.glob("**/*_report.json"))
@@ -427,15 +420,12 @@ def cmd_report(args) -> int:
         raise CliError(f"no *_report.json found under {run_dir}")
     lines = ["# Run summary", ""]
     for path in reports:
-        doc = load_json(path.read_bytes(), CliError, path)
-        try:
-            m = doc["threshold_metrics"]
-            lines.append(
-                f"- {doc['model_name']}: accuracy {m['accuracy']:.3f}, "
-                f"balanced accuracy {m['balanced_accuracy']:.3f}, AUROC {doc['auroc']:.3f}"
-            )
-        except (KeyError, TypeError, ValueError) as exc:  # a missing key or a value of the wrong type
-            raise CliError(f"{path} is not an evaluation report: {exc!r}") from None
+        doc = load_json(path.read_bytes(), _REPORT, CliError, path)
+        m = doc["threshold_metrics"]
+        lines.append(
+            f"- {doc['model_name']}: accuracy {m['accuracy']:.3f}, "
+            f"balanced accuracy {m['balanced_accuracy']:.3f}, AUROC {doc['auroc']:.3f}"
+        )
     out = run_dir / "summary.md"
     with replacing(out) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -445,117 +435,71 @@ def cmd_report(args) -> int:
 
 _STEM = re.compile(r"(?!\.)[A-Za-z0-9_.-]+")
 _STEM_RULE = "a file-name stem ([A-Za-z0-9_.-]+, not starting with '.')"
-_PATH_RULE = "null or a non-empty printable string"
 
 
-def _valid(ok: bool, value):
-    """``value`` when ``ok``; otherwise the ValueError that ``_check`` reports."""
-    if not ok:
-        raise ValueError
-    return value
+def _distinct_stems(specs: list[str]) -> bool:
+    """Whether the output names of model specs, the spec or the id after
+    ``replay:``, are distinct file-name stems."""
+    names = [spec.removeprefix("replay:") for spec in specs
+             if spec in ("logreg", "gnb", "mlp", "heuristic") or spec.startswith("replay:")]
+    return len(set(names)) == len(names) == len(specs) and all(map(_STEM.fullmatch, names))
 
 
-def _int_from(lo: int):
-    return lambda v: _valid(type(v) is int and v >= lo, v)
+_NAME = string(lambda v: v != "" and v.isprintable(), "a non-empty printable string")
+_PATH = nullable(_NAME)
 
-
-def _number(ok):
-    return lambda v: _valid(type(v) in (int, float) and ok(v), v)  # NaN fails every ``ok``
-
-
-def _string(v):
-    return _valid(isinstance(v, str) and v != "" and v.isprintable(), v)
-
-
-def _path(v):
-    return None if v is None else _string(v)
-
-
-def _object(rules: dict, build=dict, **defaults):
-    """A rule for an object with some of ``rules``'s keys; ``build`` takes them over ``defaults``."""
-    def check(v):
-        _valid(isinstance(v, dict) and v.keys() <= rules.keys(), v)
-        return build(**{**defaults, **{key: rules[key](x) for key, x in v.items()}})
-    return check
-
-
-def _models(specs):
-    """Model specs whose output names, the spec or the id after ``replay:``, are distinct stems."""
-    names = [spec.removeprefix("replay:") for spec in _valid(isinstance(specs, list), specs)
-             if spec in ("logreg", "gnb", "mlp", "heuristic") or str(spec).startswith("replay:")]
-    return tuple(_valid(len(set(names)) == len(names) == len(specs)
-                        and all(map(_STEM.fullmatch, names)), specs))
-
-
-# The keys of a run config's decoding object: the rule that checks each and
-# what a valid value is. genai's --temperature and --top-p go through the same.
+# The keys of a run config's decoding object. genai's --temperature and
+# --top-p go through the same rules.
 _DECODING = {
-    "temperature": (_number(lambda v: 0 <= v <= 2), "a number in [0, 2]"),
-    "top_p": (_number(lambda v: 0 <= v <= 1), "a number in [0, 1]"),
-    "max_tokens": (_int_from(1), "an integer >= 1"),
-    "seed": (lambda v: None if v is None else _int_from(0)(v), "null or an integer >= 0"),
+    "temperature": number(lambda v: 0 <= v <= 2, "a number in [0, 2]"),  # NaN fails every bound
+    "top_p": number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "max_tokens": integer(1),
+    "seed": nullable(integer(0)),
 }
 
-# Every key of a run config: its default, the rule that checks it and returns
-# the value RunConfig holds, and what a valid value is. README's run-config
-# table lists the same keys.
-_RUN_CONFIG = {
-    "seed": (None, _int_from(0), "a non-negative integer"),  # required: see _parse_run_config
-    "out_dir": ("run", _string, "a non-empty printable string"),
-    "schema": (None, _path, _PATH_RULE),
-    "cohort_csv": (None, _path, _PATH_RULE),
-    "synthetic": ({}, _object({"n": _int_from(1)}, n=524), "an object whose n is an integer >= 1"),
-    "models": (["mlp", "heuristic"], _models, "a list of 'logreg', 'gnb', 'mlp', 'heuristic' or "
-               f"'replay:<id>' strings with distinct output names, each <id> {_STEM_RULE}"),
-    "threshold": (0.5, _number(lambda v: 0 <= v <= 1), "a number in [0, 1]"),
-    "loss": ("weighted", lambda v: _valid(v in ("weighted", "focal"), v), "'weighted' or 'focal'"),
-    "test_fraction": (0.2, _number(lambda v: 0 < v < 1), "a number in (0, 1)"),
-    "k": (5, _int_from(1), ">= 1"),
-    "decoding": ({}, _object({key: rule for key, (rule, _) in _DECODING.items()}, DecodingParams),
-                 "an object with some of "
-                 + ", ".join(f"{key} ({what})" for key, (_, what) in _DECODING.items())),
-    "template": (None, _path, _PATH_RULE),
-    "replay": ({}, _object({"store": _path, "vendor": _string, "access_date": _string},
-                           store=None, vendor="replay", access_date="1970-01-01"),
-               f"an object with some of store ({_PATH_RULE}), vendor and access_date"),
+# Every key of a run config and the rule that checks it and returns the
+# value RunConfig holds; the keys of an object value are reported as the
+# object's. README's run-config table lists the same keys.
+_RUN_CONFIG_KEYS = {
+    "seed": integer(0, "a non-negative integer"),  # required: there is no wall-clock default
+    "out_dir": _NAME,
+    "schema": _PATH,
+    "cohort_csv": _PATH,
+    "synthetic": described("an object whose n is an integer >= 1",
+                           obj({"n": integer(1)}, closed=True, n=524)),
+    "models": described("a list of 'logreg', 'gnb', 'mlp', 'heuristic' or 'replay:<id>' strings "
+                        f"with distinct output names, each <id> {_STEM_RULE}",
+                        list_of(string()), _distinct_stems),
+    "threshold": number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "loss": string(lambda v: v in ("weighted", "focal"), "'weighted' or 'focal'"),
+    "test_fraction": number(lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "k": integer(1, ">= 1"),
+    "decoding": described("an object with some of "
+                          + ", ".join(f"{key} ({rule.what})" for key, rule in _DECODING.items()),
+                          obj(_DECODING, build=DecodingParams, closed=True,
+                              **DecodingParams().to_dict())),
+    "template": _PATH,
+    "replay": described(f"an object with some of store ({_PATH.what}), vendor and access_date",
+                        obj({"store": _PATH, "vendor": _NAME, "access_date": _NAME}, closed=True,
+                            store=None, vendor="replay", access_date="1970-01-01")),
 }
-RunConfig = namedtuple("RunConfig", _RUN_CONFIG)
+RunConfig = namedtuple("RunConfig", _RUN_CONFIG_KEYS)
+_RUN_CONFIG = obj(_RUN_CONFIG_KEYS, build=RunConfig, closed=True, out_dir="run", schema=None,
+                  cohort_csv=None, synthetic={}, models=["mlp", "heuristic"], threshold=0.5,
+                  loss="weighted", test_fraction=0.2, k=5, decoding={}, template=None, replay={})
 # The numeric subcommand flags, checked before any command runs; those named
 # after run-config or decoding keys share their rules.
-_FLAG_RULES = {**{key: _RUN_CONFIG[key][1:] for key in ("seed", "threshold", "test_fraction", "k")},
+_FLAG_RULES = {**{key: _RUN_CONFIG_KEYS[key] for key in ("seed", "threshold", "test_fraction", "k")},
                **{key: _DECODING[key] for key in ("temperature", "top_p")},
-               **{key: (_int_from(1), "an integer >= 1") for key in ("n", "repeats", "rag_k")}}
-
-
-def _check(name: str, rule, what: str, value):
-    """``value`` as ``rule`` returns it; a bad value is a CliError naming ``name``."""
-    try:
-        return rule(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{name} must be {what}, got {value!r}") from None
-
-
-def _parse_run_config(config) -> RunConfig:
-    """Check every key of a run config, whatever models it lists, before
-    anything is written; a bad value is a validation error naming its key."""
-    if not isinstance(config, dict):
-        raise CliError(f"config must be a JSON object, got {type(config).__name__}")
-    unknown = sorted(config.keys() - _RUN_CONFIG.keys())
-    if unknown:
-        raise CliError(f"config key {unknown[0]!r} is unknown")
-    if "seed" not in config:
-        raise CliError("config key seed is required (there is no wall-clock default)")
-    cfg = RunConfig(*(_check(f"config key {key}", rule, what, config.get(key, default))
-                      for key, (default, rule, what) in _RUN_CONFIG.items()))
-    if cfg.replay["store"] is None and any(spec.startswith("replay:") for spec in cfg.models):
-        raise CliError("replay models need a replay store (config key replay.store)")
-    return cfg
+               **{key: integer(1) for key in ("n", "repeats", "rag_k")}}
 
 
 def cmd_run(args) -> int:
     import fcntl
 
-    cfg = _parse_run_config(load_json(Path(args.config).read_bytes(), CliError, args.config))
+    cfg = load_json(Path(args.config).read_bytes(), _RUN_CONFIG, CliError, "config")
+    if cfg.replay["store"] is None and any(spec.startswith("replay:") for spec in cfg.models):
+        raise CliError("replay models need a replay store (config key replay.store)")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # The kernel drops the flock when the run ends, however it ends. The file
@@ -718,9 +662,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for key, (rule, what) in _FLAG_RULES.items():
+        for key, rule in _FLAG_RULES.items():
             if key in vars(args):
-                _check("--" + key.replace("_", "-"), rule, what, vars(args)[key])
+                checked(vars(args)[key], rule, CliError, "--" + key.replace("_", "-"))
         return args.func(args)
     except LeakageError as exc:
         print(f"leakage violation: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import leakage_guard
-from .jsondoc import load_json, replacing
+from .jsondoc import integer, list_of, load_json, mapping_of, nullable, number, obj, replacing, string
 from .schema import Schema, load_schema
 
 EPS = 1e-7
@@ -507,31 +507,37 @@ def train_mlp(
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    """Probability of class 1 for each row; dimension mismatch is an error."""
+    """Probability of class 1 for each row, computed without numpy warnings;
+    a dimension mismatch or a score that is not finite is a ``ModelError``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(model.feature_names):
         raise ModelError(
             f"input has {X.shape[1]} features, model expects {len(model.feature_names)}"
         )
-    if model.kind == "logreg":
-        return sigmoid(X @ model.params["w"] + model.params["b"][0])
-    if model.kind == "mlp":
-        return mlp_forward(model.params, X)
-    if model.kind == "gnb":
-        means = model.params["means"]
-        variances = model.params["variances"]
-        priors = model.params["priors"]
-        log_post = np.empty((X.shape[0], 2))
-        for cls in (0, 1):
-            ll = -0.5 * (
-                np.log(2.0 * np.pi * variances[cls])
-                + (X - means[cls]) ** 2 / variances[cls]
-            ).sum(axis=1)
-            log_post[:, cls] = ll + np.log(priors[cls])
-        log_post -= log_post.max(axis=1, keepdims=True)
-        post = np.exp(log_post)
-        return post[:, 1] / post.sum(axis=1)
-    raise ModelError(f"unknown model kind: {model.kind}")
+    with np.errstate(all="ignore"):
+        if model.kind == "logreg":
+            scores = sigmoid(X @ model.params["w"] + model.params["b"][0])
+        elif model.kind == "mlp":
+            scores = mlp_forward(model.params, X)
+        elif model.kind == "gnb":
+            means = model.params["means"]
+            variances = model.params["variances"]
+            priors = model.params["priors"]
+            log_post = np.empty((X.shape[0], 2))
+            for cls in (0, 1):
+                ll = -0.5 * (
+                    np.log(2.0 * np.pi * variances[cls])
+                    + (X - means[cls]) ** 2 / variances[cls]
+                ).sum(axis=1)
+                log_post[:, cls] = ll + np.log(priors[cls])
+            log_post -= log_post.max(axis=1, keepdims=True)
+            post = np.exp(log_post)
+            scores = post[:, 1] / post.sum(axis=1)
+        else:
+            raise ModelError(f"unknown model kind: {model.kind}")
+    if not np.isfinite(scores).all():
+        raise ModelError(f"the {model.kind} model gives scores that are not finite")
+    return scores
 
 
 def predict_hard(model: TrainedModel, X, threshold: float = 0.5) -> np.ndarray:
@@ -573,67 +579,68 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         fh.write("}}")
 
 
-# Top-level keys of a model file, and the parameter arrays of each kind.
-_MODEL_KEYS = ("kind", "feature_names", "training_seed", "loss_config", "class_weights",
-               "schema_checksum", "metadata", "params")
+# The parameter arrays of each kind of model.
 _PARAM_NAMES = {"logreg": {"w", "b"}, "gnb": {"means", "variances", "priors"},
                 "mlp": {"W1", "b1", "W2", "b2"}}
+# A model file as ``save_model`` writes it; ``load_model`` checks its parameters.
+_MODEL = obj({
+    "kind": string(lambda v: v in _PARAM_NAMES, "'logreg', 'gnb' or 'mlp'"),
+    "feature_names": list_of(string()),
+    "training_seed": integer(),
+    "loss_config": nullable(obj({"kind": string(lambda v: v in ("weighted", "focal"),
+                                                "'weighted' or 'focal'"),
+                                 "gamma": number(), "alpha": number()}, build=LossConfig)),
+    "class_weights": list_of(number()),
+    "schema_checksum": string(),
+    "metadata": mapping_of(),
+    "params": mapping_of(obj({"shape": list_of(integer(0)), "data": list_of(number())})),
+})
 
 
 def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
     """Load a model container.
 
-    A document that is not a model container, a parameter value that is not a
-    finite number, and a schema checksum mismatch are a ``ModelError``.
+    A document that is not a model container, a parameter of the wrong shape
+    or with a value that is not a finite number, and a schema checksum
+    mismatch are a ``ModelError``.
     """
     schema = schema or load_schema()
-    doc = load_json(Path(path).read_bytes(), ModelError, path)
-    if not isinstance(doc, dict):
-        raise ModelError(f"{path}: a model file must be a JSON object")
-    missing = [key for key in _MODEL_KEYS if key not in doc]
-    if missing:
-        raise ModelError(f"{path}: model file lacks {', '.join(map(repr, missing))}")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in _PARAM_NAMES:
-        raise ModelError(f"{path}: unknown model kind {kind!r}")
-    checksum = doc["schema_checksum"]
+    doc = load_json(Path(path).read_bytes(), _MODEL, ModelError, path)
+    kind, checksum, entries = doc["kind"], doc["schema_checksum"], doc["params"]
     if checksum and checksum != schema.checksum:
         raise ModelError(
             "model was trained under a different schema/dictionary version: "
-            f"{str(checksum)[:12]} != {schema.checksum[:12]}"
+            f"{checksum[:12]} != {schema.checksum[:12]}"
         )
-    try:
-        params = {k: np.array(v["data"]).reshape(v["shape"]) for k, v in doc["params"].items()}
-        for k, values in params.items():  # the dtype first: a float dtype would parse "0.1"
-            if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-                raise ValueError(f"parameter {k!r} must hold finite numbers only")
-        params = {k: values.astype(float, copy=False) for k, values in params.items()}
-        loss = LossConfig(**doc["loss_config"]) if doc["loss_config"] else None
-        model = TrainedModel(
-            kind=kind,
-            feature_names=tuple(doc["feature_names"]),
-            params=params,
-            training_seed=doc["training_seed"],
-            loss_config=loss,
-            class_weights=tuple(doc["class_weights"]),
-            schema_checksum=checksum,
-            metadata=doc["metadata"],
-        )
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        raise ModelError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
-    if set(params) != _PARAM_NAMES[kind]:
+    if set(entries) != _PARAM_NAMES[kind]:
         raise ModelError(f"{path}: a {kind} model needs parameters {sorted(_PARAM_NAMES[kind])}")
-    d = len(model.feature_names)
-    h = params["W1"].shape[-1] if kind == "mlp" and params["W1"].ndim else None
+    d = len(doc["feature_names"])
+    h = entries["W1"]["shape"][-1] if kind == "mlp" and entries["W1"]["shape"] else None
     shapes = {
         "logreg": {"w": (d,), "b": (1,)},
         "gnb": {"means": (2, d), "variances": (2, d), "priors": (2,)},
         "mlp": {"W1": (d, h), "b1": (h,), "W2": (h, 1), "b2": (1,)},
     }[kind]
+    params = {}
     for name, shape in shapes.items():
-        if params[name].shape != shape:
+        if tuple(entries[name]["shape"]) != shape:
             raise ModelError(
-                f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                f"{path}: parameter {name!r} has shape {tuple(entries[name]['shape'])}, "
                 f"a {kind} model over {d} features needs {shape}"
             )
-    return model
+        values = np.array(entries[name]["data"])  # an integer past 64 bits makes an object array
+        if (values.size != math.prod(shape) or values.dtype.kind not in "iuf"
+                or not np.isfinite(values).all()):
+            raise ModelError(f"{path}: parameter {name!r} must hold finite numbers only, "
+                             f"{math.prod(shape)} of them")
+        params[name] = values.astype(float, copy=False).reshape(shape)
+    return TrainedModel(
+        kind=kind,
+        feature_names=tuple(doc["feature_names"]),
+        params=params,
+        training_seed=doc["training_seed"],
+        loss_config=doc["loss_config"],
+        class_weights=tuple(doc["class_weights"]),
+        schema_checksum=checksum,
+        metadata=doc["metadata"],
+    )

@@ -21,9 +21,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
-from .jsondoc import json_number, json_string, load_json, write_json
+from .jsondoc import json_number, json_string, list_of, load_json, obj, string, write_json
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, confidence_text
 
@@ -175,8 +176,7 @@ def proxy_score(prediction: int, confidence: Confidence) -> float:
     return v if prediction == 1 else -v
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(NamedTuple):
     final_label: int
     mean_proxy: float | None
     vote_counts: tuple[int, int]  # (votes for 0, votes for 1)
@@ -293,8 +293,7 @@ def build_prompt(
     return "\n\n".join((*leading, body)), _prompt_hash(leading, body)
 
 
-@dataclass(frozen=True)
-class TrialTranscript:
+class TrialTranscript(NamedTuple):
     case_id: str
     model: ModelIdentity
     prompt_hash: str
@@ -323,6 +322,7 @@ class TrialTranscript:
 
 
 _ENTRY_READ_CHUNK = 1 << 16
+_ENTRY = obj({"responses": list_of(string())})
 
 
 class ReplayClient:
@@ -360,10 +360,8 @@ class ReplayClient:
         finally:
             if fd is not None:
                 os.close(fd)
-        doc = load_json(b"".join(chunks), functools.partial(ReplayMissError, prompt_hash))
-        responses = doc.get("responses") if isinstance(doc, dict) else None
-        if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-            raise ReplayMissError(prompt_hash, "'responses' must be a list of strings")
+        responses = load_json(b"".join(chunks), _ENTRY,
+                              functools.partial(ReplayMissError, prompt_hash))["responses"]
         if k > len(responses):  # name the first replicate the entry lacks
             raise ReplayMissError(
                 prompt_hash, f"{len(responses)} responses, replicate {len(responses)} asked for"

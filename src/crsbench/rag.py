@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .jsondoc import load_json
+from .jsondoc import list_of, load_json, obj, string
 
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
@@ -46,18 +46,18 @@ def render_passage(passage: Passage) -> str:
     return f"[{passage.source_tag}] {passage.text}"
 
 
+_CORPUS = list_of(obj({"passage_id": string(), "source_tag": string(), "text": string()}))
+
+
 def load_corpus(path: str | Path | None = None) -> list[Passage]:
     """Load passages from a JSON corpus file (packaged default if omitted)."""
     if path is None:
         raw = resources.files("crsbench.data").joinpath("corpus.json").read_bytes()
     else:
         raw = Path(path).read_bytes()
-    entries = load_json(raw, RagError, f"corpus {path or '(packaged)'}")
-    keys = ("passage_id", "source_tag", "text")
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and all(isinstance(e.get(key), str) for key in keys) for e in entries):
-        raise RagError(f"a corpus must be a list of objects with string {', '.join(keys)}")
-    return [Passage(*(e[key] for key in keys), len(tokenize(e["text"]))) for e in entries]
+    entries = load_json(raw, _CORPUS, RagError, f"corpus {path or '(packaged)'}")
+    return [Passage(e["passage_id"], e["source_tag"], e["text"], len(tokenize(e["text"])))
+            for e in entries]
 
 
 class Bm25Index:

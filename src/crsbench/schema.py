@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .jsondoc import load_json
+from .jsondoc import boolean, integer, list_of, load_json, mapping_of, nullable, obj, string
 
 
 class SchemaError(ValueError):
@@ -67,37 +67,33 @@ def _check(ok: bool, defect: str) -> None:
         raise SchemaError(f"schema file: {defect}")
 
 
+_STRINGS = list_of(string())
+_SCHEMA = obj({
+    "version": string(),
+    "columns": list_of(obj({"name": string(), "kind": string(), "required": boolean(),
+                            "min": nullable(integer()), "max": nullable(integer())},
+                           build=ColumnSpec, min=None, max=None)),
+    "encodings": mapping_of(mapping_of(integer())),
+    "feature_order": _STRINGS,
+    "continuous": _STRINGS,
+    "blocklist": _STRINGS,
+})
+
+
 def _parse_schema(raw: bytes) -> Schema:
-    """The schema in ``raw``; a document of the wrong shape is a ``SchemaError``."""
-    doc = load_json(raw, SchemaError, "the schema file")
-    _check(isinstance(doc, dict), "must be a JSON object")
-    try:
-        _check(isinstance(doc["columns"], list) and all(isinstance(c, dict) for c in doc["columns"]),
-               "columns must be a list of objects")
-        columns = tuple(ColumnSpec(c["name"], c["kind"], c["required"], c.get("min"), c.get("max"))
-                        for c in doc["columns"])
-        for c in columns:
-            _check(isinstance(c.name, str) and isinstance(c.required, bool)
-                   and all(v is None or type(v) is int for v in (c.min, c.max)),
-                   f"column {c.name!r} needs a string name, a boolean required and integer min/max")
-        _check(isinstance(doc["encodings"], dict) and all(
-            isinstance(codes, dict) and all(type(v) is int for v in codes.values())
-            for codes in doc["encodings"].values()), "encodings must be objects of integer codes")
-        for key in ("feature_order", "continuous", "blocklist"):
-            _check(isinstance(doc[key], list) and all(isinstance(v, str) for v in doc[key]),
-                   f"{key} must be a list of strings")
-        schema = Schema(
-            version=doc["version"],
-            columns=columns,
-            encodings=doc["encodings"],
-            feature_order=tuple(doc["feature_order"]),
-            continuous=tuple(doc["continuous"]),
-            blocklist=tuple(doc["blocklist"]),
-            checksum=hashlib.sha256(raw).hexdigest(),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"schema file missing key: {exc}") from None
-    kinds = {c.name: c.kind for c in columns}
+    """The schema in ``raw``; a document of the wrong shape is a ``SchemaError``,
+    and so is one whose lists name columns of the wrong kind."""
+    doc = load_json(raw, _SCHEMA, SchemaError, "the schema file")
+    schema = Schema(
+        version=doc["version"],
+        columns=tuple(doc["columns"]),
+        encodings=doc["encodings"],
+        feature_order=tuple(doc["feature_order"]),
+        continuous=tuple(doc["continuous"]),
+        blocklist=tuple(doc["blocklist"]),
+        checksum=hashlib.sha256(raw).hexdigest(),
+    )
+    kinds = {c.name: c.kind for c in schema.columns}
     for feat in schema.feature_order:
         _check(kinds.get(feat, "id") != "id", f"feature_order names {feat}, not a feature column")
     for name in schema.encodings:

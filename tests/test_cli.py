@@ -322,6 +322,32 @@ def test_malformed_model_file_is_validation_error(tmp_path, cohort_csv, change, 
     assert not (tmp_path / "imp.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, param, value, code",
+    [
+        pytest.param("gnb", "variances", -1.0, EXIT_VALIDATION, id="gnb-negative-variance"),
+        pytest.param("gnb", "variances", 0.0, EXIT_VALIDATION, id="gnb-zero-variance"),
+        pytest.param("gnb", "priors", -1.0, EXIT_VALIDATION, id="gnb-negative-prior"),
+        pytest.param("logreg", "w", 1e308, EXIT_OK, id="logreg-saturating-weight"),
+    ],
+)
+def test_predict_writes_finite_scores_or_fails_in_one_line(tmp_path, cohort_csv, kind, param, value,
+                                                          code):
+    model_file, out = tmp_path / "m.json", tmp_path / "p.json"
+    assert main(["train", "--cohort", str(cohort_csv), "--model", kind, "--out", str(model_file)]) == EXIT_OK
+    doc = json.loads(model_file.read_text())
+    doc["params"][param]["data"][0] = value
+    model_file.write_text(json.dumps(doc))
+    proc = _run_cli("predict", "--model-file", str(model_file), "--cohort", str(cohort_csv),
+                    "--out", str(out))
+    if code == EXIT_OK:  # a saturated score is a valid 0.0 or 1.0, and numpy warns of nothing
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert np.isfinite(json.loads(out.read_text())["scores"]).all()
+    else:
+        _one_error_line(proc, code)
+        assert not out.exists()
+
+
 def test_predictions_json_that_is_not_an_object_is_validation_error(tmp_path):
     preds = tmp_path / "p.json"
     preds.write_text("[1, 2, 3]")
@@ -1157,6 +1183,24 @@ def _report_dir(tmp_path: Path, doc) -> list[str]:
     return ["report", "--run-dir", str(run_dir)]
 
 
+GOOD_REPORT = {"model_name": "m", "auroc": 0.5,
+               "threshold_metrics": {"accuracy": 0.5, "balanced_accuracy": 0.5}}
+
+
+def _predict_with_model(tmp_path: Path, cohort, **changes) -> list[str]:
+    """predict with a logreg model file whose top-level keys ``changes`` replace."""
+    model_file = tmp_path / "m.json"
+    assert main(["train", "--cohort", str(cohort), "--model", "logreg", "--out", str(model_file)]) == EXIT_OK
+    model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **changes}))
+    return ["predict", "--model-file", str(model_file), "--cohort", str(cohort),
+            "--out", str(tmp_path / "p.json")]
+
+
+def _evaluate(tmp_path: Path, **changes) -> list[str]:
+    return ["evaluate", "--out-dir", str(tmp_path / "ev"), "--predictions",
+            _write(tmp_path / "p.json", json.dumps({**GOOD_PREDICTIONS, **changes}).encode())]
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -1184,6 +1228,27 @@ def _report_dir(tmp_path: Path, doc) -> list[str]:
                                           "--predictions", _write(tmp / "p.json",
                                                                   json.dumps(GOOD_PREDICTIONS).encode())],
                      id="name-not-a-stem"),
+        pytest.param(lambda tmp, cohort: _predict_with_model(tmp, cohort, feature_names="x" * 21),
+                     id="model-feature-names-a-string"),
+        pytest.param(lambda tmp, cohort: _predict_with_model(tmp, cohort, feature_names=list(range(21))),
+                     id="model-feature-names-integers"),
+        pytest.param(lambda tmp, cohort: _predict_with_model(tmp, cohort, class_weights="ab"),
+                     id="model-class-weights-a-string"),
+        pytest.param(lambda tmp, cohort: _predict_with_model(tmp, cohort, metadata=5),
+                     id="model-metadata-a-number"),
+        pytest.param(lambda tmp, cohort: _predict_with_model(tmp, cohort, training_seed="x"),
+                     id="model-training-seed-a-string"),
+        pytest.param(lambda tmp, cohort: _predict_with_model(
+            tmp, cohort, loss_config={"kind": "weighted", "gamma": "2", "alpha": 0.25}),
+                     id="model-gamma-a-string"),
+        pytest.param(lambda tmp, cohort: _report_dir(tmp, {**GOOD_REPORT, "model_name": None}),
+                     id="report-model-name-null"),
+        pytest.param(lambda tmp, cohort: _report_dir(tmp, {**GOOD_REPORT, "auroc": True}),
+                     id="report-auroc-a-boolean"),
+        pytest.param(lambda tmp, cohort: _evaluate(tmp, labels=[False, True, True]),
+                     id="predictions-labels-booleans"),
+        pytest.param(lambda tmp, cohort: _evaluate(tmp, scores=[True, False, True]),
+                     id="predictions-scores-booleans"),
     ],
 )
 def test_bad_input_at_the_cli_boundary_is_one_line_validation_error(tmp_path, cohort_csv, capsys, make):
@@ -1312,81 +1377,6 @@ def test_an_out_symlink_to_a_file_is_written_through(tmp_path, cohort_csv, gnb_m
     assert sorted(os.listdir(tmp_path)) == names
 
 
-# -- fuzz of the run config ---------------------------------------------------
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=6,
-)
-_PATH_KEYS = {("out_dir",), ("cohort_csv",), ("schema",), ("template",), ("replay", "store")}
-
-
-@pytest.fixture(scope="module")
-def fuzz_inputs(tmp_path_factory, schema):
-    """A valid run config that reads an 80-row cohort and replays every test
-    case of it from a planted store; the values the fuzz draws replace it."""
-    root = tmp_path_factory.mktemp("fuzz")
-    cohort = root / "cohort.csv"
-    assert main(["synth", "--n", "80", "--seed", "1", "--out", str(cohort)]) == EXIT_OK
-    (root / "schema.json").write_bytes(
-        resources.files("crsbench.data").joinpath("schema.json").read_bytes())
-    (root / "template.txt").write_text(load_prompt_template(), encoding="utf-8")
-    store = root / "store"
-    store.mkdir()
-    _plant_test_split(cohort, schema, store)
-    config = {
-        "seed": 0, "out_dir": "run", "schema": str(root / "schema.json"), "cohort_csv": str(cohort),
-        "synthetic": {"n": 40}, "models": ["gnb", "heuristic", "replay:m"], "threshold": 0.5,
-        "loss": "weighted", "test_fraction": 0.2, "k": 2, "template": str(root / "template.txt"),
-        "decoding": {"temperature": 0.2, "top_p": 0.9, "max_tokens": 64, "seed": 3},
-        "replay": {"store": str(store), "vendor": "v", "access_date": "2026-01-01"},
-    }
-    assert set(config) == set(RunConfig._fields)
-    return root, config
-
-
-@st.composite
-def _mutated_config(draw, config):
-    """``config`` with one key dropped, one unknown key added or one value,
-    nested ones included, replaced by an arbitrary JSON value."""
-    doc = json.loads(json.dumps(config))
-    nested = [(key, sub) for key, value in config.items() if isinstance(value, dict) for sub in value]
-    where = draw(st.sampled_from([(key,) for key in config] + nested))
-    *outer, last = where
-    parent = doc[outer[0]] if outer else doc
-    how = draw(st.sampled_from(["drop", "add", "replace"]))
-    if how == "drop":
-        del parent[last]
-    elif how == "add":
-        parent[draw(st.text(max_size=8).filter(lambda k: k not in parent))] = draw(_JSON)
-    else:
-        parent[last] = draw(_JSON)
-    return doc, where if how == "replace" else None
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(data=st.data())
-def test_fuzzed_run_config_exits_with_a_documented_code(fuzz_inputs, capsys, data):
-    root, config = fuzz_inputs
-    doc, replaced = data.draw(_mutated_config(config))
-    if replaced in _PATH_KEYS:  # a drawn path is relative: it stays inside the example's directory
-        parent = doc if len(replaced) == 1 else doc[replaced[0]]
-        if isinstance(parent[replaced[-1]], str):
-            parent[replaced[-1]] = parent[replaced[-1]].replace("/", "_")
-    work = Path(tempfile.mkdtemp(dir=root))
-    (work / "config.json").write_text(json.dumps(doc))
-    cwd = os.getcwd()
-    os.chdir(work)  # out_dir is relative, by the base config or by its default
-    try:
-        proc = _main_in_process(capsys, "run", "--config", "config.json", timeout=60)
-    finally:
-        os.chdir(cwd)
-    assert proc.returncode in (EXIT_OK, EXIT_VALIDATION, EXIT_LEAKAGE, EXIT_REPLAY_MISS, EXIT_NUMERIC)
-    assert len(proc.stderr.splitlines()) <= 1, proc.stderr
-
-
 # -- the schema boundary --------------------------------------------------------
 
 _SCHEMA = json.loads(resources.files("crsbench.data").joinpath("schema.json").read_bytes())
@@ -1428,39 +1418,111 @@ def test_schema_of_the_wrong_shape_is_a_validation_error(tmp_path, cohort_csv, c
         assert line.startswith("error: ") and "schema" in line, line
 
 
-def _paths(node, at=()):
-    """The path of ``node`` and of every value inside it."""
-    yield at
+# -- fuzz of every JSON boundary ------------------------------------------------
+
+_TEXT = st.text(st.characters(exclude_characters="/"), max_size=8)  # a drawn path stays relative
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, schema):
+    """An 80-row cohort, a store that replays every test case of it, and a
+    valid document of each boundary of ``_json_boundary_argv`` over them; the
+    values the fuzz draws replace parts of these documents."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cohort = root / "cohort.csv"
+    assert main(["synth", "--n", "80", "--seed", "1", "--out", str(cohort)]) == EXIT_OK
+    (root / "schema.json").write_bytes(
+        resources.files("crsbench.data").joinpath("schema.json").read_bytes())
+    (root / "template.txt").write_text(load_prompt_template(), encoding="utf-8")
+    store = root / "store"
+    store.mkdir()
+    _plant_test_split(cohort, schema, store)
+    config = {
+        "seed": 0, "out_dir": "run", "schema": str(root / "schema.json"), "cohort_csv": str(cohort),
+        "synthetic": {"n": 40}, "models": ["gnb", "heuristic", "replay:m"], "threshold": 0.5,
+        "loss": "weighted", "test_fraction": 0.2, "k": 2, "template": str(root / "template.txt"),
+        "decoding": {"temperature": 0.2, "top_p": 0.9, "max_tokens": 64, "seed": 3},
+        "replay": {"store": str(store), "vendor": "v", "access_date": "2026-01-01"},
+    }
+    assert set(config) == set(RunConfig._fields)
+    assert main(["train", "--cohort", str(cohort), "--model", "logreg", "--out", str(root / "m.json")]) == EXIT_OK
+    preds = _write(root / "p.json", json.dumps(GOOD_PREDICTIONS).encode())
+    assert main(["evaluate", "--predictions", preds, "--out-dir", str(root / "ev")]) == EXIT_OK
+    docs = {
+        "run-config": config,
+        "predictions": GOOD_PREDICTIONS,
+        "model": json.loads((root / "m.json").read_text()),
+        "corpus": json.loads(resources.files("crsbench.data").joinpath("corpus.json").read_bytes()),
+        "report": json.loads((root / "ev" / "m_report.json").read_text()),
+        "schema": _SCHEMA,
+        "replay-entry": {"responses": ["PREDICTION: 1\nCONFIDENCE: high", "PREDICTION: 0",
+                                       "CONFIDENCE: low", "PREDICTION: 0\nCONFIDENCE: neutral",
+                                       "PREDICTION: 1\nCONFIDENCE: very low"]},
+    }
+    return root, cohort, docs
+
+
+def _nodes(node, at=()):
+    """The path and value of ``node`` and of every value inside it."""
+    yield at, node
     inner = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in inner:
-        yield from _paths(value, (*at, key))
+        yield from _nodes(value, (*at, key))
 
 
 @st.composite
-def _mutated_schema(draw):
-    """The packaged schema with one value, nested ones included, dropped or
-    replaced by an arbitrary JSON value or a word the schema uses."""
-    doc = json.loads(json.dumps(_SCHEMA))
-    where = draw(st.sampled_from(list(_paths(doc))))
-    value = draw(_JSON | st.sampled_from(["SEX", "Age", "PATIENT_ID", "SNOT22_6MO_TOTAL", "id", "enum"]))
+def _mutated(draw, doc):
+    """``doc`` with the value at one path, the root and nested ones included,
+    dropped or replaced, or with a key added to the object there. A new value
+    is an arbitrary JSON value or a string the document holds."""
+    doc = json.loads(json.dumps(doc))
+    nodes = list(_nodes(doc))
+    words = sorted({v for _, v in nodes if isinstance(v, str) and "/" not in v})
+    where, node = draw(st.sampled_from(nodes))
+    value = draw(_JSON | st.sampled_from(words)) if words else draw(_JSON)
+    how = draw(st.sampled_from(["drop", "add", "replace"]))
+    if how == "add" and isinstance(node, dict):
+        node[draw(_TEXT.filter(lambda k: k not in node))] = value
+        return doc
     if not where:
         return value
     *outer, last = where
     parent = doc
     for key in outer:
         parent = parent[key]
-    if draw(st.booleans()):
+    if how == "drop":
         del parent[last]
     else:
         parent[last] = value
     return doc
 
 
+@pytest.mark.parametrize("boundary", ["run-config", "predictions", "model", "corpus", "report",
+                                      "schema", "replay-entry"])
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(doc=_mutated_schema())
-def test_mutated_schema_exits_with_a_documented_code(tmp_path, cohort_csv, capsys, doc):
-    for argv in _schema_argvs(tmp_path, cohort_csv, doc):
-        proc = _main_in_process(capsys, *argv)
-        assert proc.returncode in (EXIT_OK, EXIT_VALIDATION, EXIT_LEAKAGE)
-        assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+@given(data=st.data())
+def test_mutated_json_document_exits_with_a_documented_code(fuzz_inputs, schema, capsys, boundary,
+                                                           data):
+    root, cohort, docs = fuzz_inputs
+    doc = json.dumps(data.draw(_mutated(docs[boundary]))).encode()
+    work = Path(tempfile.mkdtemp(dir=root))
+    argvs = [_json_boundary_argv(boundary, work, cohort, schema, doc)]
+    if boundary == "schema":  # synth serializes a cohort under the schema, preprocess parses one
+        argvs.append(["synth", "--n", "40", "--seed", "1", "--out", str(work / "s.csv"),
+                      "--schema", str(work / "doc.json")])
+    cwd = os.getcwd()
+    os.chdir(work)  # a run config's out_dir is relative, by the base config or by its default
+    try:
+        for argv in argvs:
+            proc = _main_in_process(capsys, *argv, timeout=60)
+            assert proc.returncode in (EXIT_OK, EXIT_VALIDATION, EXIT_LEAKAGE, EXIT_REPLAY_MISS,
+                                       EXIT_NUMERIC)
+            assert len(proc.stderr.splitlines()) <= 1 and "Traceback" not in proc.stderr, proc.stderr
+    finally:
+        os.chdir(cwd)
