@@ -15,8 +15,8 @@ import json
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +80,13 @@ EXIT_LEAKAGE = 3
 EXIT_REPLAY_MISS = 4
 EXIT_NUMERIC = 5
 
+# The most rows a synthetic cohort may have (synth --n, a run config's
+# synthetic.n) and the most importance --repeats. A synthetic run of logreg,
+# gnb and heuristic peaked at 84 MB resident with 50,000 rows and 128 MB with
+# 100,000, about 0.9 MB per 1,000 rows, so the row bound is near 1 GB.
+MAX_ROWS = 1_000_000
+MAX_REPEATS = 10_000
+
 
 class CliError(ValueError):
     """Usage/validation failure; maps to exit code 2."""
@@ -109,8 +116,7 @@ def _read_cohort(cohort_path: Path, schema):
     return hashlib.sha256(data).hexdigest(), table, report
 
 
-@dataclass(frozen=True)
-class _Cohort:
+class _Cohort(NamedTuple):
     """A cohort read, labeled, split, scaled and encoded; test rows in case-id order."""
 
     checksum: str
@@ -465,8 +471,8 @@ _RUN_CONFIG_KEYS = {
     "out_dir": _NAME,
     "schema": _PATH,
     "cohort_csv": _PATH,
-    "synthetic": described("an object whose n is an integer >= 1",
-                           obj({"n": integer(1)}, closed=True, n=524)),
+    "synthetic": described(f"an object whose n is an integer in [1, {MAX_ROWS}]",
+                           obj({"n": integer(1, hi=MAX_ROWS)}, closed=True, n=524)),
     "models": described("a list of 'logreg', 'gnb', 'mlp', 'heuristic' or 'replay:<id>' strings "
                         f"with distinct output names, each <id> {_STEM_RULE}",
                         list_of(string()), _distinct_stems),
@@ -491,7 +497,8 @@ _RUN_CONFIG = obj(_RUN_CONFIG_KEYS, build=RunConfig, closed=True, out_dir="run",
 # after run-config or decoding keys share their rules.
 _FLAG_RULES = {**{key: _RUN_CONFIG_KEYS[key] for key in ("seed", "threshold", "test_fraction", "k")},
                **{key: _DECODING[key] for key in ("temperature", "top_p")},
-               **{key: integer(1) for key in ("n", "repeats", "rag_k")}}
+               "n": integer(1, hi=MAX_ROWS), "repeats": integer(1, hi=MAX_REPEATS),
+               "rag_k": integer(1)}
 
 
 def cmd_run(args) -> int:

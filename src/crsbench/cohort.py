@@ -12,16 +12,16 @@ leakage guard, once per encode call rather than per row.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .records import record_type
 from .schema import PLACEHOLDERS, Schema, SchemaError
 
 # MCID: minimal clinically important difference on the SNOT-22 total.
@@ -42,8 +42,8 @@ class LeakageError(CohortError):
         super().__init__(f"post-operative leakage in feature names: {names}")
 
 
-@dataclass(frozen=True)
-class PatientRecord:
+@record_type
+class PatientRecord(NamedTuple):
     """One pre-operative surgical case.
 
     ``snot22_6mo`` exists only so the supervision label can be derived; it is
@@ -74,13 +74,14 @@ class PatientRecord:
     race: str
     snot22_6mo: int | None = None
 
-    def __post_init__(self):
+    def _checked(self):
         for name, lo, hi, reason in _RECORD_BOUNDS:
             value = getattr(self, name)
             if value is None and name == "snot22_6mo":  # no outcome yet
                 continue
             if not lo <= value <= hi:
                 raise CohortError(f"{reason}: {value}")
+        return self
 
 
 # PatientRecord's invariants in the order it checks them: a field, its bounds
@@ -93,15 +94,16 @@ _RECORD_BOUNDS = (
     ("ct_total", 0, 24, "ct_total out of [0,24]"),
     ("endoscopy_total", 0, 20, "endoscopy_total out of [0,20]"),
 )
-_FIELDS = dataclasses.fields(PatientRecord)
-_FIELD_NAMES = tuple(f.name for f in _FIELDS)
-# A field's value kind: "int", "bool" or "str" (an id or an enum category).
-_FIELD_KINDS = {f.name: f.type.removesuffix(" | None") for f in _FIELDS}
-_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING}
+_FIELD_NAMES = PatientRecord._fields
+# A field's value kind: "int", "bool" or "str" (an id or an enum category),
+# from its annotation, which NamedTuple keeps as a ForwardRef to the text.
+_FIELD_KINDS = {name: ref.__forward_arg__.removesuffix(" | None")
+                for name, ref in PatientRecord.__annotations__.items()}
+_DEFAULTS = PatientRecord._field_defaults
 _OUTCOME = _FIELD_NAMES.index("snot22_6mo")
 
 
-# Canonical CSV column -> dataclass field.
+# Canonical CSV column -> record field.
 COLUMN_TO_FIELD = {
     "PATIENT_ID": "patient_id",
     "SNOT22_BLN_TOTAL": "snot22_baseline",
@@ -132,8 +134,7 @@ COLUMN_TO_FIELD = {
 ID_AND_OUTCOME_COLUMNS = ("PATIENT_ID", "SNOT22_6MO_TOTAL")
 
 
-@dataclass(frozen=True)
-class RejectionReport:
+class RejectionReport(NamedTuple):
     rows_total: int
     accepted: int
     rejections: tuple[tuple[int, str], ...]  # (data-row index, reason)
@@ -297,9 +298,9 @@ def _record_columns(schema: Schema, position: dict[str, int]) -> list:
     each schema column. A schema whose columns cannot fill every record field
     with values of its kind is an error."""
     named = {COLUMN_TO_FIELD.get(spec.name) for spec in schema.columns}
-    for f in _FIELDS:
-        if f.name not in named and f.default is dataclasses.MISSING:
-            raise SchemaError(f"schema has no column for record field {f.name}")
+    for name in _FIELD_NAMES:
+        if name not in named and name not in _DEFAULTS:
+            raise SchemaError(f"schema has no column for record field {name}")
     columns = []
     for spec in schema.columns:
         name = COLUMN_TO_FIELD.get(spec.name)
@@ -472,8 +473,7 @@ def leakage_guard(feature_names: list[str], blocklist: tuple[str, ...]) -> None:
         raise LeakageError(violations)
 
 
-@dataclass(frozen=True)
-class Scaler:
+class Scaler(NamedTuple):
     """Per-feature standardization state, fit on training rows only."""
 
     columns: tuple[str, ...]
@@ -541,16 +541,27 @@ def encode_matrix(cohort, schema: Schema, scaler: Scaler) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class CohortSplit:
+class CohortSplit(NamedTuple):
     train_ids: frozenset[str]
     test_ids: frozenset[str]
     seed: int
     label_prevalence_train: float
     label_prevalence_test: float
     # the rows of each side in the cohort that was split, in case-id order
-    train_rows: np.ndarray = dataclasses.field(compare=False, repr=False)
-    test_rows: np.ndarray = dataclasses.field(compare=False, repr=False)
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+
+    # Splits compare and hash by their first five fields: the row arrays
+    # follow from the ids, and arrays do not compare to one truth value.
+    def __eq__(self, other):
+        return self[:5] == other[:5] if type(other) is type(self) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
 def stratified_split(cohort, test_fraction: float = 0.2, seed: int = 0) -> CohortSplit:

@@ -13,7 +13,7 @@ fixed order. ``predict_heuristic`` is its one-row call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ BANDS = tuple(Confidence)
 BAND_FLOORS = (15.0, 10.0, 6.0, 3.0)
 
 
-@dataclass(frozen=True)
-class HeuristicPrediction:
+class HeuristicPrediction(NamedTuple):
     base_improvement: float
     factor_trace: tuple[tuple[str, float], ...]
     adjusted_improvement: float  # the rule's delta
@@ -80,8 +79,7 @@ class HeuristicPrediction:
         }
 
 
-@dataclass(frozen=True)
-class RuleChain:
+class RuleChain(NamedTuple):
     """The rule chain of n rows, one array per quantity."""
 
     base: np.ndarray  # 45% of the baseline total

@@ -60,8 +60,11 @@ def boolean():
     return _scalar(frozenset({bool}), "a boolean")
 
 
-def integer(lo=None, what=None):
-    """An int (never a bool), at least ``lo`` when given."""
+def integer(lo=None, what=None, hi=None):
+    """An int (never a bool), at least ``lo`` when given; in [lo, hi] when
+    ``hi`` is given too."""
+    if hi is not None:
+        return _scalar(frozenset({int}), what or f"an integer in [{lo}, {hi}]", lambda v: lo <= v <= hi)
     return _scalar(frozenset({int}), what or ("an integer" if lo is None else f"an integer >= {lo}"),
                    None if lo is None else lambda v: v >= lo)
 

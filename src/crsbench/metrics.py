@@ -14,13 +14,13 @@ probabilities the paired tests need are closed forms over ``math``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .jsondoc import replacing, write_json
+from .records import record_type
 
 CM_LAYOUT_NOTE = "[tn, fp; fn, tp] with class 0 = row 0"
 
@@ -29,16 +29,17 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+@record_type
+class ConfusionMatrix(NamedTuple):
     tn: int
     fp: int
     fn: int
     tp: int
 
-    def __post_init__(self):
+    def _checked(self):
         if min(self.tn, self.fp, self.fn, self.tp) < 0:
             raise MetricError("confusion counts must be non-negative")
+        return self
 
     @property
     def n(self) -> int:
@@ -48,8 +49,8 @@ class ConfusionMatrix:
         return [[self.tn, self.fp], [self.fn, self.tp]]
 
 
-@dataclass(frozen=True)
-class PredictionSet:
+@record_type
+class PredictionSet(NamedTuple):
     """Aligned per-case outputs for one model on one split."""
 
     case_ids: tuple[str, ...]
@@ -57,20 +58,22 @@ class PredictionSet:
     scores: np.ndarray
     hard_labels: np.ndarray
 
-    def __post_init__(self):
+    def _checked(self):
+        arrays = {}
         for name in ("labels", "hard_labels"):
             raw = np.asarray(getattr(self, name))
             if not np.all((raw == 0) | (raw == 1)):
                 raise MetricError(f"{name} must be 0 or 1")
-            object.__setattr__(self, name, raw.astype(int))
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
+            arrays[name] = raw.astype(int)
+        arrays["scores"] = scores = np.asarray(self.scores, dtype=float)
         n = len(self.case_ids)
-        if not (len(self.labels) == len(self.scores) == len(self.hard_labels) == n):
+        if not (len(arrays["labels"]) == len(scores) == len(arrays["hard_labels"]) == n):
             raise MetricError("PredictionSet fields must share one length")
-        if not np.all(np.isfinite(self.scores)):
+        if not np.all(np.isfinite(scores)):
             raise MetricError("scores must be finite")
         if len(set(self.case_ids)) != n:
             raise MetricError("case_ids must be unique")
+        return self._replace(**arrays)
 
 
 def confusion(labels, hard_labels) -> ConfusionMatrix:
@@ -219,8 +222,7 @@ def brier(labels, probabilities) -> float:
     return float(np.mean((p - labels) ** 2))
 
 
-@dataclass(frozen=True)
-class ReliabilityBin:
+class ReliabilityBin(NamedTuple):
     bin_center: float
     mean_prob: float | None  # None for empty bins
     empirical_rate: float | None
@@ -409,13 +411,29 @@ def bootstrap_ci(pred_set: PredictionSet, n_resamples: int, seed: int) -> dict:
             if redraws > cap:
                 raise MetricError("bootstrap redraw cap exceeded; metric undefined on this data")
         values[r] = np.count_nonzero(correct[idx]) / n  # np.mean's quotient of the same integers
+    ordered = sorted(values.tolist())
     return {
         "point": point,
-        "lo95": float(np.percentile(values, 2.5)),
-        "hi95": float(np.percentile(values, 97.5)),
+        "lo95": _percentile(ordered, 2.5),
+        "hi95": _percentile(ordered, 97.5),
         "n_resamples": n_resamples,
         "redraws": redraws,
     }
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` of the ascending floats ``ordered`` by
+    numpy's default linear rule, with its operations in its order, so the
+    bits agree. ``np.percentile`` imports ``numpy.ma`` on its first call."""
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    if index >= last:  # numpy reads the last value on both sides, as index -1
+        lo, a, b = -1, ordered[-1], ordered[-1]
+    else:
+        lo = math.floor(index)
+        a, b = ordered[lo], ordered[lo + 1]
+    g = index - lo
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def permutation_importance(
@@ -472,8 +490,8 @@ def _pr_points(r: _Ranking) -> list[dict]:
 DEFAULT_NB_THRESHOLDS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 4))
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+@record_type  # each report gets its own roc and pr lists
+class EvaluationReport(NamedTuple):
     model_name: str
     cm: ConfusionMatrix
     metrics: dict
@@ -482,8 +500,8 @@ class EvaluationReport:
     brier: float | None
     reliability: list[ReliabilityBin]
     net_benefit_curve: list[dict]
-    roc: list[dict] = field(repr=False, default_factory=list)
-    pr: list[dict] = field(repr=False, default_factory=list)
+    roc: list[dict] = []
+    pr: list[dict] = []
     calibration_on_rescaled_proxy: bool = False
 
     def to_dict(self) -> dict:

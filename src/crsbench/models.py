@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .cohort import leakage_guard
 from .jsondoc import integer, list_of, load_json, mapping_of, nullable, number, obj, replacing, string
+from .records import record_type
 from .schema import Schema, load_schema
 
 EPS = 1e-7
@@ -80,15 +81,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
-@dataclass(frozen=True)
-class LossConfig:
+@record_type
+class LossConfig(NamedTuple):
     kind: str = "weighted"  # "weighted" | "focal"
     gamma: float = 2.0
     alpha: float = 0.25
 
-    def __post_init__(self):
+    def _checked(self):
         if self.kind not in ("weighted", "focal"):
             raise ModelError(f"unknown loss kind: {self.kind}")
+        return self
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma, "alpha": self.alpha}
@@ -132,18 +134,18 @@ def inverse_prevalence_weights(y: np.ndarray, power: float = 1.0) -> tuple[float
     return float(raw[0]), float(raw[1])
 
 
-@dataclass(frozen=True)
-class MlpArchitecture:
+@record_type
+class MlpArchitecture(NamedTuple):
     input_dim: int
     hidden_units: int = 400
 
-    def __post_init__(self):
+    def _checked(self):
         if self.hidden_units < 1:
             raise ModelError("hidden_units must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(NamedTuple):
     learning_rate: float = 1e-3
     momentum: float = 0.9
     batch_size: int = 32
@@ -152,16 +154,16 @@ class OptimizerConfig:
     patience: int = 20
 
 
-@dataclass(frozen=True)
-class TrainedModel:
+@record_type  # each model gets its own metadata dict
+class TrainedModel(NamedTuple):
     kind: str  # "logreg" | "gnb" | "mlp"
     feature_names: tuple[str, ...]
-    params: dict = field(repr=False)
+    params: dict
     training_seed: int = 0
     loss_config: LossConfig | None = None
     class_weights: tuple[float, float] = (1.0, 1.0)
     schema_checksum: str = ""
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}
 
 
 def _check_training_inputs(X, y, feature_names, schema: Schema):

@@ -18,13 +18,13 @@ import os
 import re
 import stat
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
 from .jsondoc import json_number, json_string, list_of, load_json, obj, string, write_json
+from .records import record_type
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, confidence_text
 
@@ -53,29 +53,30 @@ class ProtocolError(ValueError):
     """Hard protocol misuse (empty case list, bad k, ...)."""
 
 
-@dataclass(frozen=True)
-class ModelIdentity:
+@record_type
+class ModelIdentity(NamedTuple):
     vendor: str
     model_id: str
     access_date: str
 
-    def __post_init__(self):
+    def _checked(self):
         if not (self.vendor and self.model_id and self.access_date):
             raise ProtocolError("vendor, model_id, and access_date must be nonempty")
+        return self
 
     @property
     def identity(self) -> str:
         return f"{self.vendor}/{self.model_id} ({self.access_date})"
 
 
-@dataclass(frozen=True)
-class DecodingParams:
+@record_type
+class DecodingParams(NamedTuple):
     temperature: float = 0.2
     top_p: float = 0.9
     max_tokens: int = 512
     seed: int | None = None
 
-    def __post_init__(self):
+    def _checked(self):
         lo, hi = TEMPERATURE_RANGE
         if not (lo <= self.temperature <= hi):
             logger.warning("temperature %.3f outside default range [%.1f, %.1f]",
@@ -84,6 +85,7 @@ class DecodingParams:
         if not (lo <= self.top_p <= hi):
             logger.warning("top_p %.3f outside default range [%.2f, %.2f]",
                            self.top_p, lo, hi)
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -101,15 +103,17 @@ class ParserStatus(Enum):
     MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class ParsedOutput:
-    """One replicate's parser outcome. ``vote`` and ``audit_head`` are
-    computed on first use and kept, so the parser's shared outcomes compute
-    each once per process."""
-
+class _ParsedFields(NamedTuple):
     prediction: int | None
     confidence: Confidence | None
     parser_status: ParserStatus
+
+
+class ParsedOutput(_ParsedFields):
+    """One replicate's parser outcome. ``vote`` and ``audit_head`` are
+    computed on first use and kept, so the parser's shared outcomes compute
+    each once per process: the class has no ``__slots__``, so each outcome
+    has a ``__dict__`` for ``cached_property`` to keep them in."""
 
     @property
     def ok(self) -> bool:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .jsondoc import list_of, load_json, obj, string
+from .records import record_type
 
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
@@ -25,16 +26,17 @@ class RagError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Passage:
+@record_type
+class Passage(NamedTuple):
     passage_id: str
     source_tag: str
     text: str
     token_count: int
 
-    def __post_init__(self):
+    def _checked(self):
         if not self.text:
             raise RagError(f"passage {self.passage_id} has empty text")
+        return self
 
 
 def tokenize(text: str) -> list[str]:

@@ -9,9 +9,9 @@ to the exact dictionary version it was produced with.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .jsondoc import boolean, integer, list_of, load_json, mapping_of, nullable, obj, string
 
@@ -24,8 +24,7 @@ class SchemaError(ValueError):
 PLACEHOLDERS = {"", "none", "na", "n/a", "null"}
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(NamedTuple):
     name: str
     kind: str  # "id" | "int" | "enum" | "bool"
     required: bool
@@ -33,8 +32,7 @@ class ColumnSpec:
     max: int | None = None
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(NamedTuple):
     version: str
     columns: tuple[ColumnSpec, ...]
     encodings: dict[str, dict[str, int]]
@@ -42,16 +40,12 @@ class Schema:
     continuous: tuple[str, ...]
     blocklist: tuple[str, ...]
     checksum: str
-    _by_name: dict[str, ColumnSpec] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {c.name: c for c in self.columns})
 
     def column(self, name: str) -> ColumnSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SchemaError(f"unknown column: {name}") from None
+        for spec in self.columns:  # a schema has a few dozen columns
+            if spec.name == name:
+                return spec
+        raise SchemaError(f"unknown column: {name}")
 
     @property
     def column_names(self) -> list[str]:

@@ -10,16 +10,17 @@ on the drawn columns with the same columnar rule chain the pipeline runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .cohort import PARSE_BLOCK_ROWS, CohortError, CohortTable, PatientRecord
 from .heuristic import rule_chain
+from .records import record_type
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+@record_type  # each config gets its own copy of the four dicts
+class GeneratorConfig(NamedTuple):
     # Rounded, clamped normals for the severity scores and age.
     snot22_mean: float = 50.0
     snot22_sd: float = 20.0
@@ -34,35 +35,27 @@ class GeneratorConfig:
     age_sd: float = 14.0
     age_clamp: tuple[int, int] = (18, 90)
     # Bernoulli rates for binary history/comorbidity fields.
-    rates: dict = field(
-        default_factory=lambda: {
-            "crs_polyps": 0.35,
-            "previous_surgery": 0.30,
-            "allergy_testing": 0.40,
-            "septal_deviation": 0.30,
-            "depression": 0.20,
-            "fibromyalgia": 0.08,
-            "smoker": 0.15,
-            "copd": 0.10,
-            "asthma": 0.20,
-            "osa": 0.15,
-            "diabetes": 0.12,
-            "gerd": 0.20,
-            "asa_intolerance": 0.05,
-        }
-    )
+    rates: dict = {
+        "crs_polyps": 0.35,
+        "previous_surgery": 0.30,
+        "allergy_testing": 0.40,
+        "septal_deviation": 0.30,
+        "depression": 0.20,
+        "fibromyalgia": 0.08,
+        "smoker": 0.15,
+        "copd": 0.10,
+        "asthma": 0.20,
+        "osa": 0.15,
+        "diabetes": 0.12,
+        "gerd": 0.20,
+        "asa_intolerance": 0.05,
+    }
     p_male: float = 0.45
-    insurance_probs: dict = field(
-        default_factory=lambda: {"None": 0.08, "Medicaid": 0.22, "Medicare": 0.25, "Private": 0.45}
-    )
-    income_probs: dict = field(
-        default_factory=lambda: {
-            "<25k": 0.15, "25k-50k": 0.25, "50k-75k": 0.25, "75k-100k": 0.20, ">100k": 0.15,
-        }
-    )
-    race_probs: dict = field(
-        default_factory=lambda: {"White": 0.70, "Black": 0.15, "Asian": 0.07, "Other": 0.08}
-    )
+    insurance_probs: dict = {"None": 0.08, "Medicaid": 0.22, "Medicare": 0.25, "Private": 0.45}
+    income_probs: dict = {
+        "<25k": 0.15, "25k-50k": 0.25, "50k-75k": 0.25, "75k-100k": 0.20, ">100k": 0.15,
+    }
+    race_probs: dict = {"White": 0.70, "Black": 0.15, "Asian": 0.07, "Other": 0.08}
     # Latent outcome: actual reduction = delta + shift + Logistic(0, noise_scale).
     improvement_shift: float = 1.5
     improvement_noise_scale: float = 2.5

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import fcntl
 import gc
 import io
@@ -43,6 +42,7 @@ from crsbench.cohort import (
     stratified_split,
 )
 from crsbench.heuristic import predict_heuristic
+from crsbench.jsondoc import checked, load_json
 from crsbench.metrics import PredictionSet, evaluate
 from crsbench.protocol import (
     DecodingParams,
@@ -781,8 +781,9 @@ def test_run_builds_records_only_for_the_test_split(tmp_path, schema, monkeypatc
     cohort = tmp_path / "cohort.csv"
     cohort.write_bytes(serialize_cohort(generate_synthetic(2000, seed=3), schema))
     built = []
-    original = PatientRecord.__post_init__
-    monkeypatch.setattr(PatientRecord, "__post_init__", lambda rec: (built.append(1), original(rec)))
+    original = PatientRecord.__new__
+    monkeypatch.setattr(PatientRecord, "__new__",
+                        lambda cls, *args, **kwargs: (built.append(1), original(cls, *args, **kwargs))[1])
     cfg = _write(tmp_path / "c.json", json.dumps({
         "seed": 3, "out_dir": str(tmp_path / "run"), "cohort_csv": str(cohort),
         "models": ["logreg", "gnb", "heuristic"]}).encode())
@@ -803,8 +804,9 @@ def test_synthetic_run_and_genai_build_no_records(tmp_path, schema, monkeypatch,
             store_replay_responses(store, build_prompt([block], template, passages)[1],
                                    ["PREDICTION: 1\nCONFIDENCE: neutral"] * 5)
     built = []
-    original = PatientRecord.__post_init__
-    monkeypatch.setattr(PatientRecord, "__post_init__", lambda rec: (built.append(1), original(rec)))
+    original = PatientRecord.__new__
+    monkeypatch.setattr(PatientRecord, "__new__",
+                        lambda cls, *args, **kwargs: (built.append(1), original(cls, *args, **kwargs))[1])
     run_dir = tmp_path / "run"
     cfg = _write(tmp_path / "c.json", json.dumps({
         "seed": 5, "out_dir": str(run_dir), "synthetic": {"n": 300},
@@ -887,8 +889,7 @@ def test_traces_curves_and_audit_lines_have_the_bytes_of_their_oracle_encodings(
                                         np.array(doc["scores"]), np.array(doc["hard_labels"])), name)
         curves = {curve: [list(points[0]), *(point.values() for point in points)] for curve, points in (
             ("roc", report.roc), ("pr", report.pr), ("net_benefit", report.net_benefit_curve))}
-        curves["reliability"] = [[field.name for field in dataclasses.fields(report.reliability[0])],
-                                 *map(dataclasses.astuple, report.reliability)]
+        curves["reliability"] = [list(report.reliability[0]._fields), *map(tuple, report.reliability)]
         for curve, rows in curves.items():
             assert (run_dir / "reports" / "curves" / f"{name}_{curve}.csv").read_bytes() == csv_bytes(rows)
 
@@ -1174,6 +1175,31 @@ def test_bad_flag_values_fail_before_anything_is_written(tmp_path, cohort_csv, g
     line = _one_error_line(_main_in_process(capsys, *argv, *rest), EXIT_VALIDATION)
     assert line.startswith(f"error: {flag} must be ")
     assert not out.exists()
+
+
+def test_row_and_repeat_counts_have_an_upper_bound():
+    """``synth --n``, a run config's ``synthetic.n`` and ``importance
+    --repeats`` are refused past their bounds by the rules ``main`` and
+    ``run`` check before any command runs. The rules are called directly: a
+    command asking for 10**30 rows would grow memory until it was killed."""
+    for key, bound in (("n", cli.MAX_ROWS), ("repeats", cli.MAX_REPEATS)):
+        rule = cli._FLAG_RULES[key]
+        assert checked(bound, rule, cli.CliError) == bound
+        for value in (bound + 1, 10**30):
+            with pytest.raises(cli.CliError) as bad:
+                checked(value, rule, cli.CliError, f"--{key}")
+            assert str(bad.value).startswith(f"--{key} must be an integer in [1, {bound}], got ")
+
+    def config(n):
+        return load_json(json.dumps({"seed": 0, "synthetic": {"n": n}}), cli._RUN_CONFIG, cli.CliError,
+                         "config")
+
+    assert config(cli.MAX_ROWS).synthetic == {"n": cli.MAX_ROWS}
+    for n in (cli.MAX_ROWS + 1, 10**30):
+        with pytest.raises(cli.CliError) as bad:
+            config(n)
+        assert str(bad.value).startswith("config key synthetic must be an object whose n is an "
+                                         f"integer in [1, {cli.MAX_ROWS}], got ")
 
 
 def _report_dir(tmp_path: Path, doc) -> list[str]:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,9 +213,7 @@ def test_encode_unknown_enum_value_is_error(schema):
 def test_encode_blocklisted_feature_is_leakage_even_without_records(schema):
     records = generate_synthetic(20, seed=1)
     scaler = fit_scaler(records, schema)
-    tainted = dataclasses.replace(
-        schema, feature_order=schema.feature_order + ("SNOT22_6MO_TOTAL",)
-    )
+    tainted = schema._replace(feature_order=schema.feature_order + ("SNOT22_6MO_TOTAL",))
     for rows in (records, []):
         with pytest.raises(LeakageError):
             encode_matrix(rows, tainted, scaler)

@@ -449,6 +449,19 @@ def test_bootstrap_matches_sequential_draws(rng):
         assert res["hi95"] == float(np.percentile(values, 97.5))
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3000), values=st.sampled_from(["grid", "normal", "uniform"]),
+       q=st.sampled_from([0, 2.5, 33.3, 50, 97.5, 100]), seed=st.integers(0, 2**32 - 1))
+def test_percentile_matches_numpy_bit_for_bit(n, values, q, seed):
+    """The bootstrap's percentile rule against ``np.percentile`` on bootstrap-like
+    fractions (a grid of k/n, with ties), normal and uniform draws."""
+    rng = np.random.default_rng(seed)
+    data = {"grid": lambda: rng.integers(0, n + 1, size=n) / n,
+            "normal": lambda: rng.normal(size=n), "uniform": lambda: rng.random(n)}[values]()
+    got = metrics._percentile(sorted(data.tolist()), q)
+    assert got.hex() == float(np.percentile(data, q)).hex()
+
+
 def test_bootstrap_single_class_hits_redraw_cap():
     ps = PredictionSet(("a", "b"), np.array([1, 1]), np.array([0.1, 0.9]), np.array([0, 1]))
     with pytest.raises(MetricError, match="redraw cap"):
