@@ -193,14 +193,21 @@ def _indented_list(values: list) -> str:
     return f"[\n  {_INDENTED_ITEMS.encode(values)[1:-1]}\n ]" if values else "[]"
 
 
-def _write_predictions(path: Path, name, case_ids, labels, scores, hard):
-    """Write the predictions document byte for byte as ``json.dumps(doc, indent=1)``."""
+def _case_fields(case_ids, labels) -> dict[str, str]:
+    """The ``case_ids`` and ``labels`` texts of a predictions document, which
+    every model of one split shares."""
+    return {"case_ids": _indented_list(list(case_ids)),
+            "labels": _indented_list(np.asarray(labels).tolist())}
+
+
+def _write_predictions(path: Path, name, cases: dict[str, str], scores, hard):
+    """Write the predictions document byte for byte as ``json.dumps(doc, indent=1)``,
+    with ``cases`` from ``_case_fields``."""
     fields = {
         "model_name": json.dumps(name),
-        "case_ids": _indented_list(list(case_ids)),
-        "labels": _indented_list([int(v) for v in labels]),
+        **cases,
         "scores": _indented_list(np.asarray(scores, dtype=float).tolist()),
-        "hard_labels": _indented_list([int(v) for v in hard]),
+        "hard_labels": _indented_list(np.asarray(hard).tolist()),
     }
     body = ",\n".join(f" {json.dumps(key)}: {value}" for key, value in fields.items())
     with replacing(path) as fh:
@@ -342,7 +349,8 @@ def cmd_predict(args) -> int:
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
     scores = predict_proba(model, cohort.X_test)
     hard = (scores >= args.threshold).astype(int)
-    _write_predictions(Path(args.out), model.kind, cohort.case_ids, cohort.y_test, scores, hard)
+    _write_predictions(Path(args.out), model.kind, _case_fields(cohort.case_ids, cohort.y_test),
+                       scores, hard)
     print(f"wrote {len(cohort.case_ids)} predictions to {args.out}")
     return EXIT_OK
 
@@ -358,7 +366,8 @@ def cmd_genai(args) -> int:
         DecodingParams(args.temperature, args.top_p), args.k, template, args.audit_log,
         rag_index=rag_index, rag_k=args.rag_k,
     )
-    _write_predictions(Path(args.out), args.model_id, cohort.case_ids, cohort.y_test, scores, hard)
+    _write_predictions(Path(args.out), args.model_id, _case_fields(cohort.case_ids, cohort.y_test),
+                       scores, hard)
     print(f"ran {len(cohort.case_ids)} replay trials -> {args.out}")
     return EXIT_OK
 
@@ -539,6 +548,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
     test, y_test, case_ids, split = cohort.test, cohort.y_test, cohort.case_ids, cohort.split
 
     reports_dir = out_dir / "reports"
+    cases = _case_fields(case_ids, y_test)
     names = [spec.removeprefix("replay:") for spec in cfg.models]
     for spec, name in zip(cfg.models, names):
         if spec in ("logreg", "gnb", "mlp"):
@@ -557,7 +567,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
                 test, schema, cfg.replay["store"], identity, cfg.decoding, cfg.k,
                 load_prompt_template(cfg.template), audit_path,
             )
-        _write_predictions(out_dir / f"{name}_predictions.json", name, case_ids, y_test, scores, hard)
+        _write_predictions(out_dir / f"{name}_predictions.json", name, cases, scores, hard)
         _emit_report(
             PredictionSet(tuple(case_ids), y_test, np.asarray(scores), np.asarray(hard)),
             name, reports_dir,

@@ -571,6 +571,8 @@ def stratified_split(cohort, test_fraction: float = 0.2, seed: int = 0) -> Cohor
     Per-class test quotas use largest-remainder rounding so the total test
     size is round(n * test_fraction) and per-class counts are within one case
     of perfect proportionality. Each class's cases are drawn in case-id order.
+    A class whose quota leaves it out of the test or the training split is
+    refused, before any model trains on the split.
     """
     if not (0.0 < test_fraction < 1.0):
         raise CohortError(f"test_fraction must lie in (0,1), got {test_fraction}")
@@ -592,6 +594,10 @@ def stratified_split(cohort, test_fraction: float = 0.2, seed: int = 0) -> Cohor
     leftover = n_test - sum(base.values())
     for cls in sorted(by_class, key=lambda c: quotas[c] - base[c], reverse=True)[:leftover]:
         base[cls] += 1
+    for cls, rows in by_class.items():
+        if not 0 < base[cls] < len(rows):
+            raise CohortError(f"test_fraction {test_fraction} puts {base[cls]} of the {len(rows)} "
+                              f"cases of class {cls} in the test split; each split needs both classes")
 
     rng = np.random.default_rng(seed)
     in_test = np.zeros(n, dtype=bool)

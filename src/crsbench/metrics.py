@@ -7,8 +7,9 @@ permutation feature importance. All functions are pure.
 Every ranking quantity (mid-ranks, AUROC, AP, ROC/PR points, DeLong
 placements) comes from one stable sort grouped by distinct score, as in the
 fast DeLong algorithm of Sun & Xu (IEEE SPL 2014); ``evaluate`` sorts once
-for all four of its ranking quantities. The three tail
-probabilities the paired tests need are closed forms over ``math``.
+for all four of its ranking quantities and counts once for AP and the
+curves. The three tail probabilities the paired tests need are closed forms
+over ``math``.
 """
 
 from __future__ import annotations
@@ -193,23 +194,35 @@ def _auroc(r: _Ranking) -> float:
     return _rank_sum_auc(rank_sum, m, n0)
 
 
-def _descending_counts(r: _Ranking) -> tuple[np.ndarray, np.ndarray]:
-    """Cases and positives scoring at or above each group, highest group first."""
-    return np.cumsum(r.size[::-1]), np.cumsum(r.pos[::-1])
+class _Counts(NamedTuple):
+    """Every ROC and P-R operating point as integer counts: the distinct
+    scores, highest first, with the cases (``taken``) and the positives
+    (``tp``) scoring at or above each, out of ``n0`` negatives and ``n1``
+    positives."""
+
+    threshold: np.ndarray
+    taken: np.ndarray
+    tp: np.ndarray
+    n0: int
+    n1: int
+
+
+def _descending_counts(r: _Ranking) -> _Counts:
+    n1 = int(np.sum(r.pos))
+    return _Counts(r.value[::-1], np.cumsum(r.size[::-1]), np.cumsum(r.pos[::-1]),
+                   len(r.order) - n1, n1)
 
 
 def average_precision(labels, scores) -> float:
     """Step-wise P-R integral; tied scores handled as one operating point."""
-    return _average_precision(_rank(labels, scores))
+    return _average_precision(_descending_counts(_rank(labels, scores)))
 
 
-def _average_precision(r: _Ranking) -> float:
-    n_pos = int(np.sum(r.pos))
-    if n_pos == 0:
+def _average_precision(c: _Counts) -> float:
+    if c.n1 == 0:
         raise MetricError("average_precision requires at least one positive")
-    taken, taken_pos = _descending_counts(r)
     # cumsum adds the per-group terms left to right, highest score first
-    return float(np.cumsum(taken_pos / taken * r.pos[::-1] / n_pos)[-1])
+    return float(np.cumsum(c.tp / c.taken * np.diff(c.tp, prepend=0) / c.n1)[-1])
 
 
 def brier(labels, probabilities) -> float:
@@ -462,29 +475,29 @@ def permutation_importance(
     }
 
 
-def _roc_points(r: _Ranking) -> list[dict]:
-    """ROC operating points at every distinct score threshold (descending)."""
-    n1 = int(np.sum(r.pos))
-    n0 = len(r.order) - n1
-    taken, tp = _descending_counts(r)
-    fpr = (taken - tp) / n0
-    tpr = tp / n1
-    points = [{"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}]
-    points.extend(
-        {"threshold": t, "fpr": f, "tpr": p}
-        for t, f, p in zip(r.value[::-1].tolist(), fpr.tolist(), tpr.tolist())
-    )
-    return points
+class _Points:
+    """One curve's operating points over the counts ``evaluate`` took once:
+    its length is its number of points, and iterating makes each point a
+    dict. The ROC curve starts at ``(inf, 0.0, 0.0)``."""
 
+    __slots__ = ("counts", "roc")
 
-def _pr_points(r: _Ranking) -> list[dict]:
-    """P-R operating points at every distinct score threshold (descending)."""
-    n1 = int(np.sum(r.pos))
-    taken, tp = _descending_counts(r)
-    return [
-        {"threshold": t, "recall": rc, "precision": pr}
-        for t, rc, pr in zip(r.value[::-1].tolist(), (tp / n1).tolist(), (tp / taken).tolist())
-    ]
+    def __init__(self, counts: _Counts, roc: bool):
+        self.counts, self.roc = counts, roc
+
+    def __len__(self) -> int:
+        return len(self.counts.threshold) + self.roc
+
+    def __iter__(self):
+        c = self.counts
+        thresholds, tpr = c.threshold.tolist(), (c.tp / c.n1).tolist()
+        if self.roc:
+            yield {"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}
+            for t, f, p in zip(thresholds, ((c.taken - c.tp) / c.n0).tolist(), tpr):
+                yield {"threshold": t, "fpr": f, "tpr": p}
+        else:
+            for t, r, p in zip(thresholds, tpr, (c.tp / c.taken).tolist()):
+                yield {"threshold": t, "recall": r, "precision": p}
 
 
 DEFAULT_NB_THRESHOLDS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 4))
@@ -500,8 +513,8 @@ class EvaluationReport(NamedTuple):
     brier: float | None
     reliability: list[ReliabilityBin]
     net_benefit_curve: list[dict]
-    roc: list[dict] = []
-    pr: list[dict] = []
+    roc: _Points | list[dict] = []
+    pr: _Points | list[dict] = []
     calibration_on_rescaled_proxy: bool = False
 
     def to_dict(self) -> dict:
@@ -539,17 +552,18 @@ def evaluate(pred_set: PredictionSet, model_name: str = "model") -> EvaluationRe
     probs = (scores + 1.0) / 2.0 if rescaled else scores
     cm = confusion(pred_set.labels, pred_set.hard_labels)
     ranking = _rank(pred_set.labels, scores)
+    counts = _descending_counts(ranking)
     return EvaluationReport(
         model_name=model_name,
         cm=cm,
         metrics=threshold_metrics(cm),
         auroc=_auroc(ranking),
-        average_precision=_average_precision(ranking),
+        average_precision=_average_precision(counts),
         brier=brier(pred_set.labels, probs),
         reliability=reliability_curve(pred_set.labels, probs),
         net_benefit_curve=net_benefit(pred_set.labels, probs, DEFAULT_NB_THRESHOLDS),
-        roc=_roc_points(ranking),
-        pr=_pr_points(ranking),
+        roc=_Points(counts, roc=True),
+        pr=_Points(counts, roc=False),
         calibration_on_rescaled_proxy=rescaled,
     )
 
@@ -574,26 +588,47 @@ def compare(pred_a: PredictionSet, pred_b: PredictionSet, n_resamples: int = 200
 
 def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
     """CSV curve files (ROC, P-R, reliability, net benefit) for plotting, with
-    the bytes ``csv.writer`` writes."""
-    def dump(name, rows, headers):
+    the bytes ``csv.writer`` writes, of a report ``evaluate`` built."""
+    def dump(name, lines):
         with replacing(Path(out_dir) / f"{report.model_name}_{name}.csv") as fh:
-            fh.writelines(_csv_lines(headers, rows))
+            fh.writelines(lines)
 
-    dump("roc", [(r["threshold"], r["fpr"], r["tpr"]) for r in report.roc],
-         ["threshold", "fpr", "tpr"])
-    dump("pr", [(r["threshold"], r["recall"], r["precision"]) for r in report.pr],
-         ["threshold", "recall", "precision"])
-    dump(
-        "reliability",
-        [(b.bin_center, b.mean_prob, b.empirical_rate, b.count) for b in report.reliability],
+    roc, pr = _curve_lines(report.roc.counts)
+    dump("roc", roc)
+    dump("pr", pr)
+    dump("reliability", _csv_lines(
         ["bin_center", "mean_prob", "empirical_rate", "count"],
-    )
-    dump(
-        "net_benefit",
+        [(b.bin_center, b.mean_prob, b.empirical_rate, b.count) for b in report.reliability],
+    ))
+    dump("net_benefit", _csv_lines(
+        ["threshold", "net_benefit", "treat_all", "treat_none"],
         [(r["threshold"], r["net_benefit"], r["treat_all"], r["treat_none"])
          for r in report.net_benefit_curve],
-        ["threshold", "net_benefit", "treat_all", "treat_none"],
-    )
+    ))
+
+
+def _curve_lines(c: _Counts) -> tuple[list[str], list[str]]:
+    """The lines of the ROC and of the P-R file, printing each distinct number
+    once: a threshold once for both files, and an FPR, TPR or recall, each
+    ``k / n`` for an integer count ``k``, once per distinct ``k``. Texts are
+    found by count, never by float value, which would take -0.0 for 0.0."""
+    thresholds = list(map(float.__repr__, c.threshold.tolist()))
+    fpr = _fraction_texts(c.taken - c.tp, c.n0)
+    tpr = _fraction_texts(c.tp, c.n1)
+    precision = map(float.__repr__, (c.tp / c.taken).tolist())
+    roc = ["threshold,fpr,tpr\r\n", "inf,0.0,0.0\r\n"]
+    roc += [f"{t},{f},{p}\r\n" for t, f, p in zip(thresholds, fpr, tpr)]
+    pr = ["threshold,recall,precision\r\n"]
+    pr += [f"{t},{r},{p}\r\n" for t, r, p in zip(thresholds, tpr, precision)]
+    return roc, pr
+
+
+def _fraction_texts(k: np.ndarray, n: int) -> list[str]:
+    """``float.__repr__(k[i] / n)`` for each count, each distinct count
+    printed once. numpy divides the same two integers to the same bits."""
+    distinct, at = np.unique(k, return_inverse=True)
+    texts = np.array(list(map(float.__repr__, (distinct / n).tolist())), dtype=object)
+    return texts[at].tolist()
 
 
 def _csv_field(value) -> str:

@@ -60,3 +60,7 @@ def test_bench_inputs_build_and_traced_invocations_check_clean(tmp_path, monkeyp
         counts = done["trace"]["counts"]
         assert counts["protocol.trials"] > 0, pass_dir.name
         assert counts["protocol.replay_reads"] == counts["protocol.trials"]  # one read per trial
+        # one curve point per data row of the ROC and P-R files the pass wrote
+        rows = sum(len(path.read_bytes().splitlines()) - 1
+                   for pattern in ("*_roc.csv", "*_pr.csv") for path in pass_dir.rglob(pattern))
+        assert counts["metrics.curve_points"] == rows > 0, pass_dir.name

@@ -30,6 +30,7 @@ from crsbench.cli import (
     EXIT_REPLAY_MISS,
     EXIT_VALIDATION,
     RunConfig,
+    _case_fields,
     _prepare_cohort,
     _write_predictions,
     main,
@@ -465,6 +466,17 @@ def test_a_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path, capsys):
     assert (out_dir / "cohort.csv").exists() and not (out_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("seed, n", [(2, 12), (2, 16), (0, 20)])
+def test_a_split_that_leaves_a_class_out_of_the_test_part_fails_before_training(
+        tmp_path, capsys, seed, n):
+    out_dir, cfg = tmp_path / "run", tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": seed, "out_dir": str(out_dir), "synthetic": {"n": n},
+                               "models": ["logreg", "gnb", "mlp", "heuristic"]}))
+    line = _one_error_line(_main_in_process(capsys, "run", "--config", str(cfg)), EXIT_VALIDATION)
+    assert "test_fraction 0.2 puts 0 of the 2 cases of class 0 in the test split" in line
+    assert sorted(p.name for p in out_dir.iterdir()) == [".lock", "cohort.csv"]
+
+
 def test_run_requires_seed(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"out_dir": str(tmp_path / "r")}))
@@ -888,7 +900,7 @@ def test_traces_curves_and_audit_lines_have_the_bytes_of_their_oracle_encodings(
         report = evaluate(PredictionSet(tuple(doc["case_ids"]), np.array(doc["labels"]),
                                         np.array(doc["scores"]), np.array(doc["hard_labels"])), name)
         curves = {curve: [list(points[0]), *(point.values() for point in points)] for curve, points in (
-            ("roc", report.roc), ("pr", report.pr), ("net_benefit", report.net_benefit_curve))}
+            ("roc", list(report.roc)), ("pr", list(report.pr)), ("net_benefit", report.net_benefit_curve))}
         curves["reliability"] = [list(report.reliability[0]._fields), *map(tuple, report.reliability)]
         for curve, rows in curves.items():
             assert (run_dir / "reports" / "curves" / f"{name}_{curve}.csv").read_bytes() == csv_bytes(rows)
@@ -1122,7 +1134,7 @@ def test_predictions_file_is_laid_out_as_json_dumps_indent_1(tmp_path, case_ids,
     labels = np.arange(len(case_ids)) % 2
     hard = 1 - labels
     path = tmp_path / "p.json"
-    _write_predictions(path, "mlp-é", case_ids, labels, np.array(scores), hard)
+    _write_predictions(path, "mlp-é", _case_fields(case_ids, labels), np.array(scores), hard)
     doc = {"model_name": "mlp-é", "case_ids": case_ids, "labels": labels.tolist(),
            "scores": scores, "hard_labels": hard.tolist()}
     assert path.read_bytes() == json.dumps(doc, indent=1).encode("utf-8")

@@ -3,6 +3,8 @@ import csv
 import errno
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,8 +173,8 @@ def test_roc_and_pr_points_match_per_threshold_oracle(rng):
     for labels, scores in _curve_instances(rng):
         report = _evaluated(labels, scores)
         # json.dumps also tells 0.0 from -0.0 and keeps the inf threshold comparable
-        assert json.dumps(report.roc) == json.dumps(roc_points_per_threshold(labels, scores))
-        assert json.dumps(report.pr) == json.dumps(pr_points_per_threshold(labels, scores))
+        assert json.dumps(list(report.roc)) == json.dumps(roc_points_per_threshold(labels, scores))
+        assert json.dumps(list(report.pr)) == json.dumps(pr_points_per_threshold(labels, scores))
 
 
 def test_ranking_on_empty_input():
@@ -506,8 +508,8 @@ def test_evaluate_probability_scores(rng):
     assert doc["confusion_matrix"]["rows"] == report.cm.as_rows()
     assert report.auroc == auroc(ps.labels, ps.scores)
     assert report.average_precision == average_precision(ps.labels, ps.scores)
-    assert json.dumps(report.roc) == json.dumps(roc_points_per_threshold(ps.labels, ps.scores))
-    assert json.dumps(report.pr) == json.dumps(pr_points_per_threshold(ps.labels, ps.scores))
+    assert json.dumps(list(report.roc)) == json.dumps(roc_points_per_threshold(ps.labels, ps.scores))
+    assert json.dumps(list(report.pr)) == json.dumps(pr_points_per_threshold(ps.labels, ps.scores))
 
 
 def test_evaluate_rescales_signed_proxy_scores():
@@ -593,6 +595,46 @@ def test_curve_rows_have_the_bytes_csv_writer_writes(rows):
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([headers, *rows])
     assert "".join(metrics._csv_lines(headers, rows)) == expected.getvalue()
+
+
+# Curve scores in [-1, 1], where ``evaluate`` takes both probabilities and
+# signed proxy scores, led by those whose text a float-keyed cache would get
+# wrong or that print long: the signed zeros, subnormals, and the floats next
+# to 1 and -1.
+_CURVE_SCORES = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.9999999999999999, 1.0,
+     -0.9999999999999999, -1.0, 0.5, 1 / 3]
+) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _curve_case(draw):
+    """Labels with both classes, either of them possibly a single case, and
+    scores drawn from a pool of at most five values, so ties are heavy and a
+    single distinct score occurs."""
+    n0, n1 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    labels = draw(st.permutations([0] * n0 + [1] * n1))
+    pool = draw(st.lists(_CURVE_SCORES, min_size=1, max_size=5))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n0 + n1, max_size=n0 + n1))
+    return np.array(labels), np.array(scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curve_case())
+def test_roc_and_pr_files_have_the_bytes_csv_writer_writes_of_the_oracle_points(case):
+    labels, scores = case
+    with tempfile.TemporaryDirectory() as out:
+        write_curve_csvs(_evaluated(labels, scores), out)
+        for curve, points in (("roc", roc_points_per_threshold(labels, scores)),
+                              ("pr", pr_points_per_threshold(labels, scores))):
+            expected = io.StringIO(newline="")
+            csv.writer(expected).writerows([list(points[0]), *(p.values() for p in points)])
+            assert (Path(out) / f"model_{curve}.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_a_negative_zero_threshold_prints_as_negative_zero(tmp_path):
+    write_curve_csvs(_evaluated(np.array([0, 1, 0, 1]), np.array([-0.0, 0.0, -1.0, 1.0])), tmp_path)
+    assert (tmp_path / "model_roc.csv").read_text().splitlines()[3] == "-0.0,0.5,1.0"
 
 
 def test_balanced_accuracy_helper():
