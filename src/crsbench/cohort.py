@@ -369,11 +369,14 @@ def parse_cohort(csv_bytes: bytes, schema: Schema) -> tuple[CohortTable, Rejecti
         for spec, j, name, cells in columns:
             raw = by_position[j] if j is not None else (None,) * n
             if cells is None:
-                column = [_cell_value(cell, spec, schema) for cell in raw]
-                if None in column:
-                    column = [f"case_{base + i:04d}" if v is None else v
-                              for i, v in enumerate(column)]
-                failing = True
+                # a block of present, non-placeholder ids needs only stripping
+                column = list(map(str.strip, raw)) if spec.kind == "id" and None not in raw else ()
+                failing = not column or not PLACEHOLDERS.isdisjoint(map(str.lower, column))
+                if failing:
+                    column = [_cell_value(cell, spec, schema) for cell in raw]
+                    if None in column:
+                        column = [f"case_{base + i:04d}" if v is None else v
+                                  for i, v in enumerate(column)]
             else:
                 column = list(map(cells.__getitem__, raw))
                 failing = cells.rejected and not cells.rejected.isdisjoint(raw)
@@ -488,10 +491,6 @@ class Scaler(NamedTuple):
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def transform(self, column: str, value: float) -> float:
-        i = self.columns.index(column)
-        return (value - self.means[i]) / self.sds[i]
-
 
 def fit_scaler(train, schema: Schema) -> Scaler:
     """Fit on the training rows, a table or a record list."""
@@ -512,8 +511,8 @@ def encode_matrix(cohort, schema: Schema, scaler: Scaler) -> np.ndarray:
     """Encode a table or record list into an (n, d) float matrix in schema order.
 
     Ints and booleans become floats ({0,1} for booleans), enums their fixed
-    codes, and continuous fields are standardized by the fitted scaler with
-    the same two IEEE operations as ``Scaler.transform``. Unknown enum values
+    codes, and continuous fields are standardized by the fitted scaler as
+    ``(value - mean) / sd``, one IEEE operation each. Unknown enum values
     are hard errors. The leakage guard runs once per call, before any row is
     read.
     """

@@ -3,8 +3,9 @@
 Renders a table's cases as prompt blocks (``case_blocks``, column by
 column; ``serialize_case`` is its one-row call), assembles the canonical
 prompt, takes its k replicate responses from the replay store in one read,
-parses the constrained outputs, aggregates by majority vote with a
-proxy-score tie-break, and leaves an auditable transcript for every trial.
+parses the constrained outputs (each distinct text once, through a bounded
+memo), aggregates by majority vote with a proxy-score tie-break, and leaves
+an auditable transcript for every trial.
 """
 
 from __future__ import annotations
@@ -154,14 +155,27 @@ _OUTCOMES = {  # prediction token -> confidence level's text, or None -> outcome
 
 _PREDICTION_RE = re.compile(r"PREDICTION\s*:\s*(\S+)", re.IGNORECASE)
 _CONFIDENCE_RE = re.compile(r"CONFIDENCE\s*:\s*([^\n\r]+)", re.IGNORECASE)
+_MEMO_ENTRIES = 4096  # the most texts the parser's memo holds
+_MEMO_TEXT_CHARS = 512  # the longest text it holds
+_PARSED: dict[str, ParsedOutput] = {}  # text -> its shared outcome
 
 
 def parse_response(raw: str) -> ParsedOutput:
     """Total parser for constrained model outputs; failures are statuses.
 
     Takes the first PREDICTION field matching 0|1 and the first CONFIDENCE
-    field inside the closed five-level vocabulary. Never raises.
+    field inside the closed five-level vocabulary. Never raises. A text seen
+    before is answered from a memo, which holds at most 4,096 texts of at most
+    512 characters: about 2.3 MB of ASCII text, 8.7 MB at four bytes a character.
     """
+    if (parsed := _PARSED.get(raw)) is None:
+        parsed = _parse(raw)
+        if len(raw) <= _MEMO_TEXT_CHARS and len(_PARSED) < _MEMO_ENTRIES:
+            _PARSED[raw] = parsed
+    return parsed
+
+
+def _parse(raw: str) -> ParsedOutput:
     pred_match = _PREDICTION_RE.search(raw)
     if pred_match is None:
         return _MISSING_PREDICTION
@@ -344,19 +358,22 @@ class ReplayClient:
     def complete(self, prompt_hash: str, k: int) -> list[str]:
         """The first k stored responses of the prompt with this hash.
 
-        An entry that is not a regular file (a FIFO, a directory, a device)
-        is a miss, and so is one that cannot be read.
+        The entry is read in one ``os.read`` of its ``fstat`` size plus one
+        byte, and on in chunks only when that read returns another size. An
+        entry that is not a regular file (a FIFO, a directory, a device) is a
+        miss, and so is one that cannot be read.
         """
         fd = None
-        chunks = []
         try:
             # a FIFO opened without O_NONBLOCK waits for a writer; with it,
             # the open returns at once and the entry is refused below
             fd = os.open(f"{self._prefix}{prompt_hash}.json", os.O_RDONLY | os.O_NONBLOCK)
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
                 raise ReplayMissError(prompt_hash, "not a regular file")
-            while chunk := os.read(fd, _ENTRY_READ_CHUNK):
-                chunks.append(chunk)
+            data = os.read(fd, info.st_size + 1)
+            if len(data) != info.st_size:  # the entry changed size, or the read came up short
+                data += b"".join(iter(functools.partial(os.read, fd, _ENTRY_READ_CHUNK), b""))
         except FileNotFoundError:
             raise ReplayMissError(prompt_hash) from None
         except OSError as exc:
@@ -364,7 +381,7 @@ class ReplayClient:
         finally:
             if fd is not None:
                 os.close(fd)
-        responses = load_json(b"".join(chunks), _ENTRY,
+        responses = load_json(data, _ENTRY,
                               functools.partial(ReplayMissError, prompt_hash))["responses"]
         if k > len(responses):  # name the first replicate the entry lacks
             raise ReplayMissError(

@@ -201,6 +201,31 @@ def transcript_bytes(transcript, include_timestamp: bool = True) -> bytes:
     return json.JSONEncoder(sort_keys=True).encode(doc).encode("utf-8")
 
 
+def parse_response_reference(raw: str) -> tuple:
+    """``crsbench.protocol.parse_response`` from its docstring, with no memo:
+    (prediction, confidence, parser status). The first "PREDICTION:" field,
+    in any case, names a token; less its trailing ".,;" it must be 0 or 1.
+    The rest of the line after the first "CONFIDENCE:" field, lower-cased
+    with its whitespace runs collapsed, must be one of the five levels."""
+    import re
+
+    from crsbench.protocol import ParserStatus
+    from crsbench.vocab import Confidence
+
+    field = re.search(r"prediction\s*:\s*(\S+)", raw, re.IGNORECASE)
+    if field is None:
+        return None, None, ParserStatus.MISSING_PREDICTION
+    token = field.group(1).rstrip(".,;")
+    if token not in ("0", "1"):
+        return None, None, ParserStatus.MALFORMED
+    field = re.search(r"confidence\s*:\s*([^\n\r]+)", raw, re.IGNORECASE)
+    stated = " ".join(field.group(1).lower().split()) if field else None
+    for level in Confidence:
+        if level.value == stated:
+            return int(token), level, ParserStatus.OK
+    return int(token), None, ParserStatus.MISSING_CONFIDENCE
+
+
 def aggregate_reference(outputs) -> tuple:
     """``crsbench.protocol.aggregate_replicates`` from its docstring, in exact
     arithmetic: a majority vote over the valid (status ``ok``) replicates; a
@@ -513,8 +538,14 @@ def derive_label(snot22_baseline: int, snot22_6mo: int) -> int:
 
 # --- per-row encoder oracle -------------------------------------------------
 # The record-at-a-time form of ``crsbench.cohort.encode_matrix``: the leakage
-# guard per row, a ``tuple.index`` lookup per cell and ``Scaler.transform`` per
+# guard per row, a ``tuple.index`` lookup per cell and ``scaler_transform`` per
 # continuous value. The columnar encoder must reproduce its matrix bit for bit.
+
+
+def scaler_transform(scaler, column: str, value: float) -> float:
+    """One value of ``column`` standardized by a fitted ``Scaler``."""
+    i = scaler.columns.index(column)
+    return (value - scaler.means[i]) / scaler.sds[i]
 
 
 def encode_row_reference(record, schema, scaler) -> list[float]:
@@ -530,7 +561,7 @@ def encode_row_reference(record, schema, scaler) -> list[float]:
         elif spec.kind == "bool":
             values.append(1.0 if raw else 0.0)
         elif name in schema.continuous:
-            values.append(scaler.transform(name, float(raw)))
+            values.append(scaler_transform(scaler, name, float(raw)))
         else:
             values.append(float(raw))
     return values

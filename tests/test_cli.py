@@ -185,14 +185,22 @@ def test_compare_single_class_predictions_is_numeric_failure(tmp_path):
     ) == EXIT_NUMERIC
 
 
-def _run_cli(*argv, timeout=30, **popen):
-    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
+def _run_cli(*argv, timeout=30, module="crsbench.cli", **popen):
+    """Run the CLI in a fresh interpreter, as ``python -m module``; a hang
+    fails the test at ``timeout``."""
     src = str(Path(crsbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "crsbench.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, timeout=timeout, env=env, **popen,
     )
+
+
+def test_package_runs_as_the_cli():
+    """``python -m crsbench`` is the ``crsbench`` command."""
+    package, cli = _run_cli("--help", module="crsbench"), _run_cli("--help")
+    assert cli.returncode == 0 and cli.stdout.startswith("usage: crsbench")
+    assert (package.returncode, package.stdout, package.stderr) == (0, cli.stdout, "")
 
 
 def _main_in_process(capsys, *argv, timeout=30):

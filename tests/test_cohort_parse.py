@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
+from crsbench import cohort
 from crsbench.cohort import PARSE_BLOCK_ROWS, _lines, parse_cohort, serialize_cohort
 from crsbench.schema import SchemaError, _parse_schema, load_schema
 from crsbench.synthetic import generate_synthetic
@@ -37,7 +38,8 @@ SCHEMA = load_schema()
 
 
 def _loosened(**bounds) -> object:
-    """The packaged schema with some int columns' bounds replaced."""
+    """The packaged schema with some columns' fields replaced; an int column's
+    bounds are replaced whole."""
     doc = json.loads(resources.files("crsbench.data").joinpath("schema.json").read_bytes())
     for column in doc["columns"]:
         if column["name"] in bounds:
@@ -181,6 +183,45 @@ def test_block_boundaries_keep_row_indices(schema, n):
     got = _parsed_records(blob, schema)
     assert got == dedupe_reference(*parse_cohort_reference(blob, schema))
     assert got[1].rows_total == n
+
+
+PATIENT_ID_REQUIRED = _loosened(PATIENT_ID={"required": True})
+
+
+@pytest.mark.parametrize("schema", [SCHEMA, PATIENT_ID_REQUIRED], ids=["optional", "required"])
+def test_id_column_matches_row_oracle(schema, monkeypatch):
+    """Padded ids, placeholder ids and ids missing from short rows: the first
+    block has only padded ids, each later block one kind of missing id."""
+    rows = [list(r) for r in _base_rows(3 * PARSE_BLOCK_ROWS, 1)]
+    for row in rows:  # the id last, so that a short row can lack it
+        row.append(row.pop(0))
+    for i in range(1, PARSE_BLOCK_ROWS + 1):
+        rows[i][-1] = f" {rows[i][-1]}\t"
+    rows[9][-1] = rows[3][-1].strip()  # a padded id repeats once stripped
+    for i, id_ in zip(range(PARSE_BLOCK_ROWS + 5, 2 * PARSE_BLOCK_ROWS, 61), ["NA", "", " None "]):
+        rows[i][-1] = id_
+    for i in range(2 * PARSE_BLOCK_ROWS + 7, len(rows), 97):
+        del rows[i][-1]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    blob = buf.getvalue().encode()
+    id_cells = []
+    cell_value = cohort._cell_value
+
+    def recording_cell_value(raw, spec, schema):
+        if spec.name == "PATIENT_ID":
+            id_cells.append(raw)
+        return cell_value(raw, spec, schema)
+
+    monkeypatch.setattr(cohort, "_cell_value", recording_cell_value)
+    records, report = _parsed_records(blob, schema)
+    assert (records, report) == dedupe_reference(*parse_cohort_reference(blob, schema))
+    generated = [r.patient_id for r in records if r.patient_id.startswith("case_")]
+    if schema is SCHEMA:
+        assert len(generated) == 6 and report.rejected == 1
+    else:
+        assert not generated and report.rejected == 7
+    assert len(id_cells) == 2 * PARSE_BLOCK_ROWS  # the first block's ids were only stripped
 
 
 def test_leading_byte_order_mark_is_ignored(schema):

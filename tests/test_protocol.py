@@ -37,7 +37,12 @@ from crsbench.protocol import (
     store_replay_responses,
 )
 from crsbench.vocab import Confidence
-from oracles import aggregate_reference, serialize_case_reference, transcript_bytes
+from oracles import (
+    aggregate_reference,
+    parse_response_reference,
+    serialize_case_reference,
+    transcript_bytes,
+)
 
 IDENTITY = ModelIdentity("vendor", "model-x", "2025-01-01")
 DECODING = DecodingParams()
@@ -177,6 +182,42 @@ def test_aggregate_matches_the_exact_reference(outputs):
     label, mean_proxy, vote_counts, n_valid, flag = aggregate_reference(outputs)
     assert (agg.final_label, agg.vote_counts, agg.n_valid, agg.flag) == (label, vote_counts, n_valid, flag)
     assert repr(agg.mean_proxy) == repr(mean_proxy)  # a zero mean stays +0.0
+
+
+_SHARED_OUTCOMES = (protocol._MISSING_PREDICTION, protocol._MALFORMED,
+                    *(o for by_level in protocol._OUTCOMES.values() for o in by_level.values()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_REPLIES)
+@example(raw="prediction :1.;\rConfidence:\t Very\u2003CONFIDENT \nPREDICTION: 0")
+@example(raw="PREDICTION: 0\nCONFIDENCE:  \n neutral")
+@example(raw="PREDICTION:\n1,\nCONFIDENCE: sure\nCONFIDENCE: neutral")
+def test_parser_matches_the_reference_on_a_cold_and_a_warm_memo(raw):
+    protocol._PARSED.pop(raw, None)
+    cold = parse_response(raw)
+    assert cold == parse_response_reference(raw)
+    assert any(cold is shared for shared in _SHARED_OUTCOMES)
+    assert parse_response(raw) is cold
+
+
+def test_parse_memo_stays_within_its_limits(monkeypatch):
+    """Texts beyond the entry limit and texts over the length limit are
+    parsed correctly and not kept; the memo fills to its entry limit."""
+    memo = {}
+    monkeypatch.setattr(protocol, "_PARSED", memo)
+    limit = protocol._MEMO_TEXT_CHARS
+    longest = "PREDICTION: 1\nCONFIDENCE: neutral\n".ljust(limit, "y")
+    too_long = [longest + "y", "PREDICTION: 0\n" + "z" * limit, "CONFIDENCE: neutral " * 30]
+    levels = [level.value for level in Confidence] + ["sure"]
+    many = [f"PREDICTION: {i % 3}\nCONFIDENCE: {levels[i % 6]}\n#{i}"
+            for i in range(protocol._MEMO_ENTRIES + 50)]
+    for raw in [*too_long, longest, *many] * 2:
+        assert parse_response(raw) == parse_response_reference(raw)
+        assert len(memo) <= protocol._MEMO_ENTRIES
+    assert len(memo) == protocol._MEMO_ENTRIES
+    assert longest in memo and memo.keys().isdisjoint(too_long)
+    assert memo.keys().isdisjoint(many[-50:])
 
 
 # --- case serialization and prompt assembly ---------------------------------
@@ -473,11 +514,50 @@ def test_non_regular_replay_entry_is_replay_miss(tmp_path, schema, plant):
     assert info.value.prompt_hash == prompt_hash
 
 
-def test_replay_entry_larger_than_a_read_chunk_is_read_whole(tmp_path):
-    responses = [f"PREDICTION: {i % 2}\nCONFIDENCE: neutral\n{'x' * 40_000}" for i in range(5)]
-    store_replay_responses(tmp_path, "h", responses)
-    assert (tmp_path / "h.json").stat().st_size > 200_000
-    assert ReplayClient(tmp_path).complete("h", 5) == responses
+_LARGE_RESPONSES = [f"PREDICTION: {i % 2}\nCONFIDENCE: neutral\n{'x' * 40_000}" for i in range(5)]
+
+
+def test_replay_entry_larger_than_a_read_chunk_is_read_whole(tmp_path, monkeypatch):
+    store_replay_responses(tmp_path, "h", _LARGE_RESPONSES)
+    size = (tmp_path / "h.json").stat().st_size
+    assert size > 3 * protocol._ENTRY_READ_CHUNK
+    asked, os_read = [], os.read
+
+    def counting_read(fd, n):
+        asked.append(n)
+        return os_read(fd, n)
+
+    monkeypatch.setattr(protocol.os, "read", counting_read)
+    assert ReplayClient(tmp_path).complete("h", 5) == _LARGE_RESPONSES
+    assert asked == [size + 1]
+
+
+@pytest.mark.parametrize("reported", [lambda size: 0, lambda size: size // 2, lambda size: size - 1,
+                                      lambda size: size + 7],
+                         ids=["zero", "half", "one-short", "over"])
+def test_replay_entry_whose_size_changes_under_the_read_is_read_whole(tmp_path, monkeypatch,
+                                                                       reported):
+    """``fstat`` reports a size other than what the read finds, as when the
+    entry grows or shrinks between the two calls."""
+    store_replay_responses(tmp_path, "h", _LARGE_RESPONSES)
+    fstat = os.fstat
+
+    def misreporting_fstat(fd):
+        info = fstat(fd)
+        return os.stat_result((*info[:6], reported(info.st_size), *info[7:]))
+
+    monkeypatch.setattr(protocol.os, "fstat", misreporting_fstat)
+    assert ReplayClient(tmp_path).complete("h", 5) == _LARGE_RESPONSES
+
+
+def test_replay_entry_is_read_on_after_a_short_read(tmp_path, monkeypatch):
+    """One read may return fewer bytes than asked for, as Linux does past
+    about 2 GiB, though the size did not change."""
+    store_replay_responses(tmp_path, "h", _LARGE_RESPONSES)
+    os_read = os.read
+    monkeypatch.setattr(protocol.os, "read",
+                        lambda fd, n: os_read(fd, min(n, protocol._ENTRY_READ_CHUNK)))
+    assert ReplayClient(tmp_path).complete("h", 5) == _LARGE_RESPONSES
 
 
 def test_empty_replay_entry_is_not_json_miss(tmp_path):
