@@ -399,11 +399,18 @@ def mcnemar(labels, hard_a, hard_b) -> dict:
             "p_value": p, "method": "chi2_cc", "flagged": False}
 
 
+# Indices per block of bootstrap draws (0.5 MB of int64): a block holds
+# max(1, DRAWS // n) resamples of n cases, so its size is bounded at any n.
+DRAWS = 65_536
+
+
 def bootstrap_ci(pred_set: PredictionSet, n_resamples: int, seed: int) -> dict:
     """Case-level percentile bootstrap of a PredictionSet's accuracy.
 
     Resamples that lose a class are redrawn; exceeding the redraw cap (10x
-    the resample budget) is a hard error.
+    the resample budget) is a hard error. Each block of resamples is one
+    ``integers`` call, whose rows get the indices one call per resample would;
+    rows that lose a class are redraws, counted up to the last row kept.
     """
     if n_resamples < 100:
         raise MetricError("n_resamples must be >= 100")
@@ -412,19 +419,19 @@ def bootstrap_ci(pred_set: PredictionSet, n_resamples: int, seed: int) -> dict:
     correct = pred_set.labels == pred_set.hard_labels
     point = float(np.mean(correct))
     positive = pred_set.labels == 1
-    values = np.empty(n_resamples)
-    redraws = 0
+    values, need, redraws = [], n_resamples, 0
     cap = 10 * n_resamples
-    for r in range(n_resamples):
-        while True:
-            idx = rng.integers(0, n, size=n)
-            if 0 < np.count_nonzero(positive[idx]) < n:
-                break
-            redraws += 1
-            if redraws > cap:
-                raise MetricError("bootstrap redraw cap exceeded; metric undefined on this data")
-        values[r] = np.count_nonzero(correct[idx]) / n  # np.mean's quotient of the same integers
-    ordered = sorted(values.tolist())
+    while need:
+        idx = rng.integers(0, n, size=(max(1, DRAWS // n), n))
+        positives = np.count_nonzero(positive[idx], axis=1)
+        kept = np.flatnonzero((positives > 0) & (positives < n))[:need]
+        redraws += (int(kept[-1]) + 1 if len(kept) == need else len(idx)) - len(kept)
+        if redraws > cap:
+            raise MetricError("bootstrap redraw cap exceeded; metric undefined on this data")
+        # np.mean's quotient of the same integers
+        values.append(np.count_nonzero(correct[idx[kept]], axis=1) / n)
+        need -= len(kept)
+    ordered = sorted(np.concatenate(values).tolist())
     return {
         "point": point,
         "lo95": _percentile(ordered, 2.5),
@@ -463,11 +470,17 @@ def permutation_importance(
         return {"mean_delta_balanced_accuracy": 0.0, "sd": 0.0, "flag": "constant"}
     baseline = balanced_accuracy(y, predict_fn(X))
     rng = np.random.default_rng(seed)
-    deltas = np.empty(repeats)
+    Xp, negative, positive = X.copy(), y == 0, y == 1
+    tn, tp = np.empty(repeats, dtype=int), np.empty(repeats, dtype=int)
     for r in range(repeats):
-        Xp = X.copy()
         Xp[:, feature_index] = column[rng.permutation(len(column))]
-        deltas[r] = baseline - balanced_accuracy(y, predict_fn(Xp))
+        hard = np.asarray(predict_fn(Xp), dtype=int)
+        tn[r] = np.count_nonzero(negative & (hard == 0))
+        tp[r] = np.count_nonzero(positive & (hard == 1))
+    # balanced_accuracy's operations on counts kept per repeat, not a (repeats, n)
+    # label matrix; 0/1 hard labels make tn + fp = n0 and tp + fn = n1
+    n0, n1 = int(np.count_nonzero(negative)), int(np.count_nonzero(positive))
+    deltas = baseline - ((tn / n0 if n0 else 0.0) + (tp / n1 if n1 else 0.0)) / 2.0
     return {
         "mean_delta_balanced_accuracy": float(deltas.mean()),
         "sd": float(deltas.std(ddof=1)) if repeats > 1 else 0.0,

@@ -97,9 +97,12 @@ class LossConfig(NamedTuple):
 
 
 def _focal_terms(p, y, gamma: float, alpha: float):
-    pos = -alpha * (1.0 - p) ** gamma * np.log(p)
-    neg = -(1.0 - alpha) * p**gamma * np.log(1.0 - p)
-    return y * pos + (1.0 - y) * neg
+    """Per-sample focal loss, and the terms its gradient shares with it:
+    1 - p, log p, log(1 - p), (1 - p)^g, p^g and 1 - y."""
+    q = 1.0 - p
+    log_p, log_q, q_g, p_g, not_y = np.log(p), np.log(q), q**gamma, p**gamma, 1.0 - y
+    terms = y * (-alpha * q_g * log_p) + not_y * (-(1.0 - alpha) * p_g * log_q)
+    return terms, (q, log_p, log_q, q_g, p_g, not_y)
 
 
 def loss_values(p, y, loss: LossConfig, class_weights: tuple[float, float]):
@@ -111,7 +114,7 @@ def loss_values(p, y, loss: LossConfig, class_weights: tuple[float, float]):
     p = _clamp_probs(p)
     y = np.asarray(y, dtype=float)
     if loss.kind == "focal":
-        out = _focal_terms(p, y, loss.gamma, loss.alpha)
+        out = _focal_terms(p, y, loss.gamma, loss.alpha)[0]
     else:
         w = np.where(y == 1, class_weights[1], class_weights[0])
         out = -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
@@ -300,6 +303,15 @@ def init_mlp_params(arch: MlpArchitecture, seed: int) -> dict:
     }
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised float64 vector whose data starts on a 64-byte boundary. With
+    every MLP step buffer 16 or 48 bytes past one, a fit on 4,000 rows took 11%
+    longer and a forward pass up to 5%, with the same bits."""
+    raw = np.empty(size + 7)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start : start + size]
+
+
 # Rows per block of MLP inference, so a forward pass holds one (256, hidden)
 # matrix rather than three (n, hidden) ones. OpenBLAS gives the rows of a
 # block the bits of the whole-matrix product only when the block has more
@@ -318,12 +330,13 @@ def mlp_forward(params: dict, X: np.ndarray) -> np.ndarray:
     starts = list(range(0, n, FORWARD_BLOCK_ROWS))
     if n > 1 and n % FORWARD_BLOCK_ROWS == 1:
         del starts[-1]
+    block = _aligned_empty(min(n, FORWARD_BLOCK_ROWS + 1) * W1.shape[1])  # each block's hidden
     for start, stop in zip(starts, starts[1:] + [n]):
-        hidden = X[start:stop] @ W1
+        hidden = block[: (stop - start) * W1.shape[1]].reshape(stop - start, W1.shape[1])
+        np.matmul(X[start:stop], W1, out=hidden)
         hidden += b1
         np.maximum(0.0, hidden, out=hidden)  # 0.0 first: equal values return it
         out[start:stop] = sigmoid(hidden @ W2 + b2)[:, 0]
-        del hidden  # so the next block's product is not allocated while this one lives
     return out
 
 
@@ -336,14 +349,18 @@ def mlp_param_views(flat: np.ndarray, input_dim: int, hidden_units: int) -> dict
 
 class MlpWorkspace:
     """The arrays an MLP step writes: two (batch, hidden) buffers and the flat
-    gradient, with ``grads`` its per-parameter views. A shorter batch uses the
-    buffers' leading rows."""
+    gradient, with ``grads`` its per-parameter views, each on a 64-byte
+    boundary. A shorter batch uses the buffers' leading rows."""
 
     def __init__(self, input_dim: int, hidden_units: int, batch_rows: int):
-        # One allocation for both buffers: a 5,000-row ``crsbench run`` peaked
-        # 0.1 MB higher in resident memory with two.
-        self.hidden, self.dhidden = np.empty((2, batch_rows, hidden_units))
-        self.grad = np.empty(input_dim * hidden_units + 2 * hidden_units + 1)
+        # One allocation for both buffers, ``dhidden`` from the first boundary
+        # past ``hidden``: a 5,000-row ``crsbench run`` peaked 0.1 MB higher in
+        # resident memory with two.
+        size = batch_rows * hidden_units
+        both = _aligned_empty(-(-size // 8) * 8 + size)
+        self.hidden = both[:size].reshape(batch_rows, hidden_units)
+        self.dhidden = both[-size:].reshape(batch_rows, hidden_units)
+        self.grad = _aligned_empty(input_dim * hidden_units + 2 * hidden_units + 1)
         self.grads = mlp_param_views(self.grad, input_dim, hidden_units)
 
 
@@ -387,10 +404,9 @@ def mlp_loss_and_grads(
         gz *= w
     else:
         g, a = loss.gamma, loss.alpha
-        value = float(np.add.reduce(_focal_terms(p, y, g, a))) / n
-        grad_pos = a * (1.0 - p) ** g * (g * p * np.log(p) - (1.0 - p))
-        grad_neg = (1.0 - a) * p**g * (p - g * (1.0 - p) * np.log(1.0 - p))
-        gz = y * grad_pos + (1.0 - y) * grad_neg
+        terms, (q, log_p, log_q, q_g, p_g, not_y) = _focal_terms(p, y, g, a)
+        value = float(np.add.reduce(terms)) / n
+        gz = y * (a * q_g * (g * p * log_p - q)) + not_y * ((1.0 - a) * p_g * (p - g * q * log_q))
     gz /= n
     gz = gz[:, None]
     np.matmul(hidden.T, gz, out=grads["W2"])
@@ -449,11 +465,11 @@ def train_mlp(
 
     d, h = arch.input_dim, arch.hidden_units
     workspace = MlpWorkspace(d, h, min(optimizer.batch_size, len(train_idx)))
-    theta = np.empty_like(workspace.grad)
+    theta, velocity = _aligned_empty(workspace.grad.size), _aligned_empty(workspace.grad.size)
     params = mlp_param_views(theta, d, h)
     for key, value in init_mlp_params(arch, seed).items():
         params[key][...] = value
-    velocity = np.zeros_like(theta)
+    velocity[:] = 0.0
     best = theta.copy()
     best_val = np.inf
     best_epoch = -1

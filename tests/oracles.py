@@ -283,9 +283,10 @@ def ap_step_sum(labels, scores) -> float:
     return ap
 
 
-def sequential_bootstrap_values(metric, labels, scores, hard_labels, n_resamples, seed):
+def sequential_bootstrap_values(metric, labels, scores, hard_labels, n_resamples, seed, cap=None):
     """Bootstrap metric values drawn one resample at a time, redrawing any
-    resample that lost a class. Returns (values, redraws)."""
+    resample that lost a class. Returns (values, redraws), or None as soon as
+    the redraws exceed ``cap``."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     n = len(labels)
@@ -294,6 +295,8 @@ def sequential_bootstrap_values(metric, labels, scores, hard_labels, n_resamples
         idx = rng.integers(0, n, size=n)
         if len(np.unique(labels[idx])) < 2:
             redraws += 1
+            if cap is not None and redraws > cap:
+                return None
             continue
         resample = SimpleNamespace(
             labels=labels[idx], scores=np.asarray(scores)[idx], hard_labels=np.asarray(hard_labels)[idx]

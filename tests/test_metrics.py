@@ -3,6 +3,7 @@ import csv
 import errno
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -438,17 +439,56 @@ def test_bootstrap_redraws_on_class_loss():
 
 
 def test_bootstrap_matches_sequential_draws(rng):
+    # (cases, prevalence, resamples): many resamples per block of draws; one
+    # positive among 200 cases, so about 37% of resamples are redrawn, over
+    # many blocks; and more cases than a block holds indices, one resample a block.
     metric = lambda s: float(np.mean(s.labels == s.hard_labels))
-    for n, prevalence in ((2, 0.5), (7, 0.5), (30, 0.95), (105, 0.8)):
+    for n, prevalence, resamples in ((2, 0.5, 300), (2, 0.5, 2000), (7, 0.5, 300),
+                                     (30, 0.95, 300), (105, 0.8, 300), (200, 0.0, 2000),
+                                     (1000, 0.8, 300), (metrics.DRAWS + 1, 0.8, 100)):
         ps = _guessed(_pred_set(rng, n=n, prevalence=prevalence), rng)
-        res = bootstrap_ci(ps, n_resamples=300, seed=n)
+        res = bootstrap_ci(ps, n_resamples=resamples, seed=n)
         assert res["point"] == metric(ps)
         values, redraws = sequential_bootstrap_values(
-            metric, ps.labels, ps.scores, ps.hard_labels, 300, seed=n
+            metric, ps.labels, ps.scores, ps.hard_labels, resamples, seed=n
         )
-        assert res["redraws"] == redraws
-        assert res["lo95"] == float(np.percentile(values, 2.5))
-        assert res["hi95"] == float(np.percentile(values, 97.5))
+        assert type(res["redraws"]) is int and res["redraws"] == redraws, n
+        assert res["lo95"] == float(np.percentile(values, 2.5)), n
+        assert res["hi95"] == float(np.percentile(values, 97.5)), n
+
+
+@pytest.mark.parametrize("labels", [[1], [0, 0], [1, 1], [0, 0, 0, 0, 0], [0, 1], [1, 0, 0]])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bootstrap_redraw_cap_is_raised_where_the_sequential_draws_exceed_it(labels, seed):
+    n = len(labels)
+    ps = PredictionSet(tuple(map(str, range(n))), np.array(labels), np.full(n, 0.5), np.zeros(n))
+    metric = lambda s: float(np.mean(s.labels == s.hard_labels))
+    expected = sequential_bootstrap_values(metric, ps.labels, ps.scores, ps.hard_labels, 100,
+                                           seed, cap=1000)
+    if expected is None:
+        with pytest.raises(MetricError, match="redraw cap"):
+            bootstrap_ci(ps, n_resamples=100, seed=seed)
+    else:
+        assert bootstrap_ci(ps, n_resamples=100, seed=seed)["redraws"] == expected[1]
+
+
+def test_bootstrap_draws_at_most_one_block_of_indices_per_call(rng, monkeypatch):
+    sizes, default_rng = [], np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, low, high, size):
+            sizes.append(math.prod(size))
+            return self.rng.integers(low, high, size=size)
+
+    cases = [_guessed(_pred_set(rng, n=n), rng) for n in (2, 105, 1000, metrics.DRAWS + 1)]
+    monkeypatch.setattr(metrics.np.random, "default_rng", Recording)
+    for ps in cases:
+        sizes.clear()
+        bootstrap_ci(ps, n_resamples=2000, seed=0)
+        assert sizes and max(sizes) <= max(len(ps.labels), metrics.DRAWS)
 
 
 @settings(max_examples=300, deadline=None)
@@ -490,6 +530,22 @@ def test_permutation_importance_detects_driver(rng):
     passenger = permutation_importance(predict, X, y, 1, repeats=30, seed=1)
     assert driver["mean_delta_balanced_accuracy"] > 0.2
     assert abs(passenger["mean_delta_balanced_accuracy"]) <= 2 * passenger["sd"] + 1e-12
+
+
+def test_permutation_importance_matches_a_copy_and_a_score_per_repeat(rng):
+    X = rng.normal(size=(105, 4))
+    w = rng.normal(size=4)
+    predict = lambda m: (m @ w > 0).astype(int)
+    for y in ((X[:, 0] + rng.normal(size=105) > 0.5).astype(int), np.zeros(105, dtype=int)):
+        for j in range(4):
+            baseline, order, deltas = balanced_accuracy(y, predict(X)), np.random.default_rng(j), []
+            for _ in range(20):
+                Xp = X.copy()
+                Xp[:, j] = X[order.permutation(105), j]
+                deltas.append(baseline - balanced_accuracy(y, predict(Xp)))
+            expected = {"mean_delta_balanced_accuracy": float(np.mean(deltas)),
+                        "sd": float(np.std(deltas, ddof=1)), "flag": None}
+            assert repr(permutation_importance(predict, X, y, j, repeats=20, seed=j)) == repr(expected)
 
 
 # --- reports ---------------------------------------------------------------------
