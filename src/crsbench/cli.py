@@ -430,7 +430,13 @@ _REPORT = obj({"model_name": string(), "auroc": number(),
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    reports = sorted(run_dir.glob("**/*_report.json"))
+    manifest = run_dir / "manifest.json"
+    if manifest.exists():  # a run's directory: only the reports of the run that wrote it
+        rule = obj({"models": list_of(string())})
+        names = load_json(manifest.read_bytes(), rule, CliError, manifest)["models"]
+        reports = sorted(run_dir / "reports" / f"{name}_report.json" for name in names)
+    else:
+        reports = sorted(run_dir.glob("**/*_report.json"))
     if not reports:
         raise CliError(f"no *_report.json found under {run_dir}")
     lines = ["# Run summary", ""]

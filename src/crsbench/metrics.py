@@ -7,9 +7,9 @@ permutation feature importance. All functions are pure.
 Every ranking quantity (mid-ranks, AUROC, AP, ROC/PR points, DeLong
 placements) comes from one stable sort grouped by distinct score, as in the
 fast DeLong algorithm of Sun & Xu (IEEE SPL 2014); ``evaluate`` sorts once
-for all four of its ranking quantities and counts once for AP and the
-curves. The three tail probabilities the paired tests need are closed forms
-over ``math``.
+for AUROC, AP and the curves and counts once for AP and the curves, whose
+rows it renders as the lines of the ROC and P-R files. The three tail
+probabilities the paired tests need are closed forms over ``math``.
 """
 
 from __future__ import annotations
@@ -179,12 +179,8 @@ def _rank_sum_auc(rank_sum: float, m: int, n0: int) -> float:
     return (rank_sum - m * (m + 1) / 2.0) / (m * n0)
 
 
-def auroc(labels, scores) -> float:
-    """Tie-aware AUROC: (concordant + 0.5 * tied) / (n0 * n1), via mid-ranks."""
-    return _auroc(_rank(labels, scores))
-
-
 def _auroc(r: _Ranking) -> float:
+    """Tie-aware AUROC: (concordant + 0.5 * tied) / (n0 * n1), via mid-ranks."""
     m = int(np.sum(r.pos))
     n0 = len(r.order) - m
     if m == 0 or n0 == 0:
@@ -213,12 +209,8 @@ def _descending_counts(r: _Ranking) -> _Counts:
                    len(r.order) - n1, n1)
 
 
-def average_precision(labels, scores) -> float:
-    """Step-wise P-R integral; tied scores handled as one operating point."""
-    return _average_precision(_descending_counts(_rank(labels, scores)))
-
-
 def _average_precision(c: _Counts) -> float:
+    """Step-wise P-R integral; tied scores handled as one operating point."""
     if c.n1 == 0:
         raise MetricError("average_precision requires at least one positive")
     # cumsum adds the per-group terms left to right, highest score first
@@ -326,9 +318,9 @@ def _delong_placements(labels, scores):
 def delong_test(labels, scores_a, scores_b) -> dict:
     """Paired DeLong comparison of two correlated AUCs.
 
-    AUC estimates use the same mid-rank formulation as auroc(), so they match
-    it bit-for-bit. Zero variance (e.g. identical score vectors) yields a
-    flagged p-value of 1.
+    AUC estimates use the same mid-rank formulation as ``evaluate``'s AUROC,
+    so they match it bit-for-bit. Zero variance (e.g. identical score
+    vectors) yields a flagged p-value of 1.
     """
     labels = np.asarray(labels)
     scores_a = np.asarray(scores_a, dtype=float)
@@ -488,36 +480,13 @@ def permutation_importance(
     }
 
 
-class _Points:
-    """One curve's operating points over the counts ``evaluate`` took once:
-    its length is its number of points, and iterating makes each point a
-    dict. The ROC curve starts at ``(inf, 0.0, 0.0)``."""
-
-    __slots__ = ("counts", "roc")
-
-    def __init__(self, counts: _Counts, roc: bool):
-        self.counts, self.roc = counts, roc
-
-    def __len__(self) -> int:
-        return len(self.counts.threshold) + self.roc
-
-    def __iter__(self):
-        c = self.counts
-        thresholds, tpr = c.threshold.tolist(), (c.tp / c.n1).tolist()
-        if self.roc:
-            yield {"threshold": float("inf"), "fpr": 0.0, "tpr": 0.0}
-            for t, f, p in zip(thresholds, ((c.taken - c.tp) / c.n0).tolist(), tpr):
-                yield {"threshold": t, "fpr": f, "tpr": p}
-        else:
-            for t, r, p in zip(thresholds, tpr, (c.tp / c.taken).tolist()):
-                yield {"threshold": t, "recall": r, "precision": p}
-
-
 DEFAULT_NB_THRESHOLDS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 4))
 
 
-@record_type  # each report gets its own roc and pr lists
 class EvaluationReport(NamedTuple):
+    """One model's evaluation; ``roc`` and ``pr`` are the data lines of its
+    ROC and P-R files, the ROC's ``inf,0.0,0.0`` first."""
+
     model_name: str
     cm: ConfusionMatrix
     metrics: dict
@@ -526,8 +495,8 @@ class EvaluationReport(NamedTuple):
     brier: float | None
     reliability: list[ReliabilityBin]
     net_benefit_curve: list[dict]
-    roc: _Points | list[dict] = []
-    pr: _Points | list[dict] = []
+    roc: list[str]
+    pr: list[str]
     calibration_on_rescaled_proxy: bool = False
 
     def to_dict(self) -> dict:
@@ -565,18 +534,21 @@ def evaluate(pred_set: PredictionSet, model_name: str = "model") -> EvaluationRe
     probs = (scores + 1.0) / 2.0 if rescaled else scores
     cm = confusion(pred_set.labels, pred_set.hard_labels)
     ranking = _rank(pred_set.labels, scores)
+    metrics = threshold_metrics(cm)
+    auroc = _auroc(ranking)  # raises on one class, whose curves would divide by 0
     counts = _descending_counts(ranking)
+    roc, pr = _curve_lines(counts)
     return EvaluationReport(
         model_name=model_name,
         cm=cm,
-        metrics=threshold_metrics(cm),
-        auroc=_auroc(ranking),
+        metrics=metrics,
+        auroc=auroc,
         average_precision=_average_precision(counts),
         brier=brier(pred_set.labels, probs),
         reliability=reliability_curve(pred_set.labels, probs),
         net_benefit_curve=net_benefit(pred_set.labels, probs, DEFAULT_NB_THRESHOLDS),
-        roc=_Points(counts, roc=True),
-        pr=_Points(counts, roc=False),
+        roc=roc,
+        pr=pr,
         calibration_on_rescaled_proxy=rescaled,
     )
 
@@ -606,9 +578,8 @@ def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
         with replacing(Path(out_dir) / f"{report.model_name}_{name}.csv") as fh:
             fh.writelines(lines)
 
-    roc, pr = _curve_lines(report.roc.counts)
-    dump("roc", roc)
-    dump("pr", pr)
+    dump("roc", ["threshold,fpr,tpr\r\n", *report.roc])
+    dump("pr", ["threshold,recall,precision\r\n", *report.pr])
     dump("reliability", _csv_lines(
         ["bin_center", "mean_prob", "empirical_rate", "count"],
         [(b.bin_center, b.mean_prob, b.empirical_rate, b.count) for b in report.reliability],
@@ -621,19 +592,17 @@ def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
 
 
 def _curve_lines(c: _Counts) -> tuple[list[str], list[str]]:
-    """The lines of the ROC and of the P-R file, printing each distinct number
-    once: a threshold once for both files, and an FPR, TPR or recall, each
-    ``k / n`` for an integer count ``k``, once per distinct ``k``. Texts are
-    found by count, never by float value, which would take -0.0 for 0.0."""
+    """The data lines of the ROC and of the P-R file, printing each distinct
+    number once: a threshold once for both files, and an FPR, TPR or recall,
+    each ``k / n`` for an integer count ``k``, once per distinct ``k``. Texts
+    are found by count, never by float value, which would take -0.0 for 0.0."""
     thresholds = list(map(float.__repr__, c.threshold.tolist()))
     fpr = _fraction_texts(c.taken - c.tp, c.n0)
     tpr = _fraction_texts(c.tp, c.n1)
     precision = map(float.__repr__, (c.tp / c.taken).tolist())
-    roc = ["threshold,fpr,tpr\r\n", "inf,0.0,0.0\r\n"]
+    roc = ["inf,0.0,0.0\r\n"]
     roc += [f"{t},{f},{p}\r\n" for t, f, p in zip(thresholds, fpr, tpr)]
-    pr = ["threshold,recall,precision\r\n"]
-    pr += [f"{t},{r},{p}\r\n" for t, r, p in zip(thresholds, tpr, precision)]
-    return roc, pr
+    return roc, [f"{t},{r},{p}\r\n" for t, r, p in zip(thresholds, tpr, precision)]
 
 
 def _fraction_texts(k: np.ndarray, n: int) -> list[str]:

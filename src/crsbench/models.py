@@ -370,13 +370,14 @@ def mlp_loss_and_grads(
     y: np.ndarray,
     loss: LossConfig,
     class_weights: tuple[float, float],
-    workspace: MlpWorkspace | None = None,
+    workspace: MlpWorkspace,
 ) -> tuple[float, dict]:
     """Mean loss over the batch and analytic gradients for every parameter.
 
-    The gradients are ``workspace.grads``, views into ``workspace.grad``, and
-    are overwritten by the next call with the same workspace; without one, a
-    workspace for this batch is allocated. The probabilities are clamped once
+    The caller's ``workspace`` holds the hidden activations and their
+    gradient (at least the batch's rows) and the gradients, which are
+    ``workspace.grads``, views into ``workspace.grad``, overwritten by the
+    next call with the same workspace. The probabilities are clamped once
     and shared by the loss and its gradient. The weighted loss takes one log
     per sample, log p or log(1 - p), which equals the two-term cross-entropy
     bit for bit on 0/1 labels because the dropped term is 0 * log(.) = -0.0.
@@ -384,8 +385,6 @@ def mlp_loss_and_grads(
     y = np.asarray(y)
     n = X.shape[0]
     W1, b1, W2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
-    if workspace is None:
-        workspace = MlpWorkspace(W1.shape[0], W1.shape[1], n)
     hidden, dhidden, grads = workspace.hidden[:n], workspace.dhidden[:n], workspace.grads
     np.matmul(X, W1, out=hidden)
     hidden += b1

@@ -451,8 +451,8 @@ def run_trial(
     case_block: str,
     model: ModelIdentity,
     decoding: DecodingParams,
+    template: str,
     k: int = DEFAULT_K,
-    template: str | None = None,
     rag_passages: list | None = None,
     audit_log: AuditLog | None = None,
     clock=time.time,
@@ -460,12 +460,12 @@ def run_trial(
     """Take k replicates for one rendered case in one ``complete`` call,
     parse, aggregate, and audit.
 
-    A replay miss is a hard error.
+    ``template`` is the prompt template text, as ``load_prompt_template``
+    returns it; the caller reads it once for all its trials. A replay miss
+    is a hard error.
     """
     if k < 1:
         raise ProtocolError(f"k must be >= 1, got {k}")
-    if template is None:
-        template = load_prompt_template()
     prompt_hash = _prompt_hash(_leading_parts(template, rag_passages), case_block)
 
     replicates = [(raw, parse_response(raw)) for raw in client.complete(prompt_hash, k)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from crsbench import metrics
 from crsbench.cohort import PatientRecord
 from crsbench.schema import load_schema
 
@@ -79,6 +80,16 @@ def time_bound(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def auroc(labels, scores) -> float:
+    """The AUROC kernel ``evaluate`` runs, on the ranking of one instance."""
+    return metrics._auroc(metrics._rank(labels, scores))
+
+
+def average_precision(labels, scores) -> float:
+    """The AP kernel ``evaluate`` runs, on the counts of one instance."""
+    return metrics._average_precision(metrics._descending_counts(metrics._rank(labels, scores)))
 
 
 def make_record(**overrides) -> PatientRecord:

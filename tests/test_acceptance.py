@@ -22,8 +22,6 @@ from crsbench.cohort import (
 from crsbench.heuristic import BANDS, rule_chain
 from crsbench.metrics import (
     ConfusionMatrix,
-    auroc,
-    average_precision,
     brier,
     confusion,
     delong_test,
@@ -35,6 +33,7 @@ from crsbench.metrics import (
 from crsbench.models import (
     LossConfig,
     MlpArchitecture,
+    MlpWorkspace,
     init_mlp_params,
     inverse_prevalence_weights,
     mlp_loss_and_grads,
@@ -54,6 +53,7 @@ from crsbench.protocol import (
     store_replay_responses,
 )
 from crsbench.synthetic import generate_synthetic
+from conftest import auroc, average_precision
 from oracles import (
     ap_step_sum,
     auc_pair_count,
@@ -379,17 +379,19 @@ def test_criterion_09_mlp_property_check_on_synthetic_cohort(schema):
     params = init_mlp_params(arch, seed=0)
     Xs = rng.normal(size=(6, 5))
     ys = rng.integers(0, 2, size=6)
+    # the analytic gradients stay in their own workspace while the differences are taken
+    kept, probe = MlpWorkspace(5, 4, 6), MlpWorkspace(5, 4, 6)
     for loss in (LossConfig("weighted"), LossConfig("focal", gamma=2.0, alpha=0.25)):
-        _, grads = mlp_loss_and_grads(params, Xs, ys, loss, (0.8, 1.2))
+        _, grads = mlp_loss_and_grads(params, Xs, ys, loss, (0.8, 1.2), kept)
         for key in ("W1", "b1", "W2", "b2"):
             flat = params[key].ravel()
             for i in range(len(flat)):
                 orig = flat[i]
                 h = 1e-6
                 flat[i] = orig + h
-                up, _ = mlp_loss_and_grads(params, Xs, ys, loss, (0.8, 1.2))
+                up, _ = mlp_loss_and_grads(params, Xs, ys, loss, (0.8, 1.2), probe)
                 flat[i] = orig - h
-                down, _ = mlp_loss_and_grads(params, Xs, ys, loss, (0.8, 1.2))
+                down, _ = mlp_loss_and_grads(params, Xs, ys, loss, (0.8, 1.2), probe)
                 flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = grads[key].ravel()[i]

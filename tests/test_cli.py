@@ -60,7 +60,12 @@ from crsbench.rag import Bm25Index, load_corpus
 from crsbench.schema import load_schema
 from crsbench.synthetic import generate_synthetic, synthetic_table
 from conftest import time_bound
-from oracles import prepare_cohort_reference, transcript_bytes
+from oracles import (
+    pr_points_per_threshold,
+    prepare_cohort_reference,
+    roc_points_per_threshold,
+    transcript_bytes,
+)
 
 
 @pytest.fixture
@@ -460,6 +465,42 @@ def test_run_pipeline_and_report(tmp_path):
     assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
     summary = (run_dir / "summary.md").read_text()
     assert "logreg" in summary and "heuristic" in summary
+
+
+def test_report_summarizes_only_the_models_of_the_last_run(tmp_path, capsys):
+    out_dir, cfg = tmp_path / "run", tmp_path / "c.json"
+    config = {"seed": 3, "out_dir": str(out_dir), "synthetic": {"n": 80}, "models": ["logreg", "gnb"]}
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    config.update(seed=4, models=["logreg"])
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert (out_dir / "reports" / "gnb_report.json").exists()  # seed 3's, left behind
+    assert main(["report", "--run-dir", str(out_dir)]) == EXIT_OK
+    summary = (out_dir / "summary.md").read_text().splitlines()
+    assert [line.split(":")[0] for line in summary[2:]] == ["- logreg"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda m: m.update(models=["logreg", "gnb"]), "reports/gnb_report.json"),
+    (lambda m: m.pop("models"), "manifest.json"),
+    (lambda m: m.update(models="logreg"), "manifest.json"),
+    (lambda m: m.update(models=["logreg", 5]), "manifest.json"),
+])
+def test_report_on_a_manifest_it_cannot_follow_is_one_line_validation_error(
+        tmp_path, capsys, change, message):
+    out_dir, cfg = tmp_path / "run", tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 3, "out_dir": str(out_dir), "synthetic": {"n": 80},
+                               "models": ["logreg"]}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    change(manifest)
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out_dir)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not (out_dir / "summary.md").exists()
 
 
 def test_a_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path, capsys):
@@ -907,16 +948,19 @@ def test_traces_curves_and_audit_lines_have_the_bytes_of_their_oracle_encodings(
         doc = json.loads((run_dir / f"{name}_predictions.json").read_text())
         report = evaluate(PredictionSet(tuple(doc["case_ids"]), np.array(doc["labels"]),
                                         np.array(doc["scores"]), np.array(doc["hard_labels"])), name)
+        labels, scores = np.array(doc["labels"]), np.array(doc["scores"])
         curves = {curve: [list(points[0]), *(point.values() for point in points)] for curve, points in (
-            ("roc", list(report.roc)), ("pr", list(report.pr)), ("net_benefit", report.net_benefit_curve))}
+            ("roc", roc_points_per_threshold(labels, scores)),
+            ("pr", pr_points_per_threshold(labels, scores)), ("net_benefit", report.net_benefit_curve))}
         curves["reliability"] = [list(report.reliability[0]._fields), *map(tuple, report.reliability)]
         for curve, rows in curves.items():
             assert (run_dir / "reports" / "curves" / f"{name}_{curve}.csv").read_bytes() == csv_bytes(rows)
 
     # the trials of both audit logs: vendor, access date and decoding at their defaults
     client, identity = ReplayClient(store), ModelIdentity("replay", "m", "1970-01-01")
+    template = load_prompt_template()
     untimed = [transcript_bytes(run_trial(client, r.patient_id, serialize_case(r, schema), identity,
-                                          DecodingParams()), include_timestamp=False)
+                                          DecodingParams(), template), include_timestamp=False)
                for r in test]
     for audit in (run_dir / "audit.jsonl", genai_audit):
         header, *lines = audit.read_bytes().split(b"\n")[:-1]

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import errno
 import io
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -18,8 +17,6 @@ from crsbench.metrics import (
     ConfusionMatrix,
     MetricError,
     PredictionSet,
-    auroc,
-    average_precision,
     balanced_accuracy,
     bootstrap_ci,
     brier,
@@ -35,7 +32,7 @@ from crsbench.metrics import (
     write_curve_csvs,
     write_report_json,
 )
-from conftest import EDGE_FLOATS, time_bound
+from conftest import EDGE_FLOATS, auroc, average_precision, time_bound
 from oracles import (
     ap_step_sum,
     auc_pair_count,
@@ -170,12 +167,19 @@ def _evaluated(labels, scores):
     return evaluate(PredictionSet(ids, labels, scores, (scores >= 0.5).astype(int)))
 
 
+def _csv_rows(points) -> list[str]:
+    """The lines ``csv.writer`` writes for the values of each point, which
+    tell 0.0 from -0.0 and print the inf threshold."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(point.values() for point in points)
+    return text.getvalue().splitlines(keepends=True)
+
+
 def test_roc_and_pr_points_match_per_threshold_oracle(rng):
     for labels, scores in _curve_instances(rng):
         report = _evaluated(labels, scores)
-        # json.dumps also tells 0.0 from -0.0 and keeps the inf threshold comparable
-        assert json.dumps(list(report.roc)) == json.dumps(roc_points_per_threshold(labels, scores))
-        assert json.dumps(list(report.pr)) == json.dumps(pr_points_per_threshold(labels, scores))
+        assert report.roc == _csv_rows(roc_points_per_threshold(labels, scores))
+        assert report.pr == _csv_rows(pr_points_per_threshold(labels, scores))
 
 
 def test_ranking_on_empty_input():
@@ -564,8 +568,8 @@ def test_evaluate_probability_scores(rng):
     assert doc["confusion_matrix"]["rows"] == report.cm.as_rows()
     assert report.auroc == auroc(ps.labels, ps.scores)
     assert report.average_precision == average_precision(ps.labels, ps.scores)
-    assert json.dumps(list(report.roc)) == json.dumps(roc_points_per_threshold(ps.labels, ps.scores))
-    assert json.dumps(list(report.pr)) == json.dumps(pr_points_per_threshold(ps.labels, ps.scores))
+    assert report.roc == _csv_rows(roc_points_per_threshold(ps.labels, ps.scores))
+    assert report.pr == _csv_rows(pr_points_per_threshold(ps.labels, ps.scores))
 
 
 def test_evaluate_rescales_signed_proxy_scores():

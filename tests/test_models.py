@@ -236,8 +236,10 @@ def test_mlp_gradients_match_central_differences(schema):
     params = init_mlp_params(arch, seed=1)
     X = rng.normal(size=(8, 4))
     y = rng.integers(0, 2, size=8)
+    # the analytic gradients stay in their own workspace while the differences are taken
+    kept, probe = MlpWorkspace(4, 6, 8), MlpWorkspace(4, 6, 8)
     for loss in (LossConfig("weighted"), LossConfig("focal", gamma=2.0, alpha=0.25)):
-        _, grads = mlp_loss_and_grads(params, X, y, loss, (0.7, 1.3))
+        _, grads = mlp_loss_and_grads(params, X, y, loss, (0.7, 1.3), kept)
         for key in ("W1", "b1", "W2", "b2"):
             flat = params[key].ravel()
             num = np.empty_like(flat)
@@ -245,9 +247,9 @@ def test_mlp_gradients_match_central_differences(schema):
             for i in range(len(flat)):
                 orig = flat[i]
                 flat[i] = orig + h
-                up, _ = mlp_loss_and_grads(params, X, y, loss, (0.7, 1.3))
+                up, _ = mlp_loss_and_grads(params, X, y, loss, (0.7, 1.3), probe)
                 flat[i] = orig - h
-                down, _ = mlp_loss_and_grads(params, X, y, loss, (0.7, 1.3))
+                down, _ = mlp_loss_and_grads(params, X, y, loss, (0.7, 1.3), probe)
                 flat[i] = orig
                 num[i] = (up - down) / (2 * h)
             analytic = grads[key].ravel()
@@ -598,7 +600,7 @@ def test_mlp_loss_and_grads_is_bit_identical_to_reference(kind):
     X, y = _cohort_like(32, 9)
     params = init_mlp_params(MlpArchitecture(input_dim=22), seed=9)
     loss = LossConfig(kind)
-    value, grads = mlp_loss_and_grads(params, X, y, loss, (0.6, 1.4))
+    value, grads = mlp_loss_and_grads(params, X, y, loss, (0.6, 1.4), MlpWorkspace(22, 400, 32))
     ref_value, ref_grads = mlp_loss_and_grads_reference(params, X, y, loss, (0.6, 1.4))
     assert repr(value) == repr(ref_value)
     assert _same_bits(grads, ref_grads)
@@ -670,7 +672,7 @@ def test_mlp_step_counts_each_clamped_probability_once():
     y = np.array([1, 0, 1])
     for loss in (LossConfig("weighted"), LossConfig("focal")):
         before = clamp_count()
-        value, _ = mlp_loss_and_grads(params, X, y, loss, (0.5, 1.5))
+        value, _ = mlp_loss_and_grads(params, X, y, loss, (0.5, 1.5), MlpWorkspace(2, 1, 3))
         assert np.isfinite(value)
         assert clamp_count() - before == 2, loss.kind
 

@@ -340,9 +340,11 @@ class ScriptedClient:
         return [self.responses[i % len(self.responses)] for i in range(k)]
 
 
-def _trial(client, rec, schema, *args, **kwargs):
-    """``run_trial`` on the case block of one record."""
-    return run_trial(client, rec.patient_id, serialize_case(rec, schema), *args, **kwargs)
+def _trial(client, rec, schema, *args, template=None, **kwargs):
+    """``run_trial`` on the case block of one record, under the packaged
+    prompt template unless ``template`` is given."""
+    return run_trial(client, rec.patient_id, serialize_case(rec, schema), *args,
+                     template=template or load_prompt_template(), **kwargs)
 
 
 def test_run_trial_happy_path(tmp_path, schema):

@@ -56,7 +56,7 @@ FIELDS = [
     (metrics.EvaluationReport,
      "model_name cm metrics auroc average_precision brier reliability net_benefit_curve roc pr "
      "calibration_on_rescaled_proxy",
-     {"roc": [], "pr": [], "calibration_on_rescaled_proxy": False}),
+     {"calibration_on_rescaled_proxy": False}),
     (cohort.PatientRecord, " ".join(BASE_RECORD) + " snot22_6mo", {"snot22_6mo": None}),
     (cohort.RejectionReport, "rows_total accepted rejections", {}),
     (cohort.Scaler, "columns means sds", {}),
@@ -161,7 +161,6 @@ def test_decoding_params_warn_outside_the_default_ranges_however_built(caplog):
 
 @pytest.mark.parametrize("cls, names", [
     (models.TrainedModel, ["metadata"]),
-    (metrics.EvaluationReport, ["roc", "pr"]),
     (synthetic.GeneratorConfig, ["rates", "insurance_probs", "income_probs", "race_probs"]),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_no_two_records_share_a_mutable_default(cls, names):
