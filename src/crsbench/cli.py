@@ -120,7 +120,6 @@ class _Cohort(NamedTuple):
     """A cohort read, labeled, split, scaled and encoded; test rows in case-id order."""
 
     checksum: str
-    n_records: int
     rejection: RejectionReport
     unlabeled: list[str]
     split: CohortSplit
@@ -144,7 +143,7 @@ def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Coh
     train, test = labeled.take(split.train_rows), labeled.take(split.test_rows)
     scaler = fit_scaler(train, schema)
     return _Cohort(
-        checksum, len(table), rejection, table.ids[unlabeled].tolist(), split, scaler, test,
+        checksum, rejection, table.ids[unlabeled].tolist(), split, scaler, test,
         X_train=encode_matrix(train, schema, scaler),
         X_test=encode_matrix(test, schema, scaler),
         y_train=labels[split.train_rows],
@@ -298,12 +297,7 @@ def cmd_preprocess(args) -> int:
         "label_prevalence_train": split.label_prevalence_train,
         "label_prevalence_test": split.label_prevalence_test,
     })
-    write_json(out_dir / "scaler.json", {
-        "columns": list(scaler.columns),
-        "means": list(scaler.means),
-        "sds": list(scaler.sds),
-        "state_id": scaler.state_id,
-    })
+    write_json(out_dir / "scaler.json", {**scaler._asdict(), "state_id": scaler.state_id})
     write_json(out_dir / "rejections.json", {
         "rows_total": rejection.rows_total,
         "accepted": rejection.accepted,
@@ -435,7 +429,9 @@ def cmd_report(args) -> int:
         rule = obj({"models": list_of(string())})
         names = load_json(manifest.read_bytes(), rule, CliError, manifest)["models"]
         reports = sorted(run_dir / "reports" / f"{name}_report.json" for name in names)
-    else:
+    elif any((run_dir / name).exists() for name in (".lock", "cohort.csv", "audit.jsonl")):
+        raise CliError(f"unfinished run in {run_dir}: {manifest} is missing")
+    else:  # reports that evaluate wrote
         reports = sorted(run_dir.glob("**/*_report.json"))
     if not reports:
         raise CliError(f"no *_report.json found under {run_dir}")
@@ -498,7 +494,7 @@ _RUN_CONFIG_KEYS = {
     "decoding": described("an object with some of "
                           + ", ".join(f"{key} ({rule.what})" for key, rule in _DECODING.items()),
                           obj(_DECODING, build=DecodingParams, closed=True,
-                              **DecodingParams().to_dict())),
+                              **DecodingParams._field_defaults)),
     "template": _PATH,
     "replay": described(f"an object with some of store ({_PATH.what}), vendor and access_date",
                         obj({"store": _PATH, "vendor": _NAME, "access_date": _NAME}, closed=True,
@@ -588,7 +584,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
         "schema_version": schema.version,
         "schema_checksum": schema.checksum,
         "scaler_state_id": cohort.scaler.state_id,
-        "n_records": cohort.n_records,
+        "n_records": cohort.rejection.accepted,
         "rejections": cohort.rejection.rejected,
         "split": {
             "train": len(split.train_ids),

@@ -485,10 +485,7 @@ class Scaler(NamedTuple):
 
     @property
     def state_id(self) -> str:
-        payload = json.dumps(
-            {"columns": self.columns, "means": self.means, "sds": self.sds},
-            sort_keys=True,
-        )
+        payload = json.dumps(self._asdict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -549,18 +546,6 @@ class CohortSplit(NamedTuple):
     # the rows of each side in the cohort that was split, in case-id order
     train_rows: np.ndarray
     test_rows: np.ndarray
-
-    # Splits compare and hash by their first five fields: the row arrays
-    # follow from the ids, and arrays do not compare to one truth value.
-    def __eq__(self, other):
-        return self[:5] == other[:5] if type(other) is type(self) else NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:5])
 
 
 def stratified_split(cohort, test_fraction: float = 0.2, seed: int = 0) -> CohortSplit:

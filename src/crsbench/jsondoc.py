@@ -13,6 +13,7 @@ import json
 import os
 import reprlib
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 
 
@@ -165,6 +166,11 @@ def load_json(raw: bytes | str, rule, error, where=None):
         defect = f"not UTF-8 JSON: {exc}"
         raise error(defect if where is None else f"{where} is {defect}") from None
     return checked(doc, rule, error, where)
+
+
+def data_file(path: str | Path | None, name: str):
+    """The file at ``path``, or the packaged data file ``name`` when ``path`` is None."""
+    return resources.files("crsbench.data").joinpath(name) if path is None else Path(path)
 
 
 @contextmanager

@@ -508,17 +508,8 @@ class EvaluationReport(NamedTuple):
             "average_precision": self.average_precision,
             "brier": self.brier,
             "calibration_on_rescaled_proxy": self.calibration_on_rescaled_proxy,
-            "reliability": [
-                {
-                    "bin_center": b.bin_center,
-                    "mean_prob": b.mean_prob,
-                    "empirical_rate": b.empirical_rate,
-                    "count": b.count,
-                }
-                for b in self.reliability
-            ],
+            "reliability": [b._asdict() for b in self.reliability],
             "net_benefit": self.net_benefit_curve,
-            "paired_tests": None,
         }
 
 

@@ -92,9 +92,6 @@ class LossConfig(NamedTuple):
             raise ModelError(f"unknown loss kind: {self.kind}")
         return self
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma, "alpha": self.alpha}
-
 
 def _focal_terms(p, y, gamma: float, alpha: float):
     """Per-sample focal loss, and the terms its gradient shares with it:
@@ -578,7 +575,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "kind": model.kind,
         "feature_names": list(model.feature_names),
         "training_seed": model.training_seed,
-        "loss_config": model.loss_config.to_dict() if model.loss_config else None,
+        "loss_config": model.loss_config._asdict() if model.loss_config else None,
         "class_weights": list(model.class_weights),
         "schema_checksum": model.schema_checksum,
         "metadata": model.metadata,

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .cohort import COLUMN_TO_FIELD, ID_AND_OUTCOME_COLUMNS, CohortTable, PatientRecord, cell_texts
-from .jsondoc import json_number, json_string, list_of, load_json, obj, string, write_json
+from .jsondoc import data_file, json_number, json_string, list_of, load_json, obj, string, write_json
 from .records import record_type
 from .schema import Schema
 from .vocab import CONFIDENCE_VALUE, Confidence, confidence_text
@@ -87,14 +87,6 @@ class DecodingParams(NamedTuple):
             logger.warning("top_p %.3f outside default range [%.2f, %.2f]",
                            self.top_p, lo, hi)
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "seed": self.seed,
-        }
 
 
 class ParserStatus(Enum):
@@ -260,13 +252,7 @@ def serialize_case(record: PatientRecord, schema: Schema) -> str:
 
 def load_prompt_template(path: str | Path | None = None) -> str:
     """Canonical prompt text; packaged default unless a path is given."""
-    if path is None:
-        from importlib import resources
-
-        return resources.files("crsbench.data").joinpath("prompt_template.txt").read_text(
-            encoding="utf-8"
-        ).strip()
-    return Path(path).read_text(encoding="utf-8").strip()
+    return data_file(path, "prompt_template.txt").read_text(encoding="utf-8").strip()
 
 
 def _leading_parts(template: str, rag_passages: list | None) -> tuple[str, ...]:
@@ -323,14 +309,9 @@ class TrialTranscript(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "case_id": self.case_id,
-            "model": {
-                "vendor": self.model.vendor,
-                "model_id": self.model.model_id,
-                "access_date": self.model.access_date,
-                "identity": self.model.identity,
-            },
+            "model": {**self.model._asdict(), "identity": self.model.identity},
             "prompt_hash": self.prompt_hash,
-            "decoding": self.decoding.to_dict(),
+            "decoding": self.decoding._asdict(),
             "replicates": [
                 {"raw_text": raw, **parsed.to_dict()} for raw, parsed in self.replicates
             ],

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import re
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .jsondoc import list_of, load_json, obj, string
+from .jsondoc import data_file, list_of, load_json, obj, string
 from .records import record_type
 
 K1_DEFAULT = 1.2
@@ -53,10 +52,7 @@ _CORPUS = list_of(obj({"passage_id": string(), "source_tag": string(), "text": s
 
 def load_corpus(path: str | Path | None = None) -> list[Passage]:
     """Load passages from a JSON corpus file (packaged default if omitted)."""
-    if path is None:
-        raw = resources.files("crsbench.data").joinpath("corpus.json").read_bytes()
-    else:
-        raw = Path(path).read_bytes()
+    raw = data_file(path, "corpus.json").read_bytes()
     entries = load_json(raw, _CORPUS, RagError, f"corpus {path or '(packaged)'}")
     return [Passage(e["passage_id"], e["source_tag"], e["text"], len(tokenize(e["text"])))
             for e in entries]

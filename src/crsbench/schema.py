@@ -9,11 +9,10 @@ to the exact dictionary version it was produced with.
 from __future__ import annotations
 
 import hashlib
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .jsondoc import boolean, integer, list_of, load_json, mapping_of, nullable, obj, string
+from .jsondoc import boolean, data_file, integer, list_of, load_json, mapping_of, nullable, obj, string
 
 
 class SchemaError(ValueError):
@@ -101,8 +100,4 @@ def _parse_schema(raw: bytes) -> Schema:
 
 def load_schema(path: str | Path | None = None) -> Schema:
     """Load the schema from ``path``, or the packaged default when omitted."""
-    if path is None:
-        raw = resources.files("crsbench.data").joinpath("schema.json").read_bytes()
-    else:
-        raw = Path(path).read_bytes()
-    return _parse_schema(raw)
+    return _parse_schema(data_file(path, "schema.json").read_bytes())

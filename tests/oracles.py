@@ -732,7 +732,7 @@ def save_model_reference(model) -> bytes:
         "kind": model.kind,
         "feature_names": list(model.feature_names),
         "training_seed": model.training_seed,
-        "loss_config": model.loss_config.to_dict() if model.loss_config else None,
+        "loss_config": model.loss_config._asdict() if model.loss_config else None,
         "class_weights": list(model.class_weights),
         "schema_checksum": model.schema_checksum,
         "metadata": model.metadata,

@@ -515,6 +515,37 @@ def test_a_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path, capsys):
     assert (out_dir / "cohort.csv").exists() and not (out_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("cohort, second, code", [
+    ("synthetic", "replay:m", EXIT_REPLAY_MISS),  # leaves cohort.csv and audit.jsonl
+    ("csv", "replay:m", EXIT_REPLAY_MISS),  # leaves audit.jsonl
+    ("csv", "logreg", EXIT_VALIDATION),  # leaves only .lock: logreg's model file cannot be written
+])
+def test_report_refuses_an_unfinished_run(tmp_path, capsys, cohort_csv, cohort, second, code):
+    """A run that failed part way leaves its finished models' reports and no
+    manifest; ``report`` refuses the directory. A directory of reports that
+    ``evaluate`` wrote holds no lock, cohort or audit log, and is summarized."""
+    out_dir, cfg = tmp_path / "run", tmp_path / "c.json"
+    config = {"seed": 3, "out_dir": str(out_dir), "synthetic": {"n": 80},
+              "models": ["gnb", second], "replay": {"store": str(tmp_path / "none")}}
+    if cohort == "csv":
+        config["cohort_csv"] = str(cohort_csv)
+    cfg.write_text(json.dumps(config))
+    (out_dir / "logreg_model.json").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg)]) == code
+    assert (out_dir / "reports" / "gnb_report.json").exists()
+    assert (out_dir / "cohort.csv").exists() == (cohort == "synthetic")
+    assert (out_dir / "audit.jsonl").exists() == (second != "logreg")
+    line = _one_error_line(_main_in_process(capsys, "report", "--run-dir", str(out_dir)),
+                           EXIT_VALIDATION)
+    assert str(out_dir / "manifest.json") in line
+    assert not (out_dir / "summary.md").exists()
+
+    preds = out_dir / "gnb_predictions.json"
+    assert main(["evaluate", "--predictions", str(preds), "--out-dir", str(tmp_path / "ev")]) == EXIT_OK
+    assert main(["report", "--run-dir", str(tmp_path / "ev")]) == EXIT_OK
+    assert (tmp_path / "ev" / "summary.md").read_text().startswith("# Run summary\n\n- gnb:")
+
+
 @pytest.mark.parametrize("seed, n", [(2, 12), (2, 16), (0, 20)])
 def test_a_split_that_leaves_a_class_out_of_the_test_part_fails_before_training(
         tmp_path, capsys, seed, n):
@@ -768,10 +799,12 @@ def _assert_same_prepared_cohort(path, schema, seed):
     got = _prepare_cohort(path, schema, 0.2, seed)
     want = prepare_cohort_reference(path, schema, 0.2, seed)
     assert got.checksum == want.checksum
-    assert got.n_records == len(want.records)
     assert got.rejection == want.rejection
+    assert got.rejection.accepted == len(want.records)
     assert got.unlabeled == want.unlabeled
-    assert got.split == want.split
+    assert got.split[:5] == want.split[:5]  # ids, seed and prevalences
+    assert np.array_equal(got.split.train_rows, want.split.train_rows)
+    assert np.array_equal(got.split.test_rows, want.split.test_rows)
     assert got.scaler.state_id == want.scaler.state_id
     assert got.test.records() == want.test
     assert got.X_train.tobytes() == want.X_train.tobytes()

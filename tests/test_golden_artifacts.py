@@ -4,8 +4,10 @@ One pass at seed 0, in process, in a fresh working directory with a relative
 ``out_dir``: ``run`` with all five model kinds (logreg, gnb, focal-loss mlp,
 heuristic and one replayed model) on a generated cohort of the paper's 524
 rows, then ``genai --rag``, ``compare``, ``importance`` and ``report``. The
-replay store is planted before the pass, in a sibling directory. Audit
-timestamps are masked; every other byte of every file the pass leaves counts.
+replay store is planted before the pass, in a sibling directory. A second
+pass, at seed 1, reads a cohort CSV with defective rows through ``run``'s
+``cohort_csv`` and ``preprocess``. Audit timestamps are masked; every other
+byte of every file a pass leaves counts.
 """
 
 import hashlib
@@ -113,23 +115,23 @@ GOLDEN = {
     "run/reports/curves/sim-llm_roc.csv":
         "e44b8b9a42f7219256c5a116d73df0ce727af91ac50df5cde0fbdb8e3a8af579",
     "run/reports/gnb_report.json":
-        "ef0c7e336cd57990d916d20c392f485f88e744555226a3b344d3544fc5f9247e",
+        "6f0770ba1461881c3101c7334d0fcfdaaf9cfe9e4abde29c71ae8c10e77f8df6",
     "run/reports/gnb_report.md":
         "ab61bdbc67cf50d6f8cb31dc586fe5b36f172a19a376521efa40f0a4f0092d0a",
     "run/reports/heuristic_report.json":
-        "711c9941e9fecaf32888b17148d2473d474912a0aef88984942f39d8cbe20a09",
+        "8b0e36198ad9a49d9b36cf0c053eb5dc947394183bc5cb94ecbd68ce5491982b",
     "run/reports/heuristic_report.md":
         "da1da890e7224198eeb2024d0d9f57369cd6527198129e949b1f70d567c8e3c1",
     "run/reports/logreg_report.json":
-        "3bffe776cf73ef25316792fe37c72f2bb5e5a951727a615bd17bacf7b1036745",
+        "7276c457b9dc92b20f96b9f85f32e69328832f7622c453ad67b11eb8a953354c",
     "run/reports/logreg_report.md":
         "15fe5504bf87f12218216efb95a2c6b65f47bfb38f32cebfdd93a7d9900fb2ed",
     "run/reports/mlp_report.json":
-        "28484f97535232b7c5f364dae0ea3b92525a07740fc97f04a43289371a88910c",
+        "0bdad3000fa332ef30095c095dba3b9ea302b35ee4feeae4c3eeeac8ec9ba776",
     "run/reports/mlp_report.md":
         "305850f5ed5314efe20c87d866843612e256483df12f9e7158f61e9805a7b04e",
     "run/reports/sim-llm_report.json":
-        "75e914ac8247f2d0c6f28b339a07ff199ba777be5c5cf44d21daf433e1f6ec87",
+        "cf6dfb74e85f7716fd89f548746695a1793577c46bd32c0ebe069318ecfaf02b",
     "run/reports/sim-llm_report.md":
         "b19edefe243423d5bcd4dbd97e368fe079cecab4151aab7fecbc046444ca2822",
     "run/sim-llm_predictions.json":
@@ -162,19 +164,17 @@ def _digests(pass_dir):
     return out
 
 
-def test_a_paper_size_pass_leaves_the_pinned_bytes(tmp_path, schema, monkeypatch, capsys):
-    inputs, pass_dir = tmp_path / "inputs", tmp_path / "pass"
-    inputs.mkdir()
-    pass_dir.mkdir()
+def paper_pass(inputs, schema) -> list[list[str]]:
+    """Plant the replay store and the run config in ``inputs``; the argv of
+    each command of the pass, to run in a sibling of ``inputs``."""
     _plant_store(inputs / "store", schema, inputs)
     (inputs / "config.json").write_text(json.dumps({
         "seed": SEED, "out_dir": "run", "synthetic": {"n": N}, "loss": "focal", "k": K,
         "models": ["logreg", "gnb", "mlp", "heuristic", "replay:sim-llm"],
         "replay": {"store": "../inputs/store"},
     }))
-    monkeypatch.chdir(pass_dir)
     s = str(SEED)
-    for argv in (
+    return [
         ["run", "--config", "../inputs/config.json"],
         ["genai", "--replay-store", "../inputs/store", "--cohort", "run/cohort.csv",
          "--model-id", "sim-llm-rag", "--k", str(K), "--rag", "--audit-log", "genai_audit.jsonl",
@@ -184,12 +184,144 @@ def test_a_paper_size_pass_leaves_the_pinned_bytes(tmp_path, schema, monkeypatch
         ["importance", "--model-file", "run/mlp_model.json", "--cohort", "run/cohort.csv",
          "--seed", s, "--out", "importance.json"],
         ["report", "--run-dir", "run"],
-    ):
-        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+    ]
+
+
+def _assert_pinned(pass_dir, golden):
     digests = _digests(pass_dir)
-    changed = {path: digests.get(path) for path in sorted(digests.keys() | GOLDEN.keys())
-               if digests.get(path) != GOLDEN.get(path)}
+    changed = {path: digests.get(path) for path in sorted(digests.keys() | golden.keys())
+               if digests.get(path) != golden.get(path)}
     assert not changed, (
         f"artifacts differ from the pinned digests (new digest, or None where a file is gone): "
         f"{changed}. The table was built with numpy {BUILT_WITH_NUMPY} and is tied to that host's "
         f"numpy and BLAS; this is numpy {np.__version__}.")
+
+
+def test_a_paper_size_pass_leaves_the_pinned_bytes(tmp_path, schema, monkeypatch, capsys):
+    inputs, pass_dir = tmp_path / "inputs", tmp_path / "pass"
+    inputs.mkdir()
+    pass_dir.mkdir()
+    commands = paper_pass(inputs, schema)
+    monkeypatch.chdir(pass_dir)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+    _assert_pinned(pass_dir, GOLDEN)
+
+
+CSV_SEED = 1
+
+# SHA-256 of each file the CSV pass leaves, as ``GOLDEN`` holds them.
+GOLDEN_CSV = {
+    "prep/rejections.json":
+        "2fdc4196dbd611e0a10b84e647b019458e2cba4ebd899cd30fde13a1b6f66c57",
+    "prep/scaler.json":
+        "f9b57146124b22a71aecd8d1c4721cf8359f6a4d13b084cd1b594dc3bd32ea47",
+    "prep/split.json":
+        "8c18aad06c18fad62c9e7a16e311d60fc9ba5abdd1dd2bf41b48700a520d836e",
+    "run/.lock":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "run/gnb_model.json":
+        "b6690f3492c5f3245dea512a290f379955eaa8b5068cc0d1f4abfa5632327e53",
+    "run/gnb_predictions.json":
+        "151dcaff0f8ac8e93a27a69b9299d18ce5193280278b9f4ed69207899b6b95b5",
+    "run/heuristic_predictions.json":
+        "19cf073f2e528d7ce1ed8a7ee1b66b83384afe18dc3f4a902424385424223b01",
+    "run/heuristic_traces.jsonl":
+        "c1b43c5413b402d8edd7942b486b27f0c240859005dd0c4cde4ce6d5516053db",
+    "run/logreg_model.json":
+        "909a25d1ccd0f71492219487d9d81b0bd3687abd0fb8de769037393802350679",
+    "run/logreg_predictions.json":
+        "92b6346558406a0aff2f937081f15bbacd6533b49f6ab23cf90578d31e993d2a",
+    "run/manifest.json":
+        "8fcb5fb8ab66e1529420900df078a226a8f878313c3bc91f77dca0235bb21975",
+    "run/mlp_model.json":
+        "7a5a5621b36c0939c5e52930ebd77a71808de8db717175dabdbbcce4e4e20119",
+    "run/mlp_predictions.json":
+        "c9d1492a3d8a8b8dd9e784342cbf33a6a4bfc16108cc35e4333f12d531eaaa64",
+    "run/reports/curves/gnb_net_benefit.csv":
+        "dfd7cfffb10d75b3f7ba26b5d801bdc6f823c162e3b56ec1c4fa4582487193a9",
+    "run/reports/curves/gnb_pr.csv":
+        "28db85be0b8a66b2ae172b9ff78fdbe864f8c312193a5724f42f1acfab895f2c",
+    "run/reports/curves/gnb_reliability.csv":
+        "52de37fbe3b74399ba83600bcaabbf3cf7a9af06747a9f11751c531164adf5ef",
+    "run/reports/curves/gnb_roc.csv":
+        "459a41713a811bf3088c06f5de0518e5cf770797a27656a8332d0f5f70178265",
+    "run/reports/curves/heuristic_net_benefit.csv":
+        "d8987389d5fec3840f1e9fe88885ad72e6eaa0057661ca822fd23aecd7a8dbfd",
+    "run/reports/curves/heuristic_pr.csv":
+        "e66b9c4e2a3f76c6222367051b14310b3340c056715c4ca1e09609191b0f7d68",
+    "run/reports/curves/heuristic_reliability.csv":
+        "782af59b9a2043ed5036f4a8f73f62134bb7564c35fa1313e0e2a3d4d04629d0",
+    "run/reports/curves/heuristic_roc.csv":
+        "fc245c3cf68ed449967c6cce5d664cf40dd411ef47e57c1e42360353c0ad7d7f",
+    "run/reports/curves/logreg_net_benefit.csv":
+        "fdde74d0b598e900b37b4c4e636299c164f2690044a5e20264297d7e6156d5ea",
+    "run/reports/curves/logreg_pr.csv":
+        "ce1de12da2c15549513e72b7b03b5ba331cc06ea184de58714fa868f2eae9553",
+    "run/reports/curves/logreg_reliability.csv":
+        "bcdab54a7f8f857331bb208d103d6b38bb1c176278951668d49ccc4a31b704ff",
+    "run/reports/curves/logreg_roc.csv":
+        "989003d201350560763650b9f17d79ec99911847431295b3bb4bda04a7599b70",
+    "run/reports/curves/mlp_net_benefit.csv":
+        "ae15fb4fd2b4609093799b4e6a06554da2beda5999792b3fe49ec6afa6d4d484",
+    "run/reports/curves/mlp_pr.csv":
+        "d91b27fa9d1ada149c75b033446e3d33a95aa394d7e32e80d88779d174c6e168",
+    "run/reports/curves/mlp_reliability.csv":
+        "cb14bd906d5c5eb38cfa35108a51c30d01b8922eaa869fcd3b5c4b0d5f02112c",
+    "run/reports/curves/mlp_roc.csv":
+        "fe1b5f76f168fa6806f7f2558fb652a141764d92bb410e4a0cecb7cc0b34acc5",
+    "run/reports/gnb_report.json":
+        "263f5dd3c26a3df7fdedd25e2d94969f898027e93529c35393b46cba54cd1df1",
+    "run/reports/gnb_report.md":
+        "2450f22585897bc5a494e08e8afa1d2a554516096b211a294cf82d594df272fe",
+    "run/reports/heuristic_report.json":
+        "43a8630649f03ab4836469bf076f3627cc8feef8759fbe91a3481d82076f2f7d",
+    "run/reports/heuristic_report.md":
+        "b38c5d34f075c3648182efe121ca1fcf829c5b5c65c000141f8da5033350fc24",
+    "run/reports/logreg_report.json":
+        "23658af438c0d3a2a91f0a88b14af767eae0bddc3aede1939c5c0cdbcd548ad1",
+    "run/reports/logreg_report.md":
+        "60084b21ee6bc5be600d5b85a94b51e520b7b9f026014c9efb150f7cf500397c",
+    "run/reports/mlp_report.json":
+        "1b33268f02db91041c8cee6ddedf051a61ed9143bdbeb997c75df0ad14a30d0e",
+    "run/reports/mlp_report.md":
+        "8863deedd2e97bb4062af396236783fd8a361aff9afeafa5105c1d15876979e2",
+}
+
+
+def _defective_cohort(schema) -> bytes:
+    """The paper-size cohort at ``CSV_SEED`` as CSV, with a placeholder in a
+    required field, an out-of-range value, a duplicate id, a short row and a
+    blank id (which is given a generated id, not rejected)."""
+    lines = serialize_cohort(synthetic_table(N, CSV_SEED), schema).decode().splitlines()
+    col = {name: j for j, name in enumerate(lines[0].split(","))}
+    rows = [line.split(",") for line in lines]
+    rows[11][col["SNOT22_BLN_TOTAL"]] = "NA"
+    rows[52][col["BLN_CT_TOTAL"]] = "31"
+    rows[120][col["PATIENT_ID"]] = rows[3][col["PATIENT_ID"]]
+    rows[201] = rows[201][:9]
+    rows[300][col["PATIENT_ID"]] = ""
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+def test_a_pass_over_a_csv_cohort_with_rejected_rows_leaves_the_pinned_bytes(
+        tmp_path, schema, monkeypatch, capsys):
+    inputs, pass_dir = tmp_path / "inputs", tmp_path / "pass"
+    inputs.mkdir()
+    pass_dir.mkdir()
+    (inputs / "cohort.csv").write_bytes(_defective_cohort(schema))
+    (inputs / "config.json").write_text(json.dumps({
+        "seed": CSV_SEED, "out_dir": "run", "cohort_csv": "../inputs/cohort.csv",
+        "models": ["logreg", "gnb", "mlp", "heuristic"],
+    }))
+    monkeypatch.chdir(pass_dir)
+    for argv in (
+        ["run", "--config", "../inputs/config.json"],
+        ["preprocess", "--cohort", "../inputs/cohort.csv", "--seed", str(CSV_SEED), "--out-dir", "prep"],
+    ):
+        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+    rejections = json.loads((pass_dir / "prep" / "rejections.json").read_text())
+    assert (rejections["rows_total"], rejections["accepted"]) == (N, N - 4)
+    split = json.loads((pass_dir / "prep" / "split.json").read_text())
+    assert "case_0299" in split["train_ids"] + split["test_ids"]  # the blank id's
+    _assert_pinned(pass_dir, GOLDEN_CSV)

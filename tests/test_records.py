@@ -63,7 +63,7 @@ FIELDS = [
     (cohort.CohortSplit,
      "train_ids test_ids seed label_prevalence_train label_prevalence_test train_rows test_rows", {}),
     (cli._Cohort,
-     "checksum n_records rejection unlabeled split scaler test X_train X_test y_train y_test case_ids",
+     "checksum rejection unlabeled split scaler test X_train X_test y_train y_test case_ids",
      {}),
 ]
 
@@ -184,15 +184,6 @@ def test_schema_columns_are_found_by_name_in_each_schema():
     assert packaged.column(packaged.columns[0].name) is packaged.columns[0]
     with pytest.raises(schema.SchemaError, match="unknown column: ID"):
         packaged.column("ID")
-
-
-def test_splits_compare_without_their_row_arrays():
-    ids = (frozenset({"a", "b"}), frozenset({"c"}), 3, 0.5, 1.0)
-    split = cohort.CohortSplit(*ids, np.array([0, 1]), np.array([2]))
-    same = cohort.CohortSplit(*ids, np.array([1, 0, 2]), np.array([], dtype=int))
-    assert split == same and not split != same and hash(split) == hash(same)
-    other = split._replace(seed=4)
-    assert split != other and not split == other
 
 
 def test_parser_outcomes_compute_their_vote_and_audit_head_once():
