@@ -36,7 +36,7 @@ from .cohort import (
 )
 from .heuristic import rule_chain
 from .jsondoc import (checked, described, integer, list_of, load_json, nullable, number, obj,
-                      replacing, string, write_json)
+                      one_of, replacing, string, write_json)
 from .metrics import (
     MetricError,
     PredictionSet,
@@ -47,6 +47,8 @@ from .metrics import (
     write_report_json,
 )
 from .models import (
+    LOSS_KINDS,
+    MODEL_KINDS,
     DivergenceError,
     LossConfig,
     ModelError,
@@ -60,6 +62,7 @@ from .models import (
     train_mlp,
 )
 from .protocol import (
+    DEFAULT_K,
     AuditLog,
     DecodingParams,
     ModelIdentity,
@@ -153,13 +156,14 @@ def _prepare_cohort(path: Path, schema, test_fraction: float, seed: int) -> _Coh
 
 
 def _replay_trials(test, schema, store, identity, params: DecodingParams, k, template,
-                   audit_path, rag_index=None, rag_k=5):
+                   audit_path, retrieve=None):
     """Run one replayed trial per row of the test table; returns (scores, hard labels).
 
     ``store``, ``params`` and ``k`` were checked where they were read: by
     ``_RUN_CONFIG`` for ``run``, by the parser and ``main`` for ``genai``.
-    A case with no parseable replicate scores 0.0. The audit log at
-    ``audit_path``, if one is given, is opened here and closed when the
+    ``retrieve``, a bound ``Bm25Index.retrieve``, gives each prompt its
+    passages. A case with no parseable replicate scores 0.0. The audit log
+    at ``audit_path``, if one is given, is opened here and closed when the
     trials end or fail, so it holds a line for each finished trial.
     """
     audit = AuditLog(audit_path) if audit_path else None
@@ -167,12 +171,9 @@ def _replay_trials(test, schema, store, identity, params: DecodingParams, k, tem
     try:
         client = ReplayClient(store)
         for case_id, block in zip(test.ids.tolist(), case_blocks(test, schema)):
-            passages = None
-            if rag_index is not None:
-                passages, _ = rag_index.retrieve(block, k=rag_k)
             agg = run_trial(
-                client, case_id, block, identity, params, k=k,
-                template=template, rag_passages=passages, audit_log=audit,
+                client, case_id, block, identity, params, k=k, template=template,
+                rag_passages=retrieve(block)[0] if retrieve else None, audit_log=audit,
             ).aggregate
             scores.append(agg.mean_proxy if agg.mean_proxy is not None else 0.0)
             hard.append(agg.final_label)
@@ -354,11 +355,11 @@ def cmd_genai(args) -> int:
     cohort = _prepare_cohort(Path(args.cohort), schema, args.test_fraction, args.seed)
     identity = ModelIdentity(args.vendor, args.model_id, args.access_date)
     template = load_prompt_template(args.template)
-    rag_index = Bm25Index(load_corpus(args.corpus)) if args.rag else None
+    retrieve = (functools.partial(Bm25Index(load_corpus(args.corpus)).retrieve, k=args.rag_k)
+                if args.rag else None)
     scores, hard = _replay_trials(
         cohort.test, schema, args.replay_store, identity,
-        DecodingParams(args.temperature, args.top_p), args.k, template, args.audit_log,
-        rag_index=rag_index, rag_k=args.rag_k,
+        DecodingParams(args.temperature, args.top_p), args.k, template, args.audit_log, retrieve,
     )
     _write_predictions(Path(args.out), args.model_id, _case_fields(cohort.case_ids, cohort.y_test),
                        scores, hard)
@@ -452,13 +453,15 @@ def cmd_report(args) -> int:
 
 _STEM = re.compile(r"(?!\.)[A-Za-z0-9_.-]+")
 _STEM_RULE = "a file-name stem ([A-Za-z0-9_.-]+, not starting with '.')"
+# The model specs of a run config besides ``replay:<id>``.
+_SPECS = (*MODEL_KINDS, "heuristic")
 
 
 def _distinct_stems(specs: list[str]) -> bool:
     """Whether the output names of model specs, the spec or the id after
     ``replay:``, are distinct file-name stems."""
     names = [spec.removeprefix("replay:") for spec in specs
-             if spec in ("logreg", "gnb", "mlp", "heuristic") or spec.startswith("replay:")]
+             if spec in _SPECS or spec.startswith("replay:")]
     return len(set(names)) == len(names) == len(specs) and all(map(_STEM.fullmatch, names))
 
 
@@ -484,11 +487,11 @@ _RUN_CONFIG_KEYS = {
     "cohort_csv": _PATH,
     "synthetic": described(f"an object whose n is an integer in [1, {MAX_ROWS}]",
                            obj({"n": integer(1, hi=MAX_ROWS)}, closed=True, n=524)),
-    "models": described("a list of 'logreg', 'gnb', 'mlp', 'heuristic' or 'replay:<id>' strings "
+    "models": described(f"a list of {', '.join(map(repr, _SPECS))} or 'replay:<id>' strings "
                         f"with distinct output names, each <id> {_STEM_RULE}",
                         list_of(string()), _distinct_stems),
     "threshold": number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    "loss": string(lambda v: v in ("weighted", "focal"), "'weighted' or 'focal'"),
+    "loss": one_of(LOSS_KINDS),
     "test_fraction": number(lambda v: 0 < v < 1, "a number in (0, 1)"),
     "k": integer(1, ">= 1"),
     "decoding": described("an object with some of "
@@ -503,7 +506,10 @@ _RUN_CONFIG_KEYS = {
 RunConfig = namedtuple("RunConfig", _RUN_CONFIG_KEYS)
 _RUN_CONFIG = obj(_RUN_CONFIG_KEYS, build=RunConfig, closed=True, out_dir="run", schema=None,
                   cohort_csv=None, synthetic={}, models=["mlp", "heuristic"], threshold=0.5,
-                  loss="weighted", test_fraction=0.2, k=5, decoding={}, template=None, replay={})
+                  loss="weighted", test_fraction=0.2, k=DEFAULT_K, decoding={}, template=None, replay={})
+# Each subcommand flag named after a run-config, decoding or replay key takes its default.
+_DEFAULTS = _RUN_CONFIG({"seed": 0})
+_FLAG_DEFAULTS = {**_DEFAULTS._asdict(), **_DEFAULTS.decoding._asdict(), **_DEFAULTS.replay}
 # The numeric subcommand flags, checked before any command runs; those named
 # after run-config or decoding keys share their rules.
 _FLAG_RULES = {**{key: _RUN_CONFIG_KEYS[key] for key in ("seed", "threshold", "test_fraction", "k")},
@@ -552,8 +558,10 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
     reports_dir = out_dir / "reports"
     cases = _case_fields(case_ids, y_test)
     names = [spec.removeprefix("replay:") for spec in cfg.models]
+    replays = any(spec.startswith("replay:") for spec in cfg.models)
+    template = load_prompt_template(cfg.template) if replays else None
     for spec, name in zip(cfg.models, names):
-        if spec in ("logreg", "gnb", "mlp"):
+        if spec in MODEL_KINDS:
             model = _train_one(spec, cohort.X_train, cohort.y_train, schema, seed, cfg.loss)
             save_model(model, out_dir / f"{spec}_model.json")
             scores = predict_proba(model, cohort.X_test)
@@ -566,8 +574,7 @@ def _run_pipeline(cfg: RunConfig, out_dir) -> int:
         else:  # replay:<id>
             identity = ModelIdentity(cfg.replay["vendor"], name, cfg.replay["access_date"])
             scores, hard = _replay_trials(
-                test, schema, cfg.replay["store"], identity, cfg.decoding, cfg.k,
-                load_prompt_template(cfg.template), audit_path,
+                test, schema, cfg.replay["store"], identity, cfg.decoding, cfg.k, template, audit_path,
             )
         _write_predictions(out_dir / f"{name}_predictions.json", name, cases, scores, hard)
         _emit_report(
@@ -613,9 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if cohort:  # the flags of the one data path, _prepare_cohort
             p.add_argument("--cohort", required=True)
-            p.add_argument("--schema", default=None, help="schema file (packaged default)")
+            p.add_argument("--schema", default=_FLAG_DEFAULTS["schema"], help="schema file (packaged default)")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--test-fraction", type=float, default=0.2)
+            p.add_argument("--test-fraction", type=float, default=_FLAG_DEFAULTS["test_fraction"])
         if out:
             p.add_argument("--out", required=True)
         return p
@@ -624,29 +631,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--schema", default=None)
+    p.add_argument("--schema", default=_FLAG_DEFAULTS["schema"])
 
     p = command("preprocess", cmd_preprocess, "parse, label, split, fit scaler", cohort=True)
     p.add_argument("--out-dir", required=True)
 
     p = command("train", cmd_train, "train a supervised model", cohort=True, out=True)
-    p.add_argument("--model", required=True, choices=["logreg", "gnb", "mlp"])
-    p.add_argument("--loss", default="weighted", choices=["weighted", "focal"])
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
+    p.add_argument("--loss", default=_FLAG_DEFAULTS["loss"], choices=LOSS_KINDS)
 
     p = command("predict", cmd_predict, "score the held-out split with a saved model",
                 cohort=True, out=True)
     p.add_argument("--model-file", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=_FLAG_DEFAULTS["threshold"])
 
     p = command("genai", cmd_genai, "run LLM trials (replay mode)", cohort=True, out=True)
     p.add_argument("--replay-store", required=True)
-    p.add_argument("--vendor", default="replay")
+    p.add_argument("--vendor", default=_FLAG_DEFAULTS["vendor"])
     p.add_argument("--model-id", required=True)
-    p.add_argument("--access-date", default="1970-01-01")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--temperature", type=float, default=0.2)
-    p.add_argument("--top-p", type=float, default=0.9)
-    p.add_argument("--template", default=None)
+    p.add_argument("--access-date", default=_FLAG_DEFAULTS["access_date"])
+    p.add_argument("--k", type=int, default=_FLAG_DEFAULTS["k"])
+    p.add_argument("--temperature", type=float, default=_FLAG_DEFAULTS["temperature"])
+    p.add_argument("--top-p", type=float, default=_FLAG_DEFAULTS["top_p"])
+    p.add_argument("--template", default=_FLAG_DEFAULTS["template"])
     p.add_argument("--audit-log", default=None)
     p.add_argument("--rag", action="store_true")
     p.add_argument("--rag-k", type=int, default=5)

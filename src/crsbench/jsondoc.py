@@ -57,6 +57,11 @@ def string(ok=None, what="a string"):
     return _scalar(frozenset({str}), what, ok)
 
 
+def one_of(values: tuple):
+    """One of the strings ``values``, named as 'a', 'b' or 'c'."""
+    return string(values.__contains__, ", ".join(map(repr, values[:-1])) + f" or {values[-1]!r}")
+
+
 def boolean():
     return _scalar(frozenset({bool}), "a boolean")
 
@@ -147,7 +152,8 @@ def checked(value, rule, error, where=None):
     try:
         return rule(value)
     except Invalid as bad:
-        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in bad.path).removeprefix(".")
+        path = "".join(f"[{k}]" if type(k) is int else "." + (k if k.isprintable() else repr(k))
+                       for k in bad.path).removeprefix(".")
         raise error(" ".join(str(part) for part in (where, path and f"key {path}", bad.defect)
                              if part)) from None
 

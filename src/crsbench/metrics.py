@@ -14,6 +14,7 @@ probabilities the paired tests need are closed forms over ``math``.
 
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -563,23 +564,20 @@ def compare(pred_a: PredictionSet, pred_b: PredictionSet, n_resamples: int = 200
 
 
 def write_curve_csvs(report: EvaluationReport, out_dir: str | Path) -> None:
-    """CSV curve files (ROC, P-R, reliability, net benefit) for plotting, with
-    the bytes ``csv.writer`` writes, of a report ``evaluate`` built."""
-    def dump(name, lines):
+    """CSV curve files (ROC, P-R, reliability, net benefit) for plotting, of a
+    report ``evaluate`` built. ``csv.writer`` writes the reliability and net
+    benefit rows; the ROC and P-R lines, as ``evaluate`` rendered them, have
+    the bytes it writes."""
+    def dump(name, lines=(), rows=()):
         with replacing(Path(out_dir) / f"{report.model_name}_{name}.csv") as fh:
             fh.writelines(lines)
+            csv.writer(fh).writerows(rows)
 
     dump("roc", ["threshold,fpr,tpr\r\n", *report.roc])
     dump("pr", ["threshold,recall,precision\r\n", *report.pr])
-    dump("reliability", _csv_lines(
-        ["bin_center", "mean_prob", "empirical_rate", "count"],
-        [(b.bin_center, b.mean_prob, b.empirical_rate, b.count) for b in report.reliability],
-    ))
-    dump("net_benefit", _csv_lines(
-        ["threshold", "net_benefit", "treat_all", "treat_none"],
-        [(r["threshold"], r["net_benefit"], r["treat_all"], r["treat_none"])
-         for r in report.net_benefit_curve],
-    ))
+    dump("reliability", rows=[ReliabilityBin._fields, *report.reliability])
+    header = ("threshold", "net_benefit", "treat_all", "treat_none")
+    dump("net_benefit", rows=[header, *([r[key] for key in header] for r in report.net_benefit_curve)])
 
 
 def _curve_lines(c: _Counts) -> tuple[list[str], list[str]]:
@@ -602,22 +600,6 @@ def _fraction_texts(k: np.ndarray, n: int) -> list[str]:
     distinct, at = np.unique(k, return_inverse=True)
     texts = np.array(list(map(float.__repr__, (distinct / n).tolist())), dtype=object)
     return texts[at].tolist()
-
-
-def _csv_field(value) -> str:
-    """A number or None as ``csv.writer`` writes it: a float (a subclass too)
-    by ``float.__repr__``, None as nothing, anything else by ``str``."""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return "" if value is None else str(value)
-
-
-def _csv_lines(headers, rows):
-    """A header and rows of numbers as the lines ``csv.writer`` writes: fields
-    joined by commas, each line ended by ``\\r\\n``. No field needs quoting."""
-    yield ",".join(headers) + "\r\n"
-    for row in rows:
-        yield ",".join(map(_csv_field, row)) + "\r\n"
 
 
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:

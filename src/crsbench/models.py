@@ -32,11 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohort import leakage_guard
-from .jsondoc import integer, list_of, load_json, mapping_of, nullable, number, obj, replacing, string
+from .jsondoc import integer, list_of, load_json, mapping_of, nullable, number, obj, one_of, replacing, string
 from .records import record_type
 from .schema import Schema, load_schema
 
 EPS = 1e-7
+MODEL_KINDS = ("logreg", "gnb", "mlp")
+LOSS_KINDS = ("weighted", "focal")
 
 
 class ModelError(ValueError):
@@ -83,12 +85,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @record_type
 class LossConfig(NamedTuple):
-    kind: str = "weighted"  # "weighted" | "focal"
+    kind: str = "weighted"  # one of LOSS_KINDS
     gamma: float = 2.0
     alpha: float = 0.25
 
     def _checked(self):
-        if self.kind not in ("weighted", "focal"):
+        if self.kind not in LOSS_KINDS:
             raise ModelError(f"unknown loss kind: {self.kind}")
         return self
 
@@ -102,6 +104,17 @@ def _focal_terms(p, y, gamma: float, alpha: float):
     return terms, (q, log_p, log_q, q_g, p_g, not_y)
 
 
+def _weighted_terms(p, y, class_weights: tuple[float, float]):
+    """Class weight w and w log p (y=1) or w log(1 - p) (y=0) per sample. One log per sample
+    gives the two-term cross-entropy's bits on 0/1 labels: the dropped 0 * log(.) is -0.0."""
+    positive = y == 1
+    w = np.where(positive, class_weights[1], class_weights[0])
+    logs = np.where(positive, p, 1.0 - p)
+    np.log(logs, out=logs)
+    logs *= w
+    return w, logs
+
+
 def loss_values(p, y, loss: LossConfig, class_weights: tuple[float, float]):
     """Per-sample loss on clamped probabilities; a float for a scalar ``p`` and ``y``.
 
@@ -113,8 +126,7 @@ def loss_values(p, y, loss: LossConfig, class_weights: tuple[float, float]):
     if loss.kind == "focal":
         out = _focal_terms(p, y, loss.gamma, loss.alpha)[0]
     else:
-        w = np.where(y == 1, class_weights[1], class_weights[0])
-        out = -w * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        out = -_weighted_terms(p, y, class_weights)[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,7 +168,7 @@ class OptimizerConfig(NamedTuple):
 
 @record_type  # each model gets its own metadata dict
 class TrainedModel(NamedTuple):
-    kind: str  # "logreg" | "gnb" | "mlp"
+    kind: str  # one of MODEL_KINDS
     feature_names: tuple[str, ...]
     params: dict
     training_seed: int = 0
@@ -375,9 +387,7 @@ def mlp_loss_and_grads(
     gradient (at least the batch's rows) and the gradients, which are
     ``workspace.grads``, views into ``workspace.grad``, overwritten by the
     next call with the same workspace. The probabilities are clamped once
-    and shared by the loss and its gradient. The weighted loss takes one log
-    per sample, log p or log(1 - p), which equals the two-term cross-entropy
-    bit for bit on 0/1 labels because the dropped term is 0 * log(.) = -0.0.
+    and shared by the loss and its gradient.
     """
     y = np.asarray(y)
     n = X.shape[0]
@@ -390,11 +400,7 @@ def mlp_loss_and_grads(
     z += b2
     p = _clamp_probs(sigmoid(z.ravel()))
     if loss.kind == "weighted":
-        positive = y == 1
-        w = np.where(positive, class_weights[1], class_weights[0])
-        logs = np.where(positive, p, 1.0 - p)
-        np.log(logs, out=logs)
-        logs *= w
+        w, logs = _weighted_terms(p, y, class_weights)
         value = -float(np.add.reduce(logs)) / n
         gz = np.subtract(p, y)
         gz *= w
@@ -446,8 +452,7 @@ def train_mlp(
         raise ModelError("architecture input_dim does not match X")
     optimizer = optimizer or OptimizerConfig()
     weights = class_weights or inverse_prevalence_weights(y)
-    if loss is None:
-        loss = LossConfig(kind="weighted")
+    loss = loss or LossConfig()
 
     rng = np.random.default_rng(seed)
     n = X.shape[0]
@@ -571,18 +576,12 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     flattened values, written ``SAVE_CHUNK_VALUES`` at a time through
     ``replacing``, so a failure at any point leaves the old file as it was.
     """
-    head = json.dumps({
-        "kind": model.kind,
-        "feature_names": list(model.feature_names),
-        "training_seed": model.training_seed,
-        "loss_config": model.loss_config._asdict() if model.loss_config else None,
-        "class_weights": list(model.class_weights),
-        "schema_checksum": model.schema_checksum,
-        "metadata": model.metadata,
-    })
+    head = model._asdict()
+    params = head.pop("params")
+    head = json.dumps({**head, "loss_config": model.loss_config and model.loss_config._asdict()})
     with replacing(path) as fh:
         fh.write(f'{head[:-1]}, "params": {{')
-        for i, (name, value) in enumerate(model.params.items()):
+        for i, (name, value) in enumerate(params.items()):
             flat = value.ravel()
             fh.write(f'{", " if i else ""}{json.dumps(name)}: '
                      f'{{"shape": {json.dumps(list(value.shape))}, "data": [')
@@ -593,17 +592,13 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         fh.write("}}")
 
 
-# The parameter arrays of each kind of model.
-_PARAM_NAMES = {"logreg": {"w", "b"}, "gnb": {"means", "variances", "priors"},
-                "mlp": {"W1", "b1", "W2", "b2"}}
 # A model file as ``save_model`` writes it; ``load_model`` checks its parameters.
 _MODEL = obj({
-    "kind": string(lambda v: v in _PARAM_NAMES, "'logreg', 'gnb' or 'mlp'"),
+    "kind": one_of(MODEL_KINDS),
     "feature_names": list_of(string()),
     "training_seed": integer(),
-    "loss_config": nullable(obj({"kind": string(lambda v: v in ("weighted", "focal"),
-                                                "'weighted' or 'focal'"),
-                                 "gamma": number(), "alpha": number()}, build=LossConfig)),
+    "loss_config": nullable(obj({"kind": one_of(LOSS_KINDS), "gamma": number(), "alpha": number()},
+                                build=LossConfig)),
     "class_weights": list_of(number()),
     "schema_checksum": string(),
     "metadata": mapping_of(),
@@ -626,15 +621,15 @@ def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
             "model was trained under a different schema/dictionary version: "
             f"{checksum[:12]} != {schema.checksum[:12]}"
         )
-    if set(entries) != _PARAM_NAMES[kind]:
-        raise ModelError(f"{path}: a {kind} model needs parameters {sorted(_PARAM_NAMES[kind])}")
     d = len(doc["feature_names"])
-    h = entries["W1"]["shape"][-1] if kind == "mlp" and entries["W1"]["shape"] else None
+    h = (entries["W1"]["shape"] or [None])[-1] if "W1" in entries else None
     shapes = {
         "logreg": {"w": (d,), "b": (1,)},
         "gnb": {"means": (2, d), "variances": (2, d), "priors": (2,)},
         "mlp": {"W1": (d, h), "b1": (h,), "W2": (h, 1), "b2": (1,)},
     }[kind]
+    if entries.keys() != shapes.keys():
+        raise ModelError(f"{path}: a {kind} model needs parameters {sorted(shapes)}")
     params = {}
     for name, shape in shapes.items():
         if tuple(entries[name]["shape"]) != shape:
@@ -648,13 +643,5 @@ def load_model(path: str | Path, schema: Schema | None = None) -> TrainedModel:
             raise ModelError(f"{path}: parameter {name!r} must hold finite numbers only, "
                              f"{math.prod(shape)} of them")
         params[name] = values.astype(float, copy=False).reshape(shape)
-    return TrainedModel(
-        kind=kind,
-        feature_names=tuple(doc["feature_names"]),
-        params=params,
-        training_seed=doc["training_seed"],
-        loss_config=doc["loss_config"],
-        class_weights=tuple(doc["class_weights"]),
-        schema_checksum=checksum,
-        metadata=doc["metadata"],
-    )
+    return TrainedModel(**{**doc, "feature_names": tuple(doc["feature_names"]),
+                           "class_weights": tuple(doc["class_weights"]), "params": params})

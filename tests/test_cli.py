@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import fcntl
@@ -43,7 +44,7 @@ from crsbench.cohort import (
     stratified_split,
 )
 from crsbench.heuristic import predict_heuristic
-from crsbench.jsondoc import checked, load_json
+from crsbench.jsondoc import checked, load_json, mapping_of, obj
 from crsbench.metrics import PredictionSet, evaluate
 from crsbench.protocol import (
     DecodingParams,
@@ -795,6 +796,22 @@ def test_genai_k_zero_is_validation_error(tmp_path, cohort_csv, capsys):
     assert not out.exists()
 
 
+def test_each_flag_named_after_a_run_config_key_has_that_keys_default():
+    cfg = load_json(b'{"seed": 0}', cli._RUN_CONFIG, ValueError)
+    defaults = {**cfg._asdict(), **cfg.decoding._asdict(), **cfg.replay}
+    del defaults["seed"]  # a run config has none; --seed's 0 is the flags' own
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    shared = {}
+    for name, parser in subcommands.items():
+        for action in parser._actions:
+            if action.dest in defaults and not action.required:
+                shared[name, action.dest] = action.default
+    assert shared == {flag: defaults[flag[1]] for flag in shared}
+    assert {dest for _, dest in shared} == {"schema", "test_fraction", "loss", "threshold", "vendor",
+                                            "access_date", "k", "temperature", "top_p", "template"}
+
+
 def _assert_same_prepared_cohort(path, schema, seed):
     got = _prepare_cohort(path, schema, 0.2, seed)
     want = prepare_cohort_reference(path, schema, 0.2, seed)
@@ -1297,6 +1314,18 @@ def test_row_and_repeat_counts_have_an_upper_bound():
             config(n)
         assert str(bad.value).startswith("config key synthetic must be an object whose n is an "
                                          f"integer in [1, {cli.MAX_ROWS}], got ")
+
+
+def test_a_key_that_is_not_printable_is_named_by_its_repr_on_one_line():
+    """A key that ``str.splitlines`` would split, or that is not printable,
+    is named by its ``repr`` in the one line of a rejected document."""
+    rule = obj({"m": mapping_of(obj({}))})
+    for key in ("\x1e", "a\nb", "\ud800", "tab\t"):
+        with pytest.raises(ValueError) as bad:
+            load_json(json.dumps({"m": {key: None}}), rule, ValueError, "doc")
+        assert str(bad.value) == f"doc key m.{key!r} must be a JSON object, got None"
+    with pytest.raises(ValueError, match=r"^doc key m\.a b must be a JSON object, got None$"):
+        load_json(json.dumps({"m": {"a b": None}}), rule, ValueError, "doc")
 
 
 def _report_dir(tmp_path: Path, doc) -> list[str]:

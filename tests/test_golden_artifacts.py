@@ -4,15 +4,23 @@ One pass at seed 0, in process, in a fresh working directory with a relative
 ``out_dir``: ``run`` with all five model kinds (logreg, gnb, focal-loss mlp,
 heuristic and one replayed model) on a generated cohort of the paper's 524
 rows, then ``genai --rag``, ``compare``, ``importance`` and ``report``. The
-replay store is planted before the pass, in a sibling directory. A second
-pass, at seed 1, reads a cohort CSV with defective rows through ``run``'s
-``cohort_csv`` and ``preprocess``. Audit timestamps are masked; every other
-byte of every file a pass leaves counts.
+replay store is planted before the pass, in a sibling directory. The same
+pass runs at seed 2, and at seed 0 again in two fresh interpreters: one
+under another ``PYTHONHASHSEED``, one with two BLAS threads instead of one.
+Another pass, at seed 1, reads a cohort CSV with defective rows through
+``run``'s ``cohort_csv`` and ``preprocess``. Audit timestamps are masked;
+every other byte of every file a pass leaves counts.
 """
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import crsbench
 
 import numpy as np
 from crsbench.cli import EXIT_OK, _prepare_cohort, main
@@ -141,12 +149,12 @@ GOLDEN = {
 }
 
 
-def _plant_store(store, schema, inputs):
+def _plant_store(store, schema, inputs, seed):
     """Replay entries for the test split of ``run``'s cohort, without and with
     retrieved passages, as ``run`` and ``genai --rag`` will hash them."""
     cohort = inputs / "cohort.csv"
-    cohort.write_bytes(serialize_cohort(synthetic_table(N, SEED), schema))
-    blocks = case_blocks(_prepare_cohort(cohort, schema, 0.2, SEED).test, schema)
+    cohort.write_bytes(serialize_cohort(synthetic_table(N, seed), schema))
+    blocks = case_blocks(_prepare_cohort(cohort, schema, 0.2, seed).test, schema)
     template, index = load_prompt_template(), Bm25Index(load_corpus())
     for i, block in enumerate(blocks):
         for j, passages in enumerate((None, index.retrieve(block, k=K)[0])):
@@ -164,16 +172,16 @@ def _digests(pass_dir):
     return out
 
 
-def paper_pass(inputs, schema) -> list[list[str]]:
+def paper_pass(inputs, schema, seed=SEED) -> list[list[str]]:
     """Plant the replay store and the run config in ``inputs``; the argv of
     each command of the pass, to run in a sibling of ``inputs``."""
-    _plant_store(inputs / "store", schema, inputs)
+    _plant_store(inputs / "store", schema, inputs, seed)
     (inputs / "config.json").write_text(json.dumps({
-        "seed": SEED, "out_dir": "run", "synthetic": {"n": N}, "loss": "focal", "k": K,
+        "seed": seed, "out_dir": "run", "synthetic": {"n": N}, "loss": "focal", "k": K,
         "models": ["logreg", "gnb", "mlp", "heuristic", "replay:sim-llm"],
         "replay": {"store": "../inputs/store"},
     }))
-    s = str(SEED)
+    s = str(seed)
     return [
         ["run", "--config", "../inputs/config.json"],
         ["genai", "--replay-store", "../inputs/store", "--cohort", "run/cohort.csv",
@@ -197,15 +205,159 @@ def _assert_pinned(pass_dir, golden):
         f"numpy and BLAS; this is numpy {np.__version__}.")
 
 
-def test_a_paper_size_pass_leaves_the_pinned_bytes(tmp_path, schema, monkeypatch, capsys):
-    inputs, pass_dir = tmp_path / "inputs", tmp_path / "pass"
+def _pass_dirs(tmp_path, name):
+    inputs, pass_dir = tmp_path / "inputs", tmp_path / name
     inputs.mkdir()
     pass_dir.mkdir()
-    commands = paper_pass(inputs, schema)
+    return inputs, pass_dir
+
+
+def _run_in_process(commands, pass_dir, monkeypatch, capsys):
     monkeypatch.chdir(pass_dir)
     for argv in commands:
         assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def test_a_paper_size_pass_leaves_the_pinned_bytes(tmp_path, schema, monkeypatch, capsys):
+    inputs, pass_dir = _pass_dirs(tmp_path, "pass")
+    _run_in_process(paper_pass(inputs, schema), pass_dir, monkeypatch, capsys)
     _assert_pinned(pass_dir, GOLDEN)
+
+
+# Runs each argv of ``sys.argv[1]`` (JSON) through ``main``, in order.
+_PASS_CHILD = """
+import json, sys
+from crsbench.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+def test_the_paper_pass_leaves_the_pinned_bytes_under_another_hash_seed_and_two_blas_threads(
+        tmp_path, schema):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    commands = json.dumps(paper_pass(inputs, schema))
+    src = str(Path(crsbench.__file__).resolve().parents[1])
+    for name, env in (("hash_seed", {"PYTHONHASHSEED": "1234", "OPENBLAS_NUM_THREADS": "1"}),
+                      ("blas_threads", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"})):
+        pass_dir = tmp_path / name
+        pass_dir.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _PASS_CHILD, commands], cwd=pass_dir,
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src, **env))
+        assert proc.returncode == 0, (name, proc.stderr)
+        _assert_pinned(pass_dir, GOLDEN)
+
+
+SEED_2 = 2
+
+# SHA-256 of each file the seed-2 pass leaves, as ``GOLDEN`` holds them.
+GOLDEN_SEED_2 = {
+    "compare.json":
+        "414cf9f9c203218ede051f37c7965900d753738506f0db6b9cbfc4f78bdd2f0e",
+    "genai_audit.jsonl":
+        "1d5ec2f502072be9adcff709acdbcab7274e6bf7e544986bda70fb054ca774a6",
+    "genai_predictions.json":
+        "5ca2211a79979ffb39e14646ee9f110661c11890f8cf4bb47305483193daec47",
+    "importance.json":
+        "45e21e7c4708afea12b423135b8258d17d692243679a7b9b1e1e4a1c53a25807",
+    "run/.lock":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "run/audit.jsonl":
+        "0104b1cf0aeab3eced28dbddd82fa607f55681440c28b155c0ff333de0ee8527",
+    "run/cohort.csv":
+        "1cc0050335827421a4367671417ee956f7d2bcaa271de0636b4f705454d6f665",
+    "run/gnb_model.json":
+        "6b64c13c80a652da73b7ca5f687383f4501b7f0de57563a53ef5031ae2d7e4af",
+    "run/gnb_predictions.json":
+        "c508e4e696281e156cdaa436e69059f4601f62a6158908c84f4c1c76feecf8c7",
+    "run/heuristic_predictions.json":
+        "d525c50c4f33e163039edd264c18e76d56e09d5c3da4221ad9783ef07476024e",
+    "run/heuristic_traces.jsonl":
+        "58755fd8e08fd8e8b6a8a48181555916e0f2647469d3e797d42a03843f1a29a1",
+    "run/logreg_model.json":
+        "b00a4a2dc67daddbc68faec6147e063b6f56a03d6edc54b0d17ea31056c1389d",
+    "run/logreg_predictions.json":
+        "ae7cbc1044a60311bc1447fb919f139307229a3acecba0ad9067a2b4b1bd7a1f",
+    "run/manifest.json":
+        "5d76efe8ab91b54ef0f65bfa2df510236de347bf9026302d8e95fa8a02ad6bb6",
+    "run/mlp_model.json":
+        "84f419eec3615760b0ef46436df31801d27189180eb8f1e08ecdd769379cea65",
+    "run/mlp_predictions.json":
+        "8ff16b46816a4bd957da5a34c41a2a72c8a16bd0e9b7480fb6a0a0c5be81699f",
+    "run/reports/curves/gnb_net_benefit.csv":
+        "20a8e8f298d3ebe1212fe457f1378261285d06ab9c915b25e741e916a7d2a572",
+    "run/reports/curves/gnb_pr.csv":
+        "3145f7955b65f9430db47867bc2d4615224d45183f6224158708cfd81adce165",
+    "run/reports/curves/gnb_reliability.csv":
+        "53aabe6248da94f7de5d00e78e2cffe287b236139f7d0afad0a6d9c0278b22d8",
+    "run/reports/curves/gnb_roc.csv":
+        "b3977468cdf4a31796166f75e70342d6d988713a03427a1a99fccc55e4cd84ca",
+    "run/reports/curves/heuristic_net_benefit.csv":
+        "ef72e1fe090d0311b0a4d6babb2d23c02115dbd4723fad26d01e4f4a0771414b",
+    "run/reports/curves/heuristic_pr.csv":
+        "bd67f9e0214b5ef81ffd851ec6fa1d9a2de13010b0a1bca9a82910fc5592033c",
+    "run/reports/curves/heuristic_reliability.csv":
+        "da1e2cfdf54711827c9c7eccd1114c9d9923cd698de522345d499e5310bc5879",
+    "run/reports/curves/heuristic_roc.csv":
+        "56fb2627acf670d56a830aa675acb72b48e485a144c43765adbaccb6805eb5c1",
+    "run/reports/curves/logreg_net_benefit.csv":
+        "0dcb1f275275be0a08d6b0a17440a9e6d62d01f0215f3f2f2f16439f2a4d7389",
+    "run/reports/curves/logreg_pr.csv":
+        "007ed014889580e00c3b21d9e90e3cc6fb2706b83d35596de59a32f07f258409",
+    "run/reports/curves/logreg_reliability.csv":
+        "a59d4f4c23ec6c754091c134061dfd0cf904f1397d7793e7024ac8af3c1420b7",
+    "run/reports/curves/logreg_roc.csv":
+        "e61f75f03d3e98bcd6528bf42917b81d6b0cf49d8a572a9a516e98ffa9d4e6af",
+    "run/reports/curves/mlp_net_benefit.csv":
+        "01227e1b89e7ecc3fea2ed263b0afb4d427356cc288658a63d7f05250d4fbb2c",
+    "run/reports/curves/mlp_pr.csv":
+        "6483a6462fed787e7fb6a3466ca97510780009bb47a6ea3b3d7949ba1f82882e",
+    "run/reports/curves/mlp_reliability.csv":
+        "0cd41be2a5c5904deb7f2f08259ad50c4dea1bd7aaa391b4c3f315677f2dc663",
+    "run/reports/curves/mlp_roc.csv":
+        "9451ba81927021f39dc0a653598b3061ed1edf68900ae0a010786e5a086be62d",
+    "run/reports/curves/sim-llm_net_benefit.csv":
+        "b505019c9b75115525c49e8335fbc79c32bd2798016a3c06d19e4a646f8c57d4",
+    "run/reports/curves/sim-llm_pr.csv":
+        "73118f693c463c6f77f74052f84181187fbb0691bf5ff962faae0abb6daaca8e",
+    "run/reports/curves/sim-llm_reliability.csv":
+        "9fbe89b51dde227e08340ea1cdd7dd995270a59b0a8bdf6c38f92d0f5ce0bd6d",
+    "run/reports/curves/sim-llm_roc.csv":
+        "39aa651e06ce8e080cf2bf4c75d8613fa11e9ce2ab340a8ae8cbb9dbd678219d",
+    "run/reports/gnb_report.json":
+        "a1fba131fa0ae6855a83af131fe4c520afc4629f66cd962bf8bbece204ebea62",
+    "run/reports/gnb_report.md":
+        "945ffe25a8ac241f0c58dd9b24f3cd1fae57b7475a3394fc3a60173879e32ac5",
+    "run/reports/heuristic_report.json":
+        "b3f8c10edad425d6c5ae19f57d669496155027b9624dfe4cf96fb3cdb0d01f88",
+    "run/reports/heuristic_report.md":
+        "8332eb07d50a6da2ea1b8fb4d8435263368d725bbd5a225a9ae1e5bf36d7a0b1",
+    "run/reports/logreg_report.json":
+        "f2f24867fb32cff875e279492c924ae25d03d95c295cc2976411b24a29dfc1d6",
+    "run/reports/logreg_report.md":
+        "d3240e615e23db4dd3c892a54a195ae8bed0c7e64efa35d3f75b66d956a3b253",
+    "run/reports/mlp_report.json":
+        "37b52357286ade07f28800f5ad4ffe1a18e15164fad00383fcb1b1f19b6dc271",
+    "run/reports/mlp_report.md":
+        "a343b76cab236d1ec7c624af1a5bbdcbd307d7d5d851e0ac37d74f4be897d259",
+    "run/reports/sim-llm_report.json":
+        "be9a74caac46015f7421b2455bd7c3ac3113fb449fbfa1728f514df4bad3c597",
+    "run/reports/sim-llm_report.md":
+        "df326c164c379701e42719b29d7e6cc79a9ab1434b2ed7741012d76e2b78901f",
+    "run/sim-llm_predictions.json":
+        "bb2dedb539fbab9522235214d045da9a86149630ced3e47a19703ddb7b979eef",
+    "run/summary.md":
+        "803ff3b01685c640b0c1f57545ddf222636328226d86f6c04c21fba2fad46a75",
+}
+
+
+def test_the_paper_pass_at_seed_2_leaves_the_pinned_bytes(tmp_path, schema, monkeypatch, capsys):
+    inputs, pass_dir = _pass_dirs(tmp_path, "pass")
+    _run_in_process(paper_pass(inputs, schema, SEED_2), pass_dir, monkeypatch, capsys)
+    _assert_pinned(pass_dir, GOLDEN_SEED_2)
 
 
 CSV_SEED = 1
@@ -306,20 +458,16 @@ def _defective_cohort(schema) -> bytes:
 
 def test_a_pass_over_a_csv_cohort_with_rejected_rows_leaves_the_pinned_bytes(
         tmp_path, schema, monkeypatch, capsys):
-    inputs, pass_dir = tmp_path / "inputs", tmp_path / "pass"
-    inputs.mkdir()
-    pass_dir.mkdir()
+    inputs, pass_dir = _pass_dirs(tmp_path, "pass")
     (inputs / "cohort.csv").write_bytes(_defective_cohort(schema))
     (inputs / "config.json").write_text(json.dumps({
         "seed": CSV_SEED, "out_dir": "run", "cohort_csv": "../inputs/cohort.csv",
         "models": ["logreg", "gnb", "mlp", "heuristic"],
     }))
-    monkeypatch.chdir(pass_dir)
-    for argv in (
+    _run_in_process([
         ["run", "--config", "../inputs/config.json"],
         ["preprocess", "--cohort", "../inputs/cohort.csv", "--seed", str(CSV_SEED), "--out-dir", "prep"],
-    ):
-        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+    ], pass_dir, monkeypatch, capsys)
     rejections = json.loads((pass_dir / "prep" / "rejections.json").read_text())
     assert (rejections["rows_total"], rejections["accepted"]) == (N, N - 4)
     split = json.loads((pass_dir / "prep" / "split.json").read_text())

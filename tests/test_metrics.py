@@ -32,7 +32,7 @@ from crsbench.metrics import (
     write_curve_csvs,
     write_report_json,
 )
-from conftest import EDGE_FLOATS, auroc, average_precision, time_bound
+from conftest import auroc, average_precision, time_bound
 from oracles import (
     ap_step_sum,
     auc_pair_count,
@@ -638,23 +638,6 @@ def test_a_curve_file_that_fails_mid_write_keeps_the_old_file(tmp_path, rng, mon
     with pytest.raises(OSError, match="No space left"):
         write_curve_csvs(report, tmp_path)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before  # and no temporary file
-
-
-# What a curve row holds: floats (numpy's too), integer counts, and None for
-# an empty reliability bin.
-_CSV_FIELDS = st.one_of(
-    EDGE_FLOATS, EDGE_FLOATS.map(np.float64), st.integers(), st.integers(0, 2**63 - 1).map(np.int64),
-    st.none(),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_CSV_FIELDS, min_size=3, max_size=4), max_size=6))
-def test_curve_rows_have_the_bytes_csv_writer_writes(rows):
-    headers = ["threshold", "a", "b"]
-    expected = io.StringIO(newline="")
-    csv.writer(expected).writerows([headers, *rows])
-    assert "".join(metrics._csv_lines(headers, rows)) == expected.getvalue()
 
 
 # Curve scores in [-1, 1], where ``evaluate`` takes both probabilities and
